@@ -1,20 +1,23 @@
-"""Compare the compiled and pure kernels on realistic workloads.
+"""Time the Smith normal form kernels on the matrices the pipeline passes them.
 
-The inputs are the boundary matrices and GF(2) incidence masks of actual
-neighborhood complexes, plus a dense random integer matrix as a stress
-case.  Run as a script; prints one row per workload with both timings.
+The inputs are the boundary matrices of collapsed cores, recorded by
+wrapping ``nctopo._kernels.snf_diagonal`` while ``verify`` runs: the torus
+case I4C at n = 80, 160 and 320, and every admissible instance of the
+n = 5..25 sweep.  Full neighborhood complexes never reach the kernel, so
+they are not timed.  For each workload the script prints the time of one
+pass over its matrices, best of three, for the pure two-stage kernel, for
+its dense stage alone, and for the compiled kernel when it was built.
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
 
-import random
 import time
 
-from nctopo import circulant, neighborhood_complex
+from nctopo import _kernels, verify
 from nctopo._kernels import pure
-from nctopo.homology import chain_complex
+from nctopo.cli import admissible_triples
 
 try:
     from nctopo._kernels import _fast
@@ -22,77 +25,59 @@ except ImportError:
     _fast = None
 
 
-def _best_of(fn, repeats=5):
+def _best_of(fn, mats, repeats=3):
     best = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
+        for mat in mats:
+            fn(mat)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
 
 
-def _boundary_workloads():
-    out = []
-    for n, s, t in ((40, 3, 5), (36, 1, 11), (30, 2, 9)):
-        cc = chain_complex(neighborhood_complex(circulant(n, (s, t))))
-        for d, mat in enumerate(cc.boundaries):
-            if mat and mat[0]:
-                out.append((f"boundary d={d} of N(C_{n}({s},{t})) "
-                            f"[{len(mat)}x{len(mat[0])}]", mat))
-    return out
+def _core_matrices(triples):
+    """Every matrix ``verify`` hands to the Smith kernel on these instances."""
+    mats = []
+    dispatch = _kernels.snf_diagonal
 
+    def record(mat):
+        mats.append(mat)
+        return dispatch(mat)
 
-def _random_matrix(rows, cols, seed=7):
-    rng = random.Random(seed)
-    return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-
-
-def _masks(mat):
-    out = []
-    for row in mat:
-        m = 0
-        for j, v in enumerate(row):
-            if v % 2:
-                m |= 1 << j
-        out.append(m)
-    return out
+    _kernels.snf_diagonal = record
+    try:
+        for n, s, t in triples:
+            verify(n, s, t)
+    finally:
+        _kernels.snf_diagonal = dispatch
+    return mats
 
 
 def main():
-    if _fast is None:
-        print("compiled kernel not built; nothing to compare")
-        return
+    workloads = [(f"torus n={n}", _core_matrices([(n, 1, 4)])) for n in (80, 160, 320)]
+    workloads.append(("sweep n=5..25", _core_matrices(admissible_triples(5, 25))))
 
-    workloads = _boundary_workloads()
-    workloads.append(("random 60x80 entries in [-3,3]", _random_matrix(60, 80)))
-
-    print(f"{'workload':52s} {'pure':>10s} {'compiled':>10s} {'speedup':>8s}")
-    for name, mat in workloads:
-        expected = pure.snf_diagonal(mat)
-        try:
-            got = _fast.snf_diagonal(mat)
-        except OverflowError:
-            # Entry growth tripped the 64-bit guard; the dispatch wrapper
-            # reruns the pure kernel in that case, so just confirm it.
-            from nctopo._kernels import snf_diagonal
-
-            assert snf_diagonal(mat) == expected
-            tp = _best_of(lambda: pure.snf_diagonal(mat))
-            print(f"snf {name:48s} {tp * 1e3:8.2f}ms {'guarded':>10s} {'':>8s}")
-            continue
-        assert got == expected, f"kernel disagreement on {name}"
-        tp = _best_of(lambda: pure.snf_diagonal(mat))
-        tc = _best_of(lambda: _fast.snf_diagonal(mat))
-        print(f"snf {name:48s} {tp * 1e3:8.2f}ms {tc * 1e3:8.2f}ms {tp / tc:7.1f}x")
-
-    for name, mat in workloads:
-        masks = _masks(mat)
-        nbits = len(mat[0])
-        assert pure.gf2_rank(masks) == _fast.gf2_rank(masks, nbits)
-        tp = _best_of(lambda: pure.gf2_rank(masks))
-        tc = _best_of(lambda: _fast.gf2_rank(masks, nbits))
-        print(f"gf2 {name:48s} {tp * 1e6:8.1f}us {tc * 1e6:8.1f}us {tp / tc:7.1f}x")
+    print(f"{'workload':16s} {'matrices':>8s} {'largest':>9s} "
+          f"{'pure':>9s} {'dense':>9s} {'compiled':>9s}")
+    for name, mats in workloads:
+        expected = [pure._dense_snf(mat) for mat in mats]
+        assert [pure.snf_diagonal(mat) for mat in mats] == expected, name
+        big = max(mats, key=lambda m: len(m) * len(m[0]))
+        cells = [
+            f"{_best_of(pure.snf_diagonal, mats):8.3f}s",
+            f"{_best_of(pure._dense_snf, mats):8.3f}s",
+        ]
+        if _fast is None:
+            cells.append(f"{'not built':>9s}")
+        else:
+            try:
+                assert [_fast.snf_diagonal(mat) for mat in mats] == expected, name
+                cells.append(f"{_best_of(_fast.snf_diagonal, mats):8.3f}s")
+            except OverflowError:
+                # The dispatch wrapper would rerun the pure kernel here.
+                cells.append(f"{'guarded':>9s}")
+        print(f"{name:16s} {len(mats):8d} {len(big):>4d}x{len(big[0]):<4d} " + " ".join(cells))
 
 
 if __name__ == "__main__":

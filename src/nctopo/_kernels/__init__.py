@@ -2,10 +2,12 @@
 
 ``gf2_rank`` and ``snf_diagonal`` dispatch to the Cython extension when it
 was built, and otherwise to the pure-Python twins.  Setting the NCTOPO_PURE
-environment variable forces the pure path.  The compiled Smith kernel works
-in guarded 64-bit integers; if an entry outgrows the guard it raises
-OverflowError and the wrapper silently reruns the pure kernel, which is
-exact at any size.
+environment variable forces the pure path.  The compiled Smith kernel is a
+dense reduction in guarded 64-bit integers; if an entry outgrows the guard
+it raises OverflowError and the wrapper silently reruns the pure kernel,
+which is exact at any size.  The pure Smith kernel works in two stages: a
+sparse elimination of unit pivots, cheapest Markowitz cost first, then the
+dense reduction on the block without unit entries that is left over.
 """
 
 from __future__ import annotations

@@ -101,7 +101,8 @@ def case_of(n, s, t):
         if n == 12 * s:
             return ClassificationCase("I2B", n, s, t, "t = 3s, n = 12s")
         # n = 8s would force 2(s+t) = n, already captured above.
-        assert n != 8 * s, "unreachable: n = 8s lands in the 2(s+t) = n case"
+        if n == 8 * s:
+            raise AssertionError("unreachable: n = 8s lands in the 2(s+t) = n case")
         return ClassificationCase("I2C", n, s, t, "t = 3s, n not in {8s, 10s, 12s}")
 
     if 5 * s == 3 * t:

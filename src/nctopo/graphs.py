@@ -144,14 +144,19 @@ def find_fold(g):
 
     Pairs are compared lexicographically, so the result is deterministic.
     When N(u) == N(v) the smaller vertex is the one reported for deletion.
+    An isolated u folds onto the smallest other vertex.  Otherwise every
+    v with N(u) contained in N(v) is adjacent to the first vertex of N(u),
+    so only that vertex's neighbors, in ascending order, are tested.
     """
     n = g.num_vertices
     for u in range(n):
-        nu = set(g.neighborhood(u))
-        for v in range(n):
-            if v == u:
-                continue
-            if nu <= set(g.neighborhood(v)):
+        nu = g.neighborhood(u)
+        if not nu:
+            if n > 1:
+                return (u, 1 if u == 0 else 0)
+            continue
+        for v in g.neighborhood(nu[0]):
+            if v != u and set(g.neighborhood(v)).issuperset(nu):
                 return (u, v)
     return None
 

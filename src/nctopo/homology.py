@@ -129,7 +129,15 @@ def homology(k):
 
     euler = sum((-1) ** d * f[d] for d in range(top + 1))
     alt = sum((-1) ** d * betti_z[d] for d in range(top + 1))
-    assert euler == alt, f"Euler mismatch: f-vector gives {euler}, Betti sum gives {alt}"
+    if euler != alt:
+        raise AssertionError(f"Euler mismatch: f-vector gives {euler}, Betti sum gives {alt}")
+    # The Euler sum holds for any ranks, so it cannot see a lost pivot.
+    # A rank mod 2 never exceeds the rank over Z; this catches one.
+    for d in range(1, top + 1):
+        if rank_2[d] > rank_z[d]:
+            raise AssertionError(
+                f"rank mismatch in boundary {d}: GF(2) rank {rank_2[d]} exceeds Z rank {rank_z[d]}"
+            )
     return HomologyProfile(betti_z=betti_z, torsion=torsion, betti_z2=betti_z2, euler=euler)
 
 
@@ -146,19 +154,3 @@ def uct_check(profile):
             return False
     return True
 
-
-def boundary_composition_is_zero(cc):
-    """Check d o d == 0 for consecutive boundary matrices (test helper)."""
-    for d in range(2, cc.dim() + 1):
-        upper = cc.boundaries[d]
-        lower = cc.boundaries[d - 1]
-        if not upper or not lower:
-            continue
-        ncols = len(upper[0])
-        nmid = len(upper)
-        for j in range(ncols):
-            col = [upper[i][j] for i in range(nmid)]
-            for row in lower:
-                if sum(row[i] * col[i] for i in range(nmid)) != 0:
-                    return False
-    return True

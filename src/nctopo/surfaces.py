@@ -136,12 +136,14 @@ def classify_surface(k):
     euler = k.euler_characteristic()
     if closed and connected:
         if orientable:
-            assert euler % 2 == 0 and euler <= 2
+            if euler % 2 or euler > 2:
+                raise AssertionError
             genus = (2 - euler) // 2
             classification = "sphere" if genus == 0 else f"orientable-genus-{genus}"
         else:
             crosscaps = 2 - euler
-            assert crosscaps >= 1
+            if crosscaps < 1:
+                raise AssertionError
             classification = f"nonorientable-crosscap-{crosscaps}"
     else:
         classification = "not-a-surface"

@@ -1,8 +1,16 @@
 """Shared fixtures: standard complexes with known topology."""
 
 import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from nctopo import SimplicialComplex
+
+
+def oracle_invariant_factors(mat):
+    """Nonzero Smith invariant factors by sympy, sorted; shares no package code."""
+    d = smith_normal_form(Matrix(mat))
+    return sorted(abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
 
 # Minimal 6-vertex triangulation of the real projective plane: complete
 # 1-skeleton, 10 triangles, Euler characteristic 1, H_1 = Z/2.

@@ -1,6 +1,7 @@
 """Graph construction, circulants, folds, and edge-list IO."""
 
 import math
+import random
 
 import pytest
 
@@ -138,6 +139,64 @@ class TestFolds:
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
         reduced = fold_reduce(path)
         assert reduced.num_vertices <= 2
+
+
+def brute_force_find_fold(g):
+    """Reference fold search: every ordered pair, lexicographically."""
+    n = g.num_vertices
+    for u in range(n):
+        nu = set(g.neighborhood(u))
+        for v in range(n):
+            if v != u and nu <= set(g.neighborhood(v)):
+                return (u, v)
+    return None
+
+
+def random_fold_graph(seed):
+    """Seeded non-regular graph with isolated vertices and twins."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    edges = {
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < rng.choice((0.15, 0.3, 0.6))
+    }
+    # Give some vertex a twin: copy its neighborhood onto another vertex.
+    if n >= 3 and rng.random() < 0.5:
+        a, b = rng.sample(range(n), 2)
+        edges = {e for e in edges if b not in e}
+        edges |= {tuple(sorted((b, w))) for u, w in edges if u == a and w != b}
+        edges |= {tuple(sorted((b, u))) for u, w in edges if w == a and u != b}
+    # Isolate a vertex now and then.
+    if n >= 2 and rng.random() < 0.4:
+        c = rng.randrange(n)
+        edges = {e for e in edges if c not in e}
+    return Graph(n, sorted(edges))
+
+
+class TestFindFoldMatchesBruteForce:
+    def test_random_graphs(self):
+        for seed in range(300):
+            g = random_fold_graph(seed)
+            assert find_fold(g) == brute_force_find_fold(g), seed
+
+    def test_generator_covers_the_edge_cases(self):
+        graphs = [random_fold_graph(seed) for seed in range(300)]
+        degrees = [sorted(g.degree(v) for v in g.vertices()) for g in graphs]
+        assert any(d[0] == 0 and len(d) > 1 for d in degrees)
+        assert any(d[0] != d[-1] for d in degrees)
+        assert any(
+            g.neighborhood(u) and g.neighborhood(u) == g.neighborhood(v)
+            for g in graphs
+            for u in g.vertices()
+            for v in range(u + 1, g.num_vertices)
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_edgeless(self, n):
+        g = Graph(n)
+        assert find_fold(g) == brute_force_find_fold(g) == (None if n == 1 else (0, 1))
 
 
 class TestInducedSubgraph:

@@ -5,11 +5,14 @@ the GF(2) ranks with a plain list-of-lists elimination written here;
 neither oracle shares code with the package kernels.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
 
 from nctopo import (
     SimplicialComplex,
@@ -21,14 +24,24 @@ from nctopo import (
     smith_normal_form as snf,
     uct_check,
 )
-from nctopo.homology import boundary_composition_is_zero
+from conftest import TORUS_TRIANGLES, oracle_invariant_factors
 
 
-def oracle_invariant_factors(mat):
-    d = smith_normal_form(Matrix(mat))
-    out = [abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
-    out.sort()
-    return out
+def boundary_composition_is_zero(cc):
+    """Check d o d == 0 for consecutive boundary matrices."""
+    for d in range(2, cc.dim() + 1):
+        upper = cc.boundaries[d]
+        lower = cc.boundaries[d - 1]
+        if not upper or not lower:
+            continue
+        ncols = len(upper[0])
+        nmid = len(upper)
+        for j in range(ncols):
+            col = [upper[i][j] for i in range(nmid)]
+            for row in lower:
+                if sum(row[i] * col[i] for i in range(nmid)) != 0:
+                    return False
+    return True
 
 
 def oracle_gf2_rank(mat):
@@ -194,3 +207,48 @@ class TestTwoRouteAgreement:
                         m |= 1 << i
                 masks.append(m)
             assert gf2_rank(masks) == oracle_gf2_rank(mat)
+
+
+# Run under ``python -O``, which strips assert statements.  A Smith kernel
+# that loses one pivot must still make homology() raise, and a surface whose
+# Euler characteristic contradicts its orientability must still be refused.
+_OPTIMIZED_CHILD = f"""
+from nctopo import SimplicialComplex, _kernels, classify_surface, homology
+
+assert False, "asserts are live: not running under -O"
+torus = SimplicialComplex({TORUS_TRIANGLES!r})
+
+dispatch = _kernels.snf_diagonal
+_kernels.snf_diagonal = lambda mat: dispatch(mat)[:-1]
+try:
+    homology(torus)
+except AssertionError as exc:
+    print("homology:", exc)
+_kernels.snf_diagonal = dispatch
+
+SimplicialComplex.euler_characteristic = lambda self: 1
+try:
+    classify_surface(torus)
+except AssertionError:
+    print("classify_surface: refused")
+"""
+
+
+class TestInvariantChecksUnderOptimize:
+    def test_checks_raise_under_dash_o(self):
+        import nctopo
+
+        src = str(Path(nctopo.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _OPTIMIZED_CHILD],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        lines = out.stdout.splitlines()
+        assert lines == [
+            "homology: rank mismatch in boundary 1: GF(2) rank 6 exceeds Z rank 5",
+            "classify_surface: refused",
+        ]

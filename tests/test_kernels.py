@@ -1,10 +1,16 @@
-"""Pure and compiled kernels must agree; overflow must escalate cleanly."""
+"""Pure and compiled kernels must agree; overflow must escalate cleanly.
+
+The pure Smith kernel eliminates unit pivots sparsely and hands the rest
+to a dense stage; both stages are checked here against sympy and against
+the dense stage run on the whole matrix.
+"""
 
 import random
 
 import pytest
+from conftest import oracle_invariant_factors
 
-from nctopo import _kernels
+from nctopo import _kernels, chain_complex, verify
 from nctopo._kernels import pure
 
 try:
@@ -18,6 +24,17 @@ needs_compiled = pytest.mark.skipif(_fast is None, reason="compiled kernel not b
 def random_matrix(seed, rows, cols, lo=-9, hi=9):
     rng = random.Random(seed)
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def sparse_matrix(seed, values=(1, -1, 2, -2, 3, 6)):
+    """Random matrix, mostly zeros, nonzeros drawn from ``values``."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    density = rng.choice((0.15, 0.3, 0.6))
+    return [
+        [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
 
 
 def masks_of(mat):
@@ -60,6 +77,86 @@ class TestPureSnf:
     def test_huge_entries_exact(self):
         big = 10**30
         assert pure.snf_diagonal([[big]]) == [big]
+        # A unit pivot mixes the huge entries: 1 - big**2 must stay exact.
+        mat = [[1, big], [big, 1]]
+        assert pure.snf_diagonal(mat) == pure._dense_snf(mat) == [1, big**2 - 1]
+
+    def test_empty(self):
+        assert pure.snf_diagonal([]) == []
+        assert pure.snf_diagonal([[], []]) == []
+
+    def test_all_zero(self):
+        assert pure.snf_diagonal([[0, 0, 0], [0, 0, 0]]) == []
+
+    def test_ragged_raises(self):
+        with pytest.raises(ValueError):
+            pure.snf_diagonal([[1, 0], [1]])
+        with pytest.raises(ValueError):
+            pure.snf_diagonal([[2], [0, 3]])
+
+    def test_rp2_torsion(self, rp2):
+        # d2 of RP^2 is 15x10 with factors 1 (nine times) and 2.
+        d2 = chain_complex(rp2).boundaries[2]
+        assert pure.snf_diagonal(d2) == pure._dense_snf(d2) == [1] * 9 + [2]
+
+
+@pytest.fixture
+def dense_inputs(monkeypatch):
+    """Record every residual block the sparse stage hands to the dense one."""
+    seen = []
+    dense = pure._dense_snf
+
+    def record(mat):
+        seen.append(mat)
+        return dense(mat)
+
+    monkeypatch.setattr(pure, "_dense_snf", record)
+    return seen
+
+
+class TestSparseStage:
+    def test_sparse_random_against_sympy(self):
+        for seed in range(150):
+            mat = sparse_matrix(seed)
+            got = pure.snf_diagonal(mat)
+            assert got == oracle_invariant_factors(mat), seed
+            assert got == pure._dense_snf(mat), seed
+
+    def test_residual_has_no_unit_entry(self, dense_inputs):
+        for seed in range(150):
+            pure.snf_diagonal(sparse_matrix(seed))
+        assert sum(map(len, dense_inputs)) > 0
+        assert all(abs(v) != 1 for mat in dense_inputs for row in mat for v in row)
+
+    def test_random_inputs_have_torsion(self):
+        # Without factors above 1 the dense stage would go untested.
+        with_torsion = sum(max(pure.snf_diagonal(sparse_matrix(seed)), default=1) > 1 for seed in range(150))
+        assert with_torsion >= 30
+
+    def test_no_unit_entry_goes_to_dense_stage(self, dense_inputs):
+        for seed in range(60):
+            mat = sparse_matrix(seed, values=(2, -2, 3, 6, -9))
+            dense_inputs.clear()
+            got = pure.snf_diagonal(mat)
+            assert got == oracle_invariant_factors(mat), seed
+            # The residual is the whole matrix minus its zero rows and columns.
+            nonzero_cols = [j for j in range(len(mat[0])) if any(row[j] for row in mat)]
+            residual = [[row[j] for j in nonzero_cols] for row in mat if any(row)]
+            assert dense_inputs == [residual], seed
+
+    def test_core_boundaries_match_dense(self, monkeypatch):
+        mats = []
+        dispatch = _kernels.snf_diagonal
+
+        def record(mat):
+            mats.append(mat)
+            return dispatch(mat)
+
+        monkeypatch.setattr(_kernels, "snf_diagonal", record)
+        assert verify(80, 1, 4).verdict == "pass"
+        assert [(len(m), len(m[0])) for m in mats] == [(80, 240), (240, 160)]
+        for mat in mats:
+            assert pure.snf_diagonal(mat) == pure._dense_snf(mat)
 
 
 @needs_compiled
