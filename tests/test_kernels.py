@@ -130,8 +130,8 @@ class TestSparseStage:
 
     def test_random_inputs_have_torsion(self):
         # Without factors above 1 the dense stage would go untested.
-        with_torsion = sum(max(pure.snf_diagonal(sparse_matrix(seed)), default=1) > 1 for seed in range(150))
-        assert with_torsion >= 30
+        tops = [max(pure.snf_diagonal(sparse_matrix(seed)), default=1) for seed in range(150)]
+        assert sum(top > 1 for top in tops) >= 30
 
     def test_no_unit_entry_goes_to_dense_stage(self, dense_inputs):
         for seed in range(60):
