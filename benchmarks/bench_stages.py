@@ -1,0 +1,156 @@
+"""Time the complex, surface and fold stages on the inputs the pipeline sees.
+
+Inputs are recorded by wrapping ``collapse_core`` and ``fold_reduce`` in
+``nctopo.classify`` while the pipeline runs: the collapsed cores and the
+graphs handed to fold reduction, for the torus case I4C at n = 80, 160
+and 320 (``verify(n, 1, 4)``), for all 571 instances of the n = 5..25
+sweep, and for ``analyze_graph`` on the benchmark's graph pool at seed 0
+(generated by ``perfbench/run.py``, imported and not modified).  For each
+workload the script times one pass, best of three, of
+
+- normalization: ``SimplicialComplex(core.maximal_simplices)``;
+- ``core.components()``;
+- ``classify_surface`` on every component of every core;
+- ``fold_reduce`` on every recorded graph.
+
+The result is stored under ``--label`` in ``BENCH_stages.json``, next to
+the entries of other checkouts and backends, with machine, Python and
+backend metadata.  Run it against any checkout's ``src``:
+
+    PYTHONPATH=src python3 benchmarks/bench_stages.py --label change/pure
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import nctopo
+from nctopo import SimplicialComplex, classify
+from nctopo.cli import admissible_triples
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import FULL, graph_pool  # noqa: E402
+
+STAGES = ("normalize", "components", "classify_surface", "fold_reduce")
+ABOUT = (
+    "benchmarks/bench_stages.py: seconds for one pass over each workload's "
+    "recorded inputs, best of three, per checkout and kernel backend"
+)
+
+
+def _record(run):
+    """Cores and fold inputs that the pipeline produces while run() runs."""
+    cores, graphs = [], []
+    collapse, fold = classify.collapse_core, classify.fold_reduce
+
+    def record_collapse(*args, **kwargs):
+        trace = collapse(*args, **kwargs)
+        cores.append(trace.core)
+        return trace
+
+    def record_fold(g):
+        graphs.append(g)
+        return fold(g)
+
+    classify.collapse_core, classify.fold_reduce = record_collapse, record_fold
+    try:
+        run()
+    finally:
+        classify.collapse_core, classify.fold_reduce = collapse, fold
+    return cores, graphs
+
+
+def _best_of(fn, items, repeats=3):
+    """Best of three passes over items; None when there is nothing to time."""
+    if not items:
+        return None
+    best = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for item in items:
+            fn(item)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best
+
+
+def workloads():
+    out = {}
+    for n in FULL.torus_sizes:
+        out[f"torus n={n}"] = _record(lambda n=n: classify.verify(n, 1, 4))
+    triples = admissible_triples(*FULL.sweep_range)
+    out[f"sweep n=5..25 ({len(triples)} instances)"] = _record(
+        lambda: [classify.verify(*t) for t in triples]
+    )
+    pool = graph_pool(FULL, 0)
+    out[f"graphs seed 0 ({len(pool)} graphs)"] = _record(
+        lambda: [classify.analyze_graph(g) for g in pool]
+    )
+    return out
+
+
+def measure():
+    rows = {}
+    for name, (cores, graphs) in workloads().items():
+        comps = [c for core in cores for c in core.components()]
+        rows[name] = {
+            "cores": len(cores),
+            "core_facets": sum(len(c.maximal_simplices) for c in cores),
+            "components": len(comps),
+            "graphs": len(graphs),
+            "normalize_s": _best_of(lambda c: SimplicialComplex(c.maximal_simplices), cores),
+            "components_s": _best_of(SimplicialComplex.components, cores),
+            "classify_surface_s": _best_of(nctopo.classify_surface, comps),
+            "fold_reduce_s": _best_of(nctopo.fold_reduce, graphs),
+        }
+    return rows
+
+
+def _seconds(value):
+    return "-" if value is None else f"{value:.4f}s"
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="entry name, e.g. parent/pure")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_stages.json"))
+    args = ap.parse_args(argv)
+    entry = {
+        "meta": {
+            "backend": nctopo.BACKEND,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpu": cpu_model(),
+            "nproc": os.cpu_count(),
+        },
+        "stages": measure(),
+    }
+    path = Path(args.out)
+    doc = json.loads(path.read_text()) if path.exists() else {"about": ABOUT, "runs": {}}
+    doc["runs"][args.label] = entry
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for name, row in entry["stages"].items():
+        cells = " ".join(f"{s}={_seconds(row[s + '_s'])}" for s in STAGES)
+        print(f"{args.label:16s} {name:32s} {cells}")
+
+
+if __name__ == "__main__":
+    main()

@@ -120,10 +120,7 @@ def verify_collapsible_pair(k, sigma, tau):
         raise CollapseError(f"{tau} is not a face of the complex")
     if not set(sigma) < set(tau):
         return False
-    if tau not in k.maximal_simplices:
-        return False
-    holders = [m for m in k.maximal_simplices if set(sigma) <= set(m)]
-    return holders == [tau]
+    return k.maximal_cofaces(sigma) == [tau]
 
 
 def collapse_step(k, pair):

@@ -13,23 +13,33 @@ from itertools import combinations
 class SimplicialComplex:
     """Immutable simplicial complex given by maximal simplices.
 
-    Face enumeration per dimension is cached lazily; the cache write is a
-    single dict assignment, so concurrent readers are safe under the GIL.
+    The constructor also keeps, for each vertex, the maximal simplices
+    through it (its star); containment, link and connectivity queries read
+    that index instead of scanning every maximal simplex.  Face enumeration
+    per dimension is cached lazily; the cache write is a single dict
+    assignment, so concurrent readers are safe under the GIL.
     """
 
-    __slots__ = ("_maximal", "_faces")
+    __slots__ = ("_maximal", "_faces", "_star")
 
     def __init__(self, simplices):
         cleaned = sorted(
             {tuple(sorted(set(s))) for s in simplices if len(s) > 0},
             key=lambda s: (-len(s), s),
         )
-        maximal = []
-        for s in cleaned:  # longest first, so one containment sweep suffices
-            ss = set(s)
-            if not any(ss <= m for m in maximal):
-                maximal.append(ss)
-        self._maximal = tuple(sorted(tuple(sorted(m)) for m in maximal))
+        # Longest first: a candidate can only lie inside a strictly longer
+        # simplex, kept before it, so the longest ones need no test.  _star
+        # (vertex -> kept maximal simplices through it) is the incidence
+        # index that maximal_cofaces scans.
+        self._star = star = {}
+        kept = []
+        top = len(cleaned[0]) if cleaned else 0
+        for s in cleaned:
+            if len(s) == top or not self.maximal_cofaces(s):
+                kept.append(s)
+                for v in s:
+                    star.setdefault(v, []).append(s)
+        self._maximal = tuple(sorted(kept))
         self._faces = {}
 
     @property
@@ -37,10 +47,7 @@ class SimplicialComplex:
         return self._maximal
 
     def vertices(self):
-        vs = set()
-        for m in self._maximal:
-            vs.update(m)
-        return tuple(sorted(vs))
+        return tuple(sorted(self._star))
 
     def dim(self):
         """Dimension; -1 for the empty complex."""
@@ -70,11 +77,20 @@ class SimplicialComplex:
             out.extend(self.faces(d))
         return out
 
-    def has_face(self, simplex):
-        s = tuple(sorted(set(simplex)))
+    def maximal_cofaces(self, simplex):
+        """Maximal simplices containing simplex (none for the empty one).
+
+        Each of them passes through every vertex of simplex, so only the
+        star of its rarest vertex is scanned.
+        """
+        s = set(simplex)
         if not s:
-            return False
-        return any(set(s) <= set(m) for m in self._maximal)
+            return []
+        rarest = min((self._star.get(v, ()) for v in s), key=len)
+        return [m for m in rarest if s.issubset(m)]
+
+    def has_face(self, simplex):
+        return bool(self.maximal_cofaces(simplex))
 
     def f_vector(self):
         return tuple(len(self.faces(d)) for d in range(self.dim() + 1))
@@ -82,28 +98,33 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
 
+    def _component_roots(self):
+        """Map each vertex to the smallest vertex of its connected component."""
+        root = {}
+        for v in sorted(self._star):
+            if v in root:
+                continue
+            root[v] = v
+            stack = [v]
+            while stack:
+                for m in self._star[stack.pop()]:
+                    for w in m:
+                        if w not in root:
+                            root[w] = v
+                            stack.append(w)
+        return root
+
+    def is_connected(self):
+        """Exactly one connected component; False for the empty complex."""
+        return len(set(self._component_roots().values())) == 1
+
     def components(self):
         """Connected components as complexes, ordered by minimum vertex."""
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for m in self._maximal:
-            for v in m:
-                parent.setdefault(v, v)
-            root = find(m[0])
-            for v in m[1:]:
-                parent[find(v)] = root
-
+        root = self._component_roots()
         groups = {}
         for m in self._maximal:
-            groups.setdefault(find(m[0]), []).append(m)
-        keyed = sorted(groups.values(), key=lambda ms: min(min(m) for m in ms))
-        return [SimplicialComplex(ms) for ms in keyed]
+            groups.setdefault(root[m[0]], []).append(m)
+        return [SimplicialComplex(groups[r]) for r in sorted(groups)]
 
     def to_json_obj(self):
         """Canonical dict form: sorted vertices, sorted maximal simplices."""

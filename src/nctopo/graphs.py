@@ -139,26 +139,35 @@ def is_connected(g):
     return g.num_vertices <= 1 or len(connected_components(g)) == 1
 
 
+def _next_fold(adj, start):
+    """Smallest fold pair (u, v) with u >= start, or None.
+
+    adj[x] is the neighbor set of x, or None once x is deleted.  Every v
+    with a nonempty N(u) contained in N(v) is adjacent to each vertex of
+    N(u), so only the neighbors of one of them are tested.
+    """
+    for u in range(start, len(adj)):
+        nu = adj[u]
+        if nu is None:
+            continue
+        if nu:
+            w = next(iter(nu))
+            v = min((v for v in adj[w] if v != u and adj[v] >= nu), default=None)
+        else:
+            v = next((v for v, nv in enumerate(adj) if v != u and nv is not None), None)
+        if v is not None:
+            return (u, v)
+    return None
+
+
 def find_fold(g):
     """Smallest pair (u, v), u != v, with N(u) contained in N(v), or None.
 
     Pairs are compared lexicographically, so the result is deterministic.
     When N(u) == N(v) the smaller vertex is the one reported for deletion.
-    An isolated u folds onto the smallest other vertex.  Otherwise every
-    v with N(u) contained in N(v) is adjacent to the first vertex of N(u),
-    so only that vertex's neighbors, in ascending order, are tested.
+    An isolated u folds onto the smallest other vertex.
     """
-    n = g.num_vertices
-    for u in range(n):
-        nu = g.neighborhood(u)
-        if not nu:
-            if n > 1:
-                return (u, 1 if u == 0 else 0)
-            continue
-        for v in g.neighborhood(nu[0]):
-            if v != u and set(g.neighborhood(v)).issuperset(nu):
-                return (u, v)
-    return None
+    return _next_fold([set(ns) for ns in g._adj], 0)
 
 
 def induced_subgraph(g, vertices):
@@ -173,40 +182,37 @@ def induced_subgraph(g, vertices):
     return Graph(len(keep), edges)
 
 
-def _delete_vertex(g, u):
-    # Remaining vertices keep their relative order and are relabeled to 0..n-2.
-    relabel = {}
-    for v in g.vertices():
-        if v != u:
-            relabel[v] = len(relabel)
-    edges = [
-        (relabel[a], relabel[b])
-        for a, b in g.edges()
-        if a != u and b != u
-    ]
-    return Graph(g.num_vertices - 1, edges)
-
-
 def fold_reduce(g):
     """Apply folds until none remains; returns the reduced graph.
 
     The neighborhood complex of the result is homotopy equivalent to the
     neighborhood complex of the input.  Deterministic: each round deletes
-    the u of the lexicographically smallest fold pair.
+    the u of the lexicographically smallest fold pair.  Vertices keep
+    their labels until the end, so after deleting u the scan resumes at
+    the smallest of u and its neighbors: only a neighbor of u can gain a
+    fold, and no smaller vertex had one.
     """
-    while True:
-        pair = find_fold(g)
-        if pair is None:
-            return g
-        g = _delete_vertex(g, pair[0])
+    adj = [set(ns) for ns in g._adj]
+    start = 0
+    while (pair := _next_fold(adj, start)) is not None:
+        u = pair[0]
+        for w in adj[u]:
+            adj[w].discard(u)
+        start = min(adj[u] | {u})
+        adj[u] = None
+    return induced_subgraph(g, [v for v, nv in enumerate(adj) if nv is not None])
+
+
+MAX_VERTEX_LABEL = 100_000
 
 
 def read_edge_list(path):
     """Graph from a whitespace-separated edge list file.
 
     Lines give two vertex labels; '#' starts a comment; blank lines are
-    skipped.  Labels must be nonnegative integers; vertex count is one more
-    than the largest label seen.
+    skipped.  Labels must be integers in 0..MAX_VERTEX_LABEL; vertex count
+    is one more than the largest label seen, so the bound caps what a
+    file can make the graph allocate.
     """
     edges = []
     top = -1
@@ -224,6 +230,10 @@ def read_edge_list(path):
                 raise ValueError(f"{path}:{lineno}: non-integer vertex label in {raw!r}") from exc
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative vertex label in {raw!r}")
+            if max(u, v) > MAX_VERTEX_LABEL:
+                raise ValueError(
+                    f"{path}:{lineno}: vertex label above {MAX_VERTEX_LABEL} in {raw!r}"
+                )
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop at vertex {u}")
             edges.append((u, v))

@@ -32,36 +32,38 @@ def is_pseudomanifold(k, d=None):
 
 def vertex_link(k, v):
     """Link of vertex v: all faces gamma with gamma + {v} a face, v not in gamma."""
-    if v not in k.vertices():
+    star = k.maximal_cofaces((v,))
+    if not star:
         raise ValueError(f"{v} is not a vertex of the complex")
-    gens = []
-    for m in k.maximal_simplices:
-        if v in m:
-            rest = tuple(x for x in m if x != v)
-            if rest:
-                gens.append(rest)
-    return SimplicialComplex(gens)
-
-
-def _link_is_single_cycle(link):
-    if link.dim() != 1 or not link.is_pure():
-        return False
-    degree = {}
-    for e in link.maximal_simplices:
-        for x in e:
-            degree[x] = degree.get(x, 0) + 1
-    if any(c != 2 for c in degree.values()):
-        return False
-    return len(link.components()) == 1
+    return SimplicialComplex(rest for m in star if (rest := tuple(x for x in m if x != v)))
 
 
 def is_closed_surface(k):
-    """Every vertex link a single cycle; implies a closed 2-manifold."""
-    if k.dim() != 2 or not k.is_pure():
-        return False
+    """Every vertex link a single cycle; implies a closed 2-manifold.
+
+    In a pure-2 pseudomanifold the link of v is the graph of the edges
+    opposite v in its star: it must have all degrees 2, and one walk
+    around it must reach every link vertex.
+    """
     if not is_pseudomanifold(k, 2):
         return False
-    return all(_link_is_single_cycle(vertex_link(k, v)) for v in k.vertices())
+    for v in k.vertices():
+        nbrs = {}
+        for m in k.maximal_cofaces((v,)):
+            a, b = (x for x in m if x != v)
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        if any(len(ws) != 2 for ws in nbrs.values()):
+            return False
+        start = prev = next(iter(nbrs))
+        cur, steps = nbrs[start][0], 1
+        while cur != start:
+            a, b = nbrs[cur]
+            prev, cur = cur, b if a == prev else a
+            steps += 1
+        if steps != len(nbrs):
+            return False
+    return True
 
 
 def _edge_sign(triangle, edge):
@@ -129,7 +131,7 @@ def classify_surface(k):
     pure2 = k.dim() == 2 and k.is_pure()
     pm = is_pseudomanifold(k, 2) if pure2 else False
     closed = is_closed_surface(k) if pm else False
-    connected = len(k.components()) == 1
+    connected = k.is_connected()
     orientable = None
     if pm:
         orientable = orient(k) is not None

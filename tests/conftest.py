@@ -1,4 +1,7 @@
-"""Shared fixtures: standard complexes with known topology."""
+"""Shared fixtures: standard complexes with known topology, seeded
+generating families, the inputs verify produces, and reference helpers."""
+
+import random
 
 import pytest
 from sympy import Matrix
@@ -53,3 +56,90 @@ def tetra_boundary():
 @pytest.fixture
 def solid_triangle():
     return SimplicialComplex([(0, 1, 2)])
+
+
+def random_family(seed):
+    """Seeded generating family for SimplicialComplex.
+
+    Simplices come as tuples or lists with unsorted and repeated vertices,
+    of mixed sizes including empty ones; some are repeated in another
+    order and some are followed by one of their own faces.
+    """
+    rng = random.Random(seed)
+    verts = rng.randint(1, 12)
+    family = []
+    for _ in range(rng.randint(0, 25)):
+        s = [rng.randrange(verts) for _ in range(rng.randint(0, 6))]
+        family.append(s)
+        r = rng.random()
+        if s and r < 0.2:
+            family.append(s[::-1])
+        elif s and r < 0.4:
+            family.append(rng.sample(s, rng.randint(1, len(s))))
+    rng.shuffle(family)
+    return [tuple(s) if rng.random() < 0.5 else s for s in family]
+
+
+def reference_component_vertex_sets(maximal):
+    """Vertex sets of the connected components by union-find, ordered by
+    minimum vertex; shares no code with SimplicialComplex."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for m in maximal:
+        for v in m:
+            parent.setdefault(v, v)
+            parent[find(v)] = find(m[0])
+    groups = {}
+    for v in parent:
+        groups.setdefault(find(v), set()).add(v)
+    return sorted(groups.values(), key=min)
+
+
+@pytest.fixture(scope="session")
+def pipeline_inputs():
+    """What verify hands to the complex, collapse and surface layers.
+
+    Recorded on the torus case at n = 80 and 160 and on every fifth
+    instance of the n = 5..25 sweep: the generating family of every
+    SimplicialComplex built, every (complex, collapse trace) pair, and
+    every component passed to classify_surface.
+    """
+    from nctopo import classify
+    from nctopo.cli import admissible_triples
+
+    families, traces, surfaces = [], [], []
+    init = SimplicialComplex.__init__
+    collapse = classify.collapse_core
+    surface = classify.classify_surface
+
+    def record_init(self, simplices):
+        simplices = list(simplices)
+        families.append(simplices)
+        init(self, simplices)
+
+    def record_collapse(k, *args, **kwargs):
+        trace = collapse(k, *args, **kwargs)
+        traces.append((k, trace))
+        return trace
+
+    def record_surface(k):
+        surfaces.append(k)
+        return surface(k)
+
+    SimplicialComplex.__init__ = record_init
+    classify.collapse_core = record_collapse
+    classify.classify_surface = record_surface
+    try:
+        for n, s, t in [(80, 1, 4), (160, 1, 4)] + admissible_triples(5, 25)[::5]:
+            classify.verify(n, s, t)
+    finally:
+        SimplicialComplex.__init__ = init
+        classify.collapse_core = collapse
+        classify.classify_surface = surface
+    return {"families": families, "traces": traces, "surfaces": surfaces}

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,17 @@ class TestAnalyzeGraphFile:
         rc, _, err = run(capsys, "analyze", "--graph", str(path))
         assert rc == 2
         assert "bad.edges:2" in err
+
+    def test_huge_label_rejected_before_allocation(self, capsys, tmp_path):
+        # The vertex count is the largest label plus one: this file would
+        # ask for four billion adjacency sets.
+        path = tmp_path / "huge.edges"
+        path.write_text("0 4000000000\n")
+        t0 = time.perf_counter()
+        rc, _, err = run(capsys, "analyze", "--graph", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert "huge.edges:1: vertex label above" in err
 
 
 class TestSweep:

@@ -1,6 +1,9 @@
 """Elementary collapses, pair schedules, and their failure modes."""
 
+import random
+
 import pytest
+from conftest import random_family
 
 from nctopo.collapse import (
     CollapseError,
@@ -268,3 +271,79 @@ class TestCirculantStrategy:
         assert tr.core.f_vector() == (13, 39, 26)
         tr = collapse_core(nbhd(12, 1, 3), strategy="circulant", circulant=(12, 1, 3))
         assert tr.core.f_vector() == (12, 30, 24)
+
+
+def reference_verify_collapsible_pair(k, sigma, tau):
+    """Pair check by scanning every maximal simplex."""
+    sigma = tuple(sorted(set(sigma)))
+    tau = tuple(sorted(set(tau)))
+    maximal = k.maximal_simplices
+    for face in (sigma, tau):
+        if not (face and any(set(face) <= set(m) for m in maximal)):
+            raise CollapseError(f"{face} is not a face of the complex")
+    if not set(sigma) < set(tau):
+        return False
+    if tau not in maximal:
+        return False
+    holders = [m for m in maximal if set(sigma) <= set(m)]
+    return holders == [tau]
+
+
+def outcome(check, k, sigma, tau):
+    try:
+        return check(k, sigma, tau)
+    except CollapseError:
+        return "raises"
+
+
+def random_pairs(k, rng, count):
+    """Pairs drawn from the complex: faces of maximal simplices against
+    maximal simplices or their faces, plus a few non-faces."""
+    maximal = k.maximal_simplices
+    verts = list(k.vertices()) + [99]
+    out = []
+    for _ in range(count):
+        tau = list(rng.choice(maximal))
+        if len(tau) > 1 and rng.random() < 0.3:
+            tau.pop(rng.randrange(len(tau)))
+        src = tau if rng.random() < 0.8 else list(rng.choice(maximal))
+        sigma = rng.sample(src, rng.randint(0, len(src)))
+        if rng.random() < 0.1:
+            sigma.append(rng.choice(verts))
+        rng.shuffle(sigma)
+        out.append((sigma, tau))
+    return out
+
+
+class TestVerifyPairMatchesReference:
+    def test_random_complexes(self):
+        rng = random.Random(0)
+        seen = set()
+        for seed in range(400):
+            k = SimplicialComplex(random_family(seed))
+            if not k.maximal_simplices:
+                continue
+            for sigma, tau in random_pairs(k, rng, 12):
+                got = outcome(verify_collapsible_pair, k, sigma, tau)
+                assert got == outcome(reference_verify_collapsible_pair, k, sigma, tau)
+                seen.add(got)
+        assert seen == {True, False, "raises"}
+
+    def test_pipeline_traces(self, pipeline_inputs):
+        rng = random.Random(1)
+        replayed = 0
+        for start, trace in pipeline_inputs["traces"]:
+            if len(start.maximal_simplices) > 200:
+                continue
+            k = start
+            for sigma, tau in trace.pairs:
+                assert verify_collapsible_pair(k, sigma, tau)
+                assert reference_verify_collapsible_pair(k, sigma, tau)
+                for pair in random_pairs(k, rng, 2):
+                    assert outcome(verify_collapsible_pair, k, *pair) == outcome(
+                        reference_verify_collapsible_pair, k, *pair
+                    )
+                k = collapse_step(k, (sigma, tau))
+                replayed += 1
+            assert k == trace.core
+        assert replayed > 1000

@@ -1,6 +1,10 @@
 """Simplicial complex canonicalization, faces, and neighborhood complexes."""
 
+import random
+from itertools import combinations
+
 import pytest
+from conftest import random_family, reference_component_vertex_sets
 
 from nctopo import SimplicialComplex, boundary_of_simplex, circulant, neighborhood_complex
 from nctopo.graphs import Graph, complete_graph, k44_minus_matching
@@ -140,3 +144,81 @@ class TestNeighborhoodComplex:
         assert k.dim() == 1
         assert len(k.components()) == 2
         assert k.f_vector() == (6, 6)
+
+
+def reference_maximal(simplices):
+    """The quadratic antichain filter: each candidate, longest first,
+    against every maximal simplex kept so far."""
+    cleaned = sorted(
+        {tuple(sorted(set(s))) for s in simplices if len(s) > 0},
+        key=lambda s: (-len(s), s),
+    )
+    maximal = []
+    for s in cleaned:
+        ss = set(s)
+        if not any(ss <= m for m in maximal):
+            maximal.append(ss)
+    return tuple(sorted(tuple(sorted(m)) for m in maximal))
+
+
+def probes(family, rng):
+    """Faces and non-faces to ask about: every generator, its proper
+    faces, random vertex sets and the empty simplex."""
+    out = [()]
+    for s in family:
+        out.append(s)
+        out.extend(combinations(sorted(set(s)), max(len(set(s)) - 1, 0)))
+    verts = sorted({v for s in family for v in s}) + [99]
+    out.extend(rng.sample(verts, rng.randint(1, min(4, len(verts)))) for _ in range(10))
+    return out
+
+
+def check_against_references(family, rng):
+    k = SimplicialComplex(family)
+    maximal = reference_maximal(family)
+    assert k.maximal_simplices == maximal
+    assert k.vertices() == tuple(sorted({v for m in maximal for v in m}))
+    for p in probes(family, rng):
+        holders = [m for m in maximal if p and set(p) <= set(m)]
+        assert sorted(k.maximal_cofaces(p)) == holders, p
+        assert k.has_face(p) == bool(holders), p
+    expected = reference_component_vertex_sets(maximal)
+    assert [set(c.vertices()) for c in k.components()] == expected
+    assert k.is_connected() == (len(expected) == 1)
+
+
+class TestIncidenceIndexMatchesReferences:
+    def test_random_families(self):
+        rng = random.Random(0)
+        for seed in range(500):
+            check_against_references(random_family(seed), rng)
+
+    def test_generator_covers_the_edge_cases(self):
+        families = [random_family(seed) for seed in range(500)]
+        flat = [s for f in families for s in f]
+        assert any(len(s) == 0 for s in flat)
+        assert any(len(set(s)) < len(s) for s in flat)
+        assert any(list(s) != sorted(s) for s in flat)
+        assert any(isinstance(s, list) for s in flat) and any(isinstance(s, tuple) for s in flat)
+        assert any(
+            len({frozenset(s) for s in f if s}) < sum(1 for s in f if s) for f in families
+        )
+        assert any(
+            set(a) < set(b) for f in families for a in f for b in f if a
+        )
+        dims = [{len(m) for m in reference_maximal(f)} for f in families]
+        assert any(len(d) > 1 for d in dims)
+        assert any(len(reference_component_vertex_sets(reference_maximal(f))) > 1 for f in families)
+
+    def test_pipeline_families(self, pipeline_inputs):
+        rng = random.Random(1)
+        for family in pipeline_inputs["families"]:
+            check_against_references(family, rng)
+
+    def test_empty_complex(self):
+        k = SimplicialComplex([(), []])
+        assert k.vertices() == ()
+        assert not k.has_face(())
+        assert not k.has_face((0,))
+        assert k.components() == []
+        assert not k.is_connected()

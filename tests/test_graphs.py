@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nctopo.graphs import (
+    MAX_VERTEX_LABEL,
     Graph,
     circulant,
     circulant_component_count,
@@ -175,6 +176,34 @@ def random_fold_graph(seed):
     return Graph(n, sorted(edges))
 
 
+def random_sparse_graph(seed):
+    """Seeded graph on 20..60 vertices with degrees at most 3 or 4, the
+    shape of the graphs analyze_graph folds."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 60)
+    cap = rng.choice((3, 4))
+    degree = [0] * n
+    edges = set()
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        if degree[u] < cap and degree[v] < cap and (min(u, v), max(u, v)) not in edges:
+            edges.add((min(u, v), max(u, v)))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, sorted(edges))
+
+
+def reference_fold_reduce(g):
+    """Fold loop that searches from vertex 0 and rebuilds the relabeled
+    graph after every deletion."""
+    while (pair := brute_force_find_fold(g)) is not None:
+        u = pair[0]
+        keep = [v for v in g.vertices() if v != u]
+        index = {v: i for i, v in enumerate(keep)}
+        g = Graph(len(keep), [(index[a], index[b]) for a, b in g.edges() if u not in (a, b)])
+    return g
+
+
 class TestFindFoldMatchesBruteForce:
     def test_random_graphs(self):
         for seed in range(300):
@@ -192,6 +221,12 @@ class TestFindFoldMatchesBruteForce:
             for u in g.vertices()
             for v in range(u + 1, g.num_vertices)
         )
+
+    def test_fold_reduce_matches_rebuild_loop(self):
+        graphs = [random_fold_graph(seed) for seed in range(300)]
+        graphs += [random_sparse_graph(seed) for seed in range(40)]
+        for i, g in enumerate(graphs):
+            assert fold_reduce(g) == reference_fold_reduce(g), i
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_edgeless(self, n):
@@ -268,6 +303,14 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("0 1\nnot an edge\n")
         with pytest.raises(ValueError, match=r":2:"):
+            read_edge_list(path)
+
+    def test_label_bound(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(f"0 {MAX_VERTEX_LABEL}\n")
+        assert read_edge_list(path).num_vertices == MAX_VERTEX_LABEL + 1
+        path.write_text(f"0 1\n{MAX_VERTEX_LABEL + 1} 0\n")
+        with pytest.raises(ValueError, match=r":2: vertex label above"):
             read_edge_list(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):

@@ -1,8 +1,10 @@
 """Surface recognition: pseudomanifolds, links, orientation, classification."""
 
+import random
 from itertools import combinations
 
 import pytest
+from conftest import RP2_TRIANGLES, TORUS_TRIANGLES, reference_component_vertex_sets
 
 from nctopo.collapse import collapse_core
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
@@ -212,3 +214,111 @@ class TestTetrahedronBoundaryPieces:
         covered = {t for q in pieces for t in combinations(q, 3)}
         assert covered == set(core.faces(2))
         assert 4 * len(pieces) == len(core.faces(2))
+
+
+def reference_vertex_link(k, v):
+    """Link by scanning every maximal simplex."""
+    if v not in k.vertices():
+        raise ValueError(f"{v} is not a vertex of the complex")
+    gens = []
+    for m in k.maximal_simplices:
+        if v in m:
+            rest = tuple(x for x in m if x != v)
+            if rest:
+                gens.append(rest)
+    return SimplicialComplex(gens)
+
+
+def reference_link_is_single_cycle(link):
+    if link.dim() != 1 or not link.is_pure():
+        return False
+    degree = {}
+    for e in link.maximal_simplices:
+        for x in e:
+            degree[x] = degree.get(x, 0) + 1
+    if any(c != 2 for c in degree.values()):
+        return False
+    return len(reference_component_vertex_sets(link.maximal_simplices)) == 1
+
+
+def reference_is_closed_surface(k):
+    """One link complex per vertex, each checked to be a single cycle."""
+    if k.dim() != 2 or not k.is_pure():
+        return False
+    if not is_pseudomanifold(k, 2):
+        return False
+    return all(
+        reference_link_is_single_cycle(reference_vertex_link(k, v)) for v in k.vertices()
+    )
+
+
+OCTAHEDRON = tuple(
+    tuple(sorted((a, b, c))) for a in (0, 1) for b in (2, 3) for c in (4, 5)
+)
+SURFACES = (
+    tuple(combinations(range(4), 3)),
+    OCTAHEDRON,
+    RP2_TRIANGLES,
+    TORUS_TRIANGLES,
+)
+
+
+def random_two_complex(seed):
+    """Seeded pure-2 family: one or two relabeled closed surfaces, apart or
+    sharing one or two vertices, sometimes with a triangle removed; or
+    random triangles on a few vertices."""
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        verts = rng.randint(4, 8)
+        return [tuple(rng.sample(range(verts), 3)) for _ in range(rng.randint(1, 14))]
+    pieces = rng.sample(SURFACES, rng.randint(1, 2))
+    tris = []
+    offset = 0
+    for piece in pieces:
+        size = 1 + max(v for t in piece for v in t)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        glue = rng.choice((0, 1, 2)) if tris else 0
+        base = offset - glue
+        tris += [tuple(base + perm[v] if perm[v] >= glue else perm[v] for v in t) for t in piece]
+        offset = base + size
+    if rng.random() < 0.2:
+        tris.pop(rng.randrange(len(tris)))
+    return tris
+
+
+def check_surface_against_references(k):
+    assert is_closed_surface(k) == reference_is_closed_surface(k)
+    r = classify_surface(k)
+    assert r.connected == (len(reference_component_vertex_sets(k.maximal_simplices)) == 1)
+    for v in k.vertices():
+        assert vertex_link(k, v) == reference_vertex_link(k, v)
+
+
+class TestStarBasedRecognitionMatchesReferences:
+    def test_random_two_complexes(self):
+        for seed in range(400):
+            check_surface_against_references(SimplicialComplex(random_two_complex(seed)))
+
+    def test_generator_covers_the_edge_cases(self):
+        ks = [SimplicialComplex(random_two_complex(seed)) for seed in range(400)]
+        closed = [reference_is_closed_surface(k) for k in ks]
+        connected = [len(reference_component_vertex_sets(k.maximal_simplices)) == 1 for k in ks]
+        pm = [is_pseudomanifold(k, 2) for k in ks]
+        assert any(c and conn for c, conn in zip(closed, connected))
+        assert any(c and not conn for c, conn in zip(closed, connected))
+        # Pseudomanifolds with a pinched vertex, whose link is two cycles.
+        assert any(p and not c for p, c in zip(pm, closed))
+        assert any(not p for p in pm)
+
+    def test_pipeline_components(self, pipeline_inputs):
+        ks = pipeline_inputs["surfaces"]
+        assert any(reference_is_closed_surface(k) for k in ks)
+        assert any(not reference_is_closed_surface(k) for k in ks)
+        for k in ks:
+            check_surface_against_references(k)
+
+    def test_link_of_missing_vertex_raises(self, torus7):
+        for k in (torus7, SimplicialComplex([])):
+            with pytest.raises(ValueError):
+                vertex_link(k, 7)
