@@ -1,17 +1,24 @@
-"""Time the complex, surface and fold stages on the inputs the pipeline sees.
+"""Time the collapse, complex, surface, fold and Smith stages on the inputs
+the pipeline sees.
 
 Inputs are recorded by wrapping ``collapse_core`` and ``fold_reduce`` in
-``nctopo.classify`` while the pipeline runs: the collapsed cores and the
-graphs handed to fold reduction, for the torus case I4C at n = 80, 160
-and 320 (``verify(n, 1, 4)``), for all 571 instances of the n = 5..25
-sweep, and for ``analyze_graph`` on the benchmark's graph pool at seed 0
-(generated by ``perfbench/run.py``, imported and not modified).  For each
-workload the script times one pass, best of three, of
+``nctopo.classify`` and ``nctopo._kernels.snf_diagonal`` while the
+pipeline runs: the ``(complex, strategy, circulant)`` arguments of every
+collapse, the collapsed cores, the graphs handed to fold reduction and
+the core boundary matrices handed to the Smith kernel, for the torus case
+I4C at n = 80, 160 and 320 (``verify(n, 1, 4)``), for all 571 instances
+of the n = 5..25 sweep, and for ``analyze_graph`` on the benchmark's
+graph pool at seed 0 (generated by ``perfbench/run.py``, imported and not
+modified).  For each workload the script times one pass, best of three,
+of
 
+- ``collapse_core`` on every recorded argument triple;
 - normalization: ``SimplicialComplex(core.maximal_simplices)``;
 - ``core.components()``;
 - ``classify_surface`` on every component of every core;
-- ``fold_reduce`` on every recorded graph.
+- ``fold_reduce`` on every recorded graph;
+- ``_kernels.snf_diagonal`` on every recorded matrix, on the backend the
+  checkout provides.
 
 The result is stored under ``--label`` in ``BENCH_stages.json``, next to
 the entries of other checkouts and backends, with machine, Python and
@@ -31,14 +38,14 @@ import time
 from pathlib import Path
 
 import nctopo
-from nctopo import SimplicialComplex, classify
+from nctopo import SimplicialComplex, _kernels, classify
 from nctopo.cli import admissible_triples
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import FULL, graph_pool  # noqa: E402
 
-STAGES = ("normalize", "components", "classify_surface", "fold_reduce")
+STAGES = ("collapse_core", "normalize", "components", "classify_surface", "fold_reduce", "snf")
 ABOUT = (
     "benchmarks/bench_stages.py: seconds for one pass over each workload's "
     "recorded inputs, best of three, per checkout and kernel backend"
@@ -46,12 +53,14 @@ ABOUT = (
 
 
 def _record(run):
-    """Cores and fold inputs that the pipeline produces while run() runs."""
-    cores, graphs = [], []
-    collapse, fold = classify.collapse_core, classify.fold_reduce
+    """Collapse arguments, cores, fold inputs and Smith inputs that the
+    pipeline produces while run() runs."""
+    calls, cores, graphs, mats = [], [], [], []
+    collapse, fold, snf = classify.collapse_core, classify.fold_reduce, _kernels.snf_diagonal
 
-    def record_collapse(*args, **kwargs):
-        trace = collapse(*args, **kwargs)
+    def record_collapse(k, strategy="generic", circulant=None):
+        calls.append((k, strategy, circulant))
+        trace = collapse(k, strategy=strategy, circulant=circulant)
         cores.append(trace.core)
         return trace
 
@@ -59,12 +68,18 @@ def _record(run):
         graphs.append(g)
         return fold(g)
 
+    def record_snf(mat):
+        mats.append(mat)
+        return snf(mat)
+
     classify.collapse_core, classify.fold_reduce = record_collapse, record_fold
+    _kernels.snf_diagonal = record_snf
     try:
         run()
     finally:
         classify.collapse_core, classify.fold_reduce = collapse, fold
-    return cores, graphs
+        _kernels.snf_diagonal = snf
+    return calls, cores, graphs, mats
 
 
 def _best_of(fn, items, repeats=3):
@@ -98,17 +113,20 @@ def workloads():
 
 def measure():
     rows = {}
-    for name, (cores, graphs) in workloads().items():
+    for name, (calls, cores, graphs, mats) in workloads().items():
         comps = [c for core in cores for c in core.components()]
         rows[name] = {
             "cores": len(cores),
             "core_facets": sum(len(c.maximal_simplices) for c in cores),
             "components": len(comps),
             "graphs": len(graphs),
+            "snf_matrices": len(mats),
+            "collapse_core_s": _best_of(lambda call: nctopo.collapse_core(*call), calls),
             "normalize_s": _best_of(lambda c: SimplicialComplex(c.maximal_simplices), cores),
             "components_s": _best_of(SimplicialComplex.components, cores),
             "classify_surface_s": _best_of(nctopo.classify_surface, comps),
             "fold_reduce_s": _best_of(nctopo.fold_reduce, graphs),
+            "snf_s": _best_of(_kernels.snf_diagonal, mats),
         }
     return rows
 

@@ -20,7 +20,7 @@ import sys
 from .classify import analyze_graph, verify
 from .collapse import collapse_core
 from .complexes import neighborhood_complex
-from .graphs import circulant, find_fold, fold_reduce, read_edge_list
+from .graphs import MAX_VERTEX_LABEL, circulant, find_fold, fold_reduce, read_edge_list
 
 _CSV_FIELDS = (
     "n",
@@ -45,7 +45,10 @@ def _parse_triple(text):
     m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*", text)
     if not m:
         raise ValueError(f"expected n,s,t integers, got {text!r}")
-    return tuple(int(x) for x in m.groups())
+    n, s, t = (int(x) for x in m.groups())
+    if n > MAX_VERTEX_LABEL + 1:
+        raise ValueError(f"n must be at most {MAX_VERTEX_LABEL + 1}, got {n}")
+    return n, s, t
 
 
 def _parse_range(text):

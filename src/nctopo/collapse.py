@@ -6,16 +6,21 @@ sigma <= gamma <= tau.  After the removal the candidates for new maximal
 simplices are exactly the sets tau minus one vertex of sigma; a candidate
 that is contained in another maximal simplex is absorbed instead.
 
-The circulant strategy first tries the closed-form pair schedules that
-exist for two-generator circulant graphs (an edge schedule in two
-mirrored forms, plus a free-triangle schedule for two special parameter
-families), verifying every pair as it is applied, and then lets the
-generic strategy run to a fixed point.  Everything is deterministic.
+The generic strategy takes free faces from a lazily validated heap,
+never from a rescan of every face.  The circulant strategy first tries
+the closed-form pair schedules that exist for two-generator circulant
+graphs (an edge schedule in two mirrored forms, plus a free-triangle
+schedule for two special parameter families), verifying every pair as
+it is applied, and then lets the generic strategy run to a fixed point.
+A schedule whose first pair is not free is skipped before its face map
+is built, and the generic strategy builds one only when no schedule
+applied.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .complexes import SimplicialComplex
@@ -41,29 +46,45 @@ def _proper_faces(simplex):
 
 
 class _Engine:
-    """Mutable maximal-simplex set with coface counts for fast collapsing."""
+    """Mutable maximal-simplex set with a face -> cofaces map for collapsing.
+
+    Free faces wait in a heap of (-len(tau), sigma, tau) entries, built on
+    the first find_free_generic call and pushed to whenever a face is left
+    with a single coface; an entry whose face lost that coface is dropped
+    when it reaches the top (Benedetti and Lutz's free-face list).
+    """
 
     def __init__(self, k):
         self.maximal = set(k.maximal_simplices)
         self.cofaces = {}
+        self.heap = None
         for m in self.maximal:
             self._register(m)
 
     def _register(self, m):
         for f in _proper_faces(m):
-            self.cofaces.setdefault(f, set()).add(m)
+            cfs = self.cofaces.get(f)
+            if cfs is None:
+                self.cofaces[f] = {m}
+                if self.heap is not None:
+                    heappush(self.heap, (-len(m), f, m))
+            else:
+                cfs.add(m)
 
     def is_free_pair(self, sigma, tau):
         return tau in self.maximal and self.cofaces.get(sigma) == {tau}
 
     def collapse(self, sigma, tau):
         self.maximal.remove(tau)
+        cofaces, heap = self.cofaces, self.heap
         for f in _proper_faces(tau):
-            cfs = self.cofaces.get(f)
-            if cfs is not None:
-                cfs.discard(tau)
-                if not cfs:
-                    del self.cofaces[f]
+            cfs = cofaces[f]
+            cfs.discard(tau)
+            if not cfs:
+                del cofaces[f]
+            elif heap is not None and len(cfs) == 1:
+                (m,) = cfs
+                heappush(heap, (-len(m), f, m))
         for x in sigma:
             cand = tuple(v for v in tau if v != x)
             # A candidate contained in another maximal simplex is absorbed.
@@ -71,18 +92,23 @@ class _Engine:
                 self.maximal.add(cand)
                 self._register(cand)
 
+    def _build_heap(self):
+        self.heap = [
+            (-len(m), f, m) for f, cfs in self.cofaces.items() if len(cfs) == 1 for m in cfs
+        ]
+        heapify(self.heap)
+
     def find_free_generic(self):
         """Free pair with highest-dimension coface, ties by smallest face."""
-        best_key = None
-        best = None
-        for f, cfs in self.cofaces.items():
-            if len(cfs) == 1:
-                tau = next(iter(cfs))
-                key = (-len(tau), f)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (f, tau)
-        return best
+        if self.heap is None:
+            self._build_heap()
+        heap = self.heap
+        while heap:
+            _, sigma, tau = heap[0]
+            if self.cofaces.get(sigma) == {tau}:
+                return sigma, tau
+            heappop(heap)
+        return None
 
 
 class CollapseTrace:
@@ -236,12 +262,15 @@ def collapse_core(k, strategy="generic", circulant=None):
         raise ValueError(f"unknown strategy {strategy!r}")
     pairs_applied = []
     schedule_used = None
-    eng = _Engine(k)
+    eng = None
     if strategy == "circulant":
         if circulant is None:
             raise ValueError("strategy 'circulant' needs circulant=(n, s, t)")
         n, s, t = circulant
         for label, sched in _schedule_candidates(n, s, t):
+            sigma0, tau0 = sched[0]
+            if k.maximal_cofaces(sigma0) != [tau0]:
+                continue
             trial = _Engine(k)
             done = []
             ok = True
@@ -256,6 +285,8 @@ def collapse_core(k, strategy="generic", circulant=None):
                 pairs_applied.extend(done)
                 schedule_used = label
                 break
+    if eng is None:
+        eng = _Engine(k)
     while True:
         nxt = eng.find_free_generic()
         if nxt is None:

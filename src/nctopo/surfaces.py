@@ -38,40 +38,69 @@ def vertex_link(k, v):
     return SimplicialComplex(rest for m in star if (rest := tuple(x for x in m if x != v)))
 
 
-def is_closed_surface(k):
-    """Every vertex link a single cycle; implies a closed 2-manifold.
+def _pseudomanifold_ridges(k):
+    """Edge -> [(triangle, sign)] when k is a pure-2 pseudomanifold, else None.
 
-    In a pure-2 pseudomanifold the link of v is the graph of the edges
-    opposite v in its star: it must have all degrees 2, and one walk
-    around it must reach every link vertex.
+    The sign is that of the edge in the boundary of the sorted triangle,
+    (-1)**i for the dropped vertex i.
     """
-    if not is_pseudomanifold(k, 2):
-        return False
+    if k.dim() != 2 or not k.is_pure():
+        return None
+    ridges = {}
+    for m in k.maximal_simplices:
+        for i in range(3):
+            ridges.setdefault(m[:i] + m[i + 1 :], []).append((m, -1 if i % 2 else 1))
+    return ridges if all(len(ts) == 2 for ts in ridges.values()) else None
+
+
+def _links_are_cycles(k, ridges):
+    """Every vertex link of the pure-2 pseudomanifold k is a single cycle.
+
+    A link vertex w of v has the two link neighbours opposite the edge vw,
+    one in each triangle on it, so the link has as many vertices as edges
+    and one walk around it must cover the whole star of v.
+    """
     for v in k.vertices():
-        nbrs = {}
-        for m in k.maximal_cofaces((v,)):
-            a, b = (x for x in m if x != v)
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-        if any(len(ws) != 2 for ws in nbrs.values()):
-            return False
-        start = prev = next(iter(nbrs))
-        cur, steps = nbrs[start][0], 1
+        star = k.maximal_cofaces((v,))
+        start, cur = (x for x in star[0] if x != v)
+        prev, steps = start, 1
         while cur != start:
-            a, b = nbrs[cur]
-            prev, cur = cur, b if a == prev else a
-            steps += 1
-        if steps != len(nbrs):
+            (a, _), (b, _) = ridges[(v, cur) if v < cur else (cur, v)]
+            nxt = next(x for x in a if x != v and x != cur)
+            if nxt == prev:
+                nxt = next(x for x in b if x != v and x != cur)
+            prev, cur, steps = cur, nxt, steps + 1
+        if steps != len(star):
             return False
     return True
 
 
-def _edge_sign(triangle, edge):
-    # Sign of the edge in the boundary of the sorted triangle.
-    for i in range(3):
-        if triangle[:i] + triangle[i + 1 :] == edge:
-            return -1 if i % 2 else 1
-    raise ValueError(f"{edge} is not a facet of {triangle}")
+def is_closed_surface(k):
+    """Every vertex link a single cycle; implies a closed 2-manifold."""
+    ridges = _pseudomanifold_ridges(k)
+    return ridges is not None and _links_are_cycles(k, ridges)
+
+
+def _orient(k, ridges):
+    signs = {}
+    for start in k.maximal_simplices:
+        if start in signs:
+            continue
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            tri = stack.pop()
+            for e in combinations(tri, 2):
+                (a, sign_a), (b, sign_b) = ridges[e]
+                other = b if a == tri else a
+                want = -signs[tri] * sign_a * sign_b
+                have = signs.get(other)
+                if have is None:
+                    signs[other] = want
+                    stack.append(other)
+                elif have != want:
+                    return None
+    return signs
 
 
 def orient(k):
@@ -83,31 +112,10 @@ def orient(k):
     shared edge with opposite signs.  A propagation conflict means the
     complex is non-orientable, reported as None.
     """
-    if not is_pseudomanifold(k, 2):
+    ridges = _pseudomanifold_ridges(k)
+    if ridges is None:
         raise ValueError("orientation is defined here for pure-2 pseudomanifolds")
-    by_edge = {}
-    for m in k.maximal_simplices:
-        for e in combinations(m, 2):
-            by_edge.setdefault(e, []).append(m)
-    signs = {}
-    for start in k.maximal_simplices:
-        if start in signs:
-            continue
-        signs[start] = 1
-        stack = [start]
-        while stack:
-            tri = stack.pop()
-            for e in combinations(tri, 2):
-                a, b = by_edge[e]
-                other = b if a == tri else a
-                want = -signs[tri] * _edge_sign(tri, e) * _edge_sign(other, e)
-                have = signs.get(other)
-                if have is None:
-                    signs[other] = want
-                    stack.append(other)
-                elif have != want:
-                    return None
-    return signs
+    return _orient(k, ridges)
 
 
 @dataclass(frozen=True)
@@ -129,12 +137,13 @@ def classify_surface(k):
     disconnected or lower-dimensional input).
     """
     pure2 = k.dim() == 2 and k.is_pure()
-    pm = is_pseudomanifold(k, 2) if pure2 else False
-    closed = is_closed_surface(k) if pm else False
+    ridges = _pseudomanifold_ridges(k)
+    pm = ridges is not None
+    closed = pm and _links_are_cycles(k, ridges)
     connected = k.is_connected()
     orientable = None
     if pm:
-        orientable = orient(k) is not None
+        orientable = _orient(k, ridges) is not None
     euler = k.euler_characteristic()
     if closed and connected:
         if orientable:

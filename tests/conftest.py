@@ -8,6 +8,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from nctopo import SimplicialComplex
+from nctopo.graphs import Graph
 
 
 def oracle_invariant_factors(mat):
@@ -80,6 +81,23 @@ def random_family(seed):
     return [tuple(s) if rng.random() < 0.5 else s for s in family]
 
 
+def random_sparse_graph(seed):
+    """Seeded graph on 20..60 vertices with degrees at most 3 or 4, the
+    shape of the graphs analyze_graph folds."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 60)
+    cap = rng.choice((3, 4))
+    degree = [0] * n
+    edges = set()
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        if degree[u] < cap and degree[v] < cap and (min(u, v), max(u, v)) not in edges:
+            edges.add((min(u, v), max(u, v)))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, sorted(edges))
+
+
 def reference_component_vertex_sets(maximal):
     """Vertex sets of the connected components by union-find, ordered by
     minimum vertex; shares no code with SimplicialComplex."""
@@ -107,13 +125,14 @@ def pipeline_inputs():
 
     Recorded on the torus case at n = 80 and 160 and on every fifth
     instance of the n = 5..25 sweep: the generating family of every
-    SimplicialComplex built, every (complex, collapse trace) pair, and
-    every component passed to classify_surface.
+    SimplicialComplex built, every (complex, collapse trace) pair, every
+    (complex, strategy, circulant) call of collapse_core, and every
+    component passed to classify_surface.
     """
     from nctopo import classify
     from nctopo.cli import admissible_triples
 
-    families, traces, surfaces = [], [], []
+    families, traces, calls, surfaces = [], [], [], []
     init = SimplicialComplex.__init__
     collapse = classify.collapse_core
     surface = classify.classify_surface
@@ -123,9 +142,10 @@ def pipeline_inputs():
         families.append(simplices)
         init(self, simplices)
 
-    def record_collapse(k, *args, **kwargs):
-        trace = collapse(k, *args, **kwargs)
+    def record_collapse(k, strategy="generic", circulant=None):
+        trace = collapse(k, strategy=strategy, circulant=circulant)
         traces.append((k, trace))
+        calls.append((k, strategy, circulant))
         return trace
 
     def record_surface(k):
@@ -142,4 +162,9 @@ def pipeline_inputs():
         SimplicialComplex.__init__ = init
         classify.collapse_core = collapse
         classify.classify_surface = surface
-    return {"families": families, "traces": traces, "surfaces": surfaces}
+    return {
+        "families": families,
+        "traces": traces,
+        "collapse_calls": calls,
+        "surfaces": surfaces,
+    }

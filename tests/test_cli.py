@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from nctopo.cli import _CSV_FIELDS, admissible_triples, main
+from nctopo.cli import _CSV_FIELDS, _parse_triple, admissible_triples, main
+from nctopo.graphs import MAX_VERTEX_LABEL
 
 
 def run(capsys, *argv):
@@ -225,6 +226,23 @@ class TestExportComplex:
     def test_malformed_triple(self, capsys):
         rc, _, err = run(capsys, "export-complex", "--circulant", "8;1;3")
         assert rc == 2
+
+
+class TestCirculantSizeBound:
+    @pytest.mark.parametrize("command", ["analyze", "export-complex"])
+    def test_huge_n_rejected_before_allocation(self, capsys, command):
+        # circulant(n, ...) allocates n adjacency sets.
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, command, "--circulant", "4000000000,1,2")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert f"n must be at most {MAX_VERTEX_LABEL + 1}" in err
+
+    def test_bound_is_inclusive(self):
+        assert _parse_triple(f"{MAX_VERTEX_LABEL + 1},1,2") == (MAX_VERTEX_LABEL + 1, 1, 2)
+        with pytest.raises(ValueError):
+            _parse_triple(f"{MAX_VERTEX_LABEL + 2},1,2")
 
 
 class TestConsoleScript:

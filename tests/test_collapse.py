@@ -1,13 +1,16 @@
 """Elementary collapses, pair schedules, and their failure modes."""
 
 import random
+from itertools import combinations
 
 import pytest
-from conftest import random_family
+from conftest import random_family, random_sparse_graph
 
+from nctopo import classify, collapse
 from nctopo.collapse import (
     CollapseError,
     CongruenceError,
+    _schedule_candidates,
     circulant_collapse_pairs,
     collapse_core,
     collapse_step,
@@ -347,3 +350,140 @@ class TestVerifyPairMatchesReference:
                 replayed += 1
             assert k == trace.core
         assert replayed > 1000
+
+
+class ReferenceEngine:
+    """The collapse engine before the free-face heap: it scans the whole
+    face -> cofaces map for every pair."""
+
+    def __init__(self, k):
+        self.maximal = set(k.maximal_simplices)
+        self.cofaces = {}
+        for m in self.maximal:
+            self._register(m)
+
+    def _register(self, m):
+        for r in range(1, len(m)):
+            for f in combinations(m, r):
+                self.cofaces.setdefault(f, set()).add(m)
+
+    def is_free_pair(self, sigma, tau):
+        return tau in self.maximal and self.cofaces.get(sigma) == {tau}
+
+    def collapse(self, sigma, tau):
+        self.maximal.remove(tau)
+        for r in range(1, len(tau)):
+            for f in combinations(tau, r):
+                cfs = self.cofaces[f]
+                cfs.discard(tau)
+                if not cfs:
+                    del self.cofaces[f]
+        for x in sigma:
+            cand = tuple(v for v in tau if v != x)
+            if cand and cand not in self.cofaces:
+                self.maximal.add(cand)
+                self._register(cand)
+
+    def find_free_generic(self):
+        best = None
+        for f, cfs in self.cofaces.items():
+            if len(cfs) == 1:
+                tau = next(iter(cfs))
+                if best is None or (-len(tau), f) < (-len(best[1]), best[0]):
+                    best = (f, tau)
+        return best
+
+
+def reference_collapse_core(k, strategy="generic", circulant=None):
+    """(pairs, core, schedule) as collapse_core computed them with a full
+    engine per schedule candidate and a full scan per generic pair."""
+    eng = ReferenceEngine(k)
+    pairs, schedule = [], None
+    if strategy == "circulant":
+        for label, sched in _schedule_candidates(*circulant):
+            trial = ReferenceEngine(k)
+            for pair in sched:
+                if not trial.is_free_pair(*pair):
+                    break
+                trial.collapse(*pair)
+            else:
+                eng, schedule = trial, label
+                pairs.extend(sched)
+                break
+    while (pair := eng.find_free_generic()) is not None:
+        eng.collapse(*pair)
+        pairs.append(pair)
+    return tuple(pairs), SimplicialComplex(eng.maximal), schedule
+
+
+def assert_matches_reference(k, strategy="generic", circulant=None):
+    tr = collapse_core(k, strategy=strategy, circulant=circulant)
+    assert (tr.pairs, tr.core, tr.schedule) == reference_collapse_core(k, strategy, circulant)
+    return tr
+
+
+class TestEngineMatchesReference:
+    def test_random_complexes(self):
+        rng = random.Random(2)
+        pairs = 0
+        for seed in range(400):
+            k = SimplicialComplex(random_family(seed))
+            pairs += len(assert_matches_reference(k).pairs)
+            n = rng.randint(5, 14)
+            t = rng.randint(2, n // 2)
+            assert_matches_reference(k, "circulant", (n, rng.randint(1, t - 1), t))
+        assert pairs > 2000
+
+    def test_pipeline_calls(self, pipeline_inputs):
+        schedules = set()
+        for k, strategy, circ in pipeline_inputs["collapse_calls"]:
+            schedules.add(assert_matches_reference(k, strategy, circ).schedule)
+        assert schedules == {None, "edges(s)", "edges(t)", "triangles"}
+
+    def test_analyze_graph_inputs(self, monkeypatch):
+        calls = []
+
+        def recording(k, strategy="generic", circulant=None):
+            calls.append((k, strategy, circulant))
+            return collapse_core(k, strategy, circulant)
+
+        monkeypatch.setattr(classify, "collapse_core", recording)
+        for seed in range(40):
+            classify.analyze_graph(random_sparse_graph(seed))
+        assert len(calls) == 40
+        pairs = sum(len(assert_matches_reference(*call).pairs) for call in calls)
+        assert pairs > 500
+
+
+class TestEngineBuilds:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        init = collapse._Engine.__init__
+
+        def counting(self, k):
+            count[0] += 1
+            init(self, k)
+
+        monkeypatch.setattr(collapse._Engine, "__init__", counting)
+        return count
+
+    def test_schedule_hit_builds_one_engine(self, builds):
+        tr = collapse_core(nbhd(13, 2, 3), strategy="circulant", circulant=(13, 2, 3))
+        assert tr.schedule == "edges(s)"
+        assert builds[0] == 1
+
+    def test_generic_builds_one_engine(self, builds):
+        collapse_core(nbhd(11, 2, 3))
+        assert builds[0] == 1
+
+    def test_first_pair_rejection_builds_none(self, builds):
+        # Both edge schedules of (13, 2, 3) are candidates, but their first
+        # edge is no face of the complex of C_13(1, 5): only the generic
+        # engine is built.
+        k = nbhd(13, 1, 5)
+        assert [label for label, _ in _schedule_candidates(13, 2, 3)] == ["edges(s)", "edges(t)"]
+        tr = collapse_core(k, strategy="circulant", circulant=(13, 2, 3))
+        assert tr.schedule is None
+        assert builds[0] == 1
+        assert (tr.pairs, tr.core, None) == reference_collapse_core(k, "circulant", (13, 2, 3))

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from conftest import random_sparse_graph
 
 from nctopo.graphs import (
     MAX_VERTEX_LABEL,
@@ -173,23 +174,6 @@ def random_fold_graph(seed):
     if n >= 2 and rng.random() < 0.4:
         c = rng.randrange(n)
         edges = {e for e in edges if c not in e}
-    return Graph(n, sorted(edges))
-
-
-def random_sparse_graph(seed):
-    """Seeded graph on 20..60 vertices with degrees at most 3 or 4, the
-    shape of the graphs analyze_graph folds."""
-    rng = random.Random(seed)
-    n = rng.randint(20, 60)
-    cap = rng.choice((3, 4))
-    degree = [0] * n
-    edges = set()
-    for _ in range(2 * n):
-        u, v = rng.sample(range(n), 2)
-        if degree[u] < cap and degree[v] < cap and (min(u, v), max(u, v)) not in edges:
-            edges.add((min(u, v), max(u, v)))
-            degree[u] += 1
-            degree[v] += 1
     return Graph(n, sorted(edges))
 
 

@@ -108,11 +108,17 @@ class TestClosedSurface:
         assert not is_closed_surface(SimplicialComplex([(0, 1), (1, 2), (0, 2)]))
 
 
+def _edge_sign(triangle, edge):
+    # Sign of the edge in the boundary of the sorted triangle.
+    for i in range(3):
+        if triangle[:i] + triangle[i + 1 :] == edge:
+            return -1 if i % 2 else 1
+    raise ValueError(f"{edge} is not a facet of {triangle}")
+
+
 class TestOrient:
     def _boundary_cancels(self, k, signs):
         # A compatible orientation makes every edge coefficient vanish.
-        from nctopo.surfaces import _edge_sign
-
         total = {}
         for tri, sgn in signs.items():
             for e in combinations(tri, 2):
@@ -252,6 +258,42 @@ def reference_is_closed_surface(k):
     )
 
 
+def reference_orient(k):
+    """Orientation over a private edge map, with each sign found by
+    _edge_sign; raises ValueError off pure-2 pseudomanifolds."""
+    if not is_pseudomanifold(k, 2):
+        raise ValueError("not a pure-2 pseudomanifold")
+    by_edge = {}
+    for m in k.maximal_simplices:
+        for e in combinations(m, 2):
+            by_edge.setdefault(e, []).append(m)
+    signs = {}
+    for start in k.maximal_simplices:
+        if start in signs:
+            continue
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            tri = stack.pop()
+            for e in combinations(tri, 2):
+                a, b = by_edge[e]
+                other = b if a == tri else a
+                want = -signs[tri] * _edge_sign(tri, e) * _edge_sign(other, e)
+                if other not in signs:
+                    signs[other] = want
+                    stack.append(other)
+                elif signs[other] != want:
+                    return None
+    return signs
+
+
+def outcome_of(fn, k):
+    try:
+        return fn(k)
+    except ValueError:
+        return "raises"
+
+
 OCTAHEDRON = tuple(
     tuple(sorted((a, b, c))) for a in (0, 1) for b in (2, 3) for c in (4, 5)
 )
@@ -288,9 +330,15 @@ def random_two_complex(seed):
 
 
 def check_surface_against_references(k):
-    assert is_closed_surface(k) == reference_is_closed_surface(k)
+    closed = reference_is_closed_surface(k)
+    assert is_closed_surface(k) == closed
+    signs = outcome_of(reference_orient, k)
+    assert outcome_of(orient, k) == signs
     r = classify_surface(k)
     assert r.connected == (len(reference_component_vertex_sets(k.maximal_simplices)) == 1)
+    assert r.pseudomanifold == (signs != "raises")
+    assert r.closed_surface == closed
+    assert r.orientable == (None if signs == "raises" else signs is not None)
     for v in k.vertices():
         assert vertex_link(k, v) == reference_vertex_link(k, v)
 
@@ -310,6 +358,10 @@ class TestStarBasedRecognitionMatchesReferences:
         # Pseudomanifolds with a pinched vertex, whose link is two cycles.
         assert any(p and not c for p, c in zip(pm, closed))
         assert any(not p for p in pm)
+        # Orientable and non-orientable surfaces both occur.
+        signs = [reference_orient(k) for k, c in zip(ks, closed) if c]
+        assert any(x is None for x in signs)
+        assert any(x is not None for x in signs)
 
     def test_pipeline_components(self, pipeline_inputs):
         ks = pipeline_inputs["surfaces"]
