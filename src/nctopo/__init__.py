@@ -16,6 +16,7 @@ from .classify import (
     analyze_graph,
     case_of,
     predicted,
+    reduce_to_core,
     special_params,
     verify,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "orient",
     "predicted",
     "read_edge_list",
+    "reduce_to_core",
     "smith_normal_form",
     "special_params",
     "triangle_collapse_pairs",

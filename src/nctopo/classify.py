@@ -2,21 +2,23 @@
 
 Two-generator circulant parameters (n, s, t) fall into a partition of
 cases, each carrying a predicted homotopy type for the neighborhood
-complex.  verify() rebuilds the complex, reduces it, measures every
-component, and grades the prediction with decidable checks: collapses to
-a vertex for points, 1-dimensional torsion-free cores for wedges of
-circles, exact Betti profiles with shelling certificates for the wedge of
-two 2-spheres, tetrahedron-boundary piece counts for garlands, and
-intrinsic closed-orientable-surface recognition for connected sums of
-tori.  Anything outside the guarantee is a fail; a true-but-stronger
-outcome (for example genus above one) is reported as notable, never
-silently passed.
+complex.  verify() and analyze_graph() share one pipeline:
+reduce_to_core() folds, builds and collapses, and _measure() measures
+every core component.  verify() grades the prediction with decidable
+checks: collapses to a vertex for points, 1-dimensional torsion-free
+cores for wedges of circles, exact Betti profiles with shelling
+certificates for the wedge of two 2-spheres, tetrahedron-boundary piece
+counts for garlands, and intrinsic closed-orientable-surface recognition
+for connected sums of tori.  Anything outside the guarantee is a fail; a
+true-but-stronger outcome (for example genus above one) is reported as
+notable, never silently passed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .collapse import collapse_core
@@ -193,6 +195,17 @@ class ComponentReport:
     verdict: str
     note: str = ""
 
+    def to_json_obj(self):
+        return {
+            "f_vector": list(self.f_vector),
+            "betti_z": list(self.betti_z),
+            "torsion": [list(x) for x in self.torsion],
+            "betti_z2": list(self.betti_z2),
+            "euler": self.euler,
+            "surface": self.surface,
+            "core_dim": self.core_dim,
+        }
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -212,18 +225,7 @@ class VerificationReport:
             "t": self.t,
             "case": self.case.tag,
             "prediction": self.prediction,
-            "components": [
-                {
-                    "f_vector": list(c.f_vector),
-                    "betti_z": list(c.betti_z),
-                    "torsion": [list(x) for x in c.torsion],
-                    "betti_z2": list(c.betti_z2),
-                    "euler": c.euler,
-                    "surface": c.surface,
-                    "core_dim": c.core_dim,
-                }
-                for c in self.components
-            ],
+            "components": [c.to_json_obj() for c in self.components],
             "verdict": self.verdict,
         }
 
@@ -380,13 +382,64 @@ def _worse(a, b):
     return a if rank[a] >= rank[b] else b
 
 
+def _overall(components):
+    return functools.reduce(_worse, (c.verdict for c in components), "pass")
+
+
+def _is_excluded(g):
+    """Whether g is one of the two graphs the degree-3 guarantee excludes."""
+    return any(
+        g.num_vertices == ex.num_vertices and is_isomorphic_small(g, ex)
+        for ex in excluded_max_degree_3_graphs()
+    )
+
+
+def reduce_to_core(g, params=None):
+    """Fold, build and collapse g; returns (graph, complex, trace).
+
+    With circulant parameters params = (n, s, t) and no fold in g, the
+    complex of g itself is collapsed with the circulant strategy.
+    Otherwise g is fold-reduced and its complex is collapsed generically:
+    folds relabel vertices, after which the closed-form schedules no
+    longer address the right simplices.
+    """
+    if params is not None and find_fold(g) is None:
+        k = neighborhood_complex(g)
+        return g, k, collapse_core(k, strategy="circulant", circulant=params)
+    g = fold_reduce(g)
+    k = neighborhood_complex(g)
+    return g, k, collapse_core(k, strategy="generic")
+
+
+def _measure(comps, shape):
+    """One ComponentReport per component, graded against shape unless it is None."""
+    out = []
+    for comp in comps:
+        h = homology(comp)
+        sr = classify_surface(comp)
+        verdict, note = ("", "") if shape is None else _check_component(shape, comp, h, sr)
+        out.append(
+            ComponentReport(
+                f_vector=comp.f_vector(),
+                betti_z=h.betti_z,
+                torsion=h.torsion,
+                betti_z2=h.betti_z2,
+                euler=h.euler,
+                surface=sr.classification,
+                core_dim=comp.dim(),
+                verdict=verdict,
+                note=note,
+            )
+        )
+    return out
+
+
 def verify(n, s, t):
     """Full verification of one parameter triple; returns a report.
 
-    Pipeline: classify, build the circulant graph, fold-reduce when a fold
-    exists, build the neighborhood complex, collapse with the circulant
-    strategy (falling back to generic reduction), then measure and grade
-    every component of the core against the predicted shape.
+    Pipeline: classify, build the circulant graph, reduce it to a collapsed
+    core with reduce_to_core, then measure and grade every component of
+    the core against the predicted shape.
     """
     case = case_of(n, s, t)
     n, s, t = case.n, case.s, case.t
@@ -398,65 +451,27 @@ def verify(n, s, t):
     # circulant can only realize the complete one (on 4 vertices, when
     # 2t = n and 4s = n); its complex components are tetrahedron boundary
     # spheres, which is what gets graded instead of the wedge shape.
-    grading = prediction
-    instance_notes = []
-    if case.tag == "I1A":
-        part = induced_subgraph(g, connected_components(g)[0])
-        if any(
-            part.num_vertices == ex.num_vertices and is_isomorphic_small(part, ex)
-            for ex in excluded_max_degree_3_graphs()
-        ):
-            grading = "tetra-sphere"
-            instance_notes.append(
-                "graph components match an excluded degree-3 graph; grading "
-                "each complex component as a tetrahedron boundary sphere"
-            )
+    grading, notes = prediction, []
+    if case.tag == "I1A" and _is_excluded(induced_subgraph(g, connected_components(g)[0])):
+        grading = "tetra-sphere"
+        notes.append(
+            "graph components match an excluded degree-3 graph; grading "
+            "each complex component as a tetrahedron boundary sphere"
+        )
 
-    if find_fold(g) is None:
-        k = neighborhood_complex(g)
-        trace = collapse_core(k, strategy="circulant", circulant=(n, s, t))
-    else:
-        # Folds relabel vertices, after which the closed-form schedules no
-        # longer address the right simplices; generic reduction takes over.
-        k = neighborhood_complex(fold_reduce(g))
-        trace = collapse_core(k, strategy="generic")
+    _, _, trace = reduce_to_core(g, (n, s, t))
     comps = trace.core.components()
-
-    measured = []
-    for comp in comps:
-        h = homology(comp)
-        sr = classify_surface(comp)
-        verdict, note = _check_component(grading, comp, h, sr)
-        measured.append([comp, h, sr, verdict, note])
+    components = _measure(comps, grading)
 
     if case.tag in ("I2B", "I3B"):
-        adjustments = _shelling_certificate(comps, n, s, t)
-        for row, (verdict, note) in zip(measured, adjustments):
+        for i, (verdict, note) in enumerate(_shelling_certificate(comps, n, s, t)):
             if verdict != "pass":
-                row[3] = _worse(row[3], verdict)
-                row[4] = (row[4] + "; " + note).strip("; ")
+                c = components[i]
+                note = (c.note + "; " + note).strip("; ")
+                components[i] = replace(c, verdict=_worse(c.verdict, verdict), note=note)
 
-    components = tuple(
-        ComponentReport(
-            f_vector=comp.f_vector(),
-            betti_z=h.betti_z,
-            torsion=h.torsion,
-            betti_z2=h.betti_z2,
-            euler=h.euler,
-            surface=sr.classification,
-            core_dim=comp.dim(),
-            verdict=verdict,
-            note=note,
-        )
-        for comp, h, sr, verdict, note in measured
-    )
-
-    notes = list(instance_notes)
-    overall = "pass"
-    for c in components:
-        overall = _worse(overall, c.verdict)
-        if c.note:
-            notes.append(c.note)
+    notes += [c.note for c in components if c.note]
+    overall = _overall(components)
 
     # Components of one circulant complex are pairwise isomorphic under
     # rotation, so their measurements must coincide.
@@ -471,7 +486,7 @@ def verify(n, s, t):
         t=t,
         case=case,
         prediction=prediction,
-        components=components,
+        components=tuple(components),
         verdict=overall,
         notes=tuple(notes),
     )
@@ -486,47 +501,18 @@ def analyze_graph(g, name=""):
     prediction applies and is graded; otherwise the report carries the
     measurements with no verdict.
     """
-    reduced = fold_reduce(g)
-    k = neighborhood_complex(reduced)
-    trace = collapse_core(k, strategy="generic")
+    reduced, _, trace = reduce_to_core(g)
     comps = trace.core.components()
 
     applicable = (
         g.num_vertices >= 1
         and is_connected(g)
         and g.max_degree() <= 3
-        and not any(
-            reduced.num_vertices == ex.num_vertices and is_isomorphic_small(reduced, ex)
-            for ex in excluded_max_degree_3_graphs()
-        )
+        and not _is_excluded(reduced)
     )
     case = "degenerate-3-regular" if applicable else None
     prediction = PREDICTIONS[case] if case else None
-
-    components = []
-    overall = "pass" if applicable else None
-    for comp in comps:
-        h = homology(comp)
-        sr = classify_surface(comp)
-        if applicable:
-            verdict, note = _check_component(prediction, comp, h, sr)
-        else:
-            verdict, note = "", ""
-        components.append(
-            ComponentReport(
-                f_vector=comp.f_vector(),
-                betti_z=h.betti_z,
-                torsion=h.torsion,
-                betti_z2=h.betti_z2,
-                euler=h.euler,
-                surface=sr.classification,
-                core_dim=comp.dim(),
-                verdict=verdict,
-                note=note,
-            )
-        )
-        if applicable:
-            overall = _worse(overall, verdict)
+    components = _measure(comps, prediction)
 
     return {
         "graph": name,
@@ -535,5 +521,5 @@ def analyze_graph(g, name=""):
         "case": case,
         "prediction": prediction,
         "components": components,
-        "verdict": overall,
+        "verdict": _overall(components) if applicable else None,
     }

@@ -1,5 +1,8 @@
 """Command-line front end: analyze, sweep, export-complex.
 
+Circulant reports and graph analyses share one component renderer per
+format; export-complex reduces through classify.reduce_to_core.
+
 Exit codes: 0 when no component verdict is fail, 1 when one is, 2 for
 invalid parameters, 3 for unreadable or unwritable files.  JSON and CSV
 outputs are stable contracts and are byte-identical across runs and
@@ -17,10 +20,9 @@ import os
 import re
 import sys
 
-from .classify import analyze_graph, verify
-from .collapse import collapse_core
+from .classify import analyze_graph, reduce_to_core, verify
 from .complexes import neighborhood_complex
-from .graphs import MAX_VERTEX_LABEL, circulant, find_fold, fold_reduce, read_edge_list
+from .graphs import MAX_VERTEX_LABEL, circulant, read_edge_list
 
 _CSV_FIELDS = (
     "n",
@@ -79,30 +81,29 @@ def _torsion_cell(torsion):
     return "|".join(",".join(str(f) for f in dim) for dim in torsion)
 
 
-def _report_rows(report):
-    obj = report.to_json_obj()
-    rows = []
-    for i, c in enumerate(report.components):
-        rows.append(
-            {
-                "n": report.n,
-                "s": report.s,
-                "t": report.t,
-                "case": obj["case"],
-                "prediction": report.prediction,
-                "component": i,
-                "f_vector": _ints(c.f_vector),
-                "betti_z": _ints(c.betti_z),
-                "torsion": _torsion_cell(c.torsion),
-                "betti_z2": _ints(c.betti_z2),
-                "euler": c.euler,
-                "surface": c.surface,
-                "core_dim": c.core_dim,
-                "component_verdict": c.verdict,
-                "verdict": report.verdict,
-            }
-        )
-    return rows
+def _component_rows(head, components, verdict):
+    """CSV rows of components, each opening with the instance columns in head."""
+    return [
+        {
+            **head,
+            "component": i,
+            "f_vector": _ints(c.f_vector),
+            "betti_z": _ints(c.betti_z),
+            "torsion": _torsion_cell(c.torsion),
+            "betti_z2": _ints(c.betti_z2),
+            "euler": c.euler,
+            "surface": c.surface,
+            "core_dim": c.core_dim,
+            "component_verdict": c.verdict,
+            "verdict": verdict,
+        }
+        for i, c in enumerate(components)
+    ]
+
+
+def _report_rows(r):
+    head = dict(n=r.n, s=r.s, t=r.t, case=r.case.tag, prediction=r.prediction)
+    return _component_rows(head, r.components, r.verdict)
 
 
 def _render_csv(rows):
@@ -113,19 +114,24 @@ def _render_csv(rows):
     return buf.getvalue()
 
 
+def _component_lines(components):
+    """Text lines of components; a component without a verdict gets no suffix."""
+    return [
+        f"  component {i}: f=({_ints(c.f_vector)}) betti_z=({_ints(c.betti_z)})"
+        f" torsion=[{_torsion_cell(c.torsion)}] betti_z2=({_ints(c.betti_z2)})"
+        f" euler={c.euler} surface={c.surface} dim={c.core_dim}"
+        + (f" {c.verdict}" if c.verdict else "")
+        for i, c in enumerate(components)
+    ]
+
+
 def _render_report_text(report):
     lines = [
         f"C_{report.n}({report.s},{report.t})  case {report.case.tag}"
         f"  [{report.case.witness}]  prediction {report.prediction}"
     ]
-    for i, c in enumerate(report.components):
-        lines.append(
-            f"  component {i}: f=({_ints(c.f_vector)}) betti_z=({_ints(c.betti_z)})"
-            f" torsion=[{_torsion_cell(c.torsion)}] betti_z2=({_ints(c.betti_z2)})"
-            f" euler={c.euler} surface={c.surface} dim={c.core_dim} {c.verdict}"
-        )
-    for note in report.notes:
-        lines.append(f"  note: {note}")
+    lines.extend(_component_lines(report.components))
+    lines.extend(f"  note: {note}" for note in report.notes)
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines) + "\n"
 
@@ -137,13 +143,7 @@ def _render_graph_text(result):
     ]
     if result["case"]:
         lines.append(f"case {result['case']}  prediction {result['prediction']}")
-    for i, c in enumerate(result["components"]):
-        lines.append(
-            f"  component {i}: f=({_ints(c.f_vector)}) betti_z=({_ints(c.betti_z)})"
-            f" torsion=[{_torsion_cell(c.torsion)}] betti_z2=({_ints(c.betti_z2)})"
-            f" euler={c.euler} surface={c.surface} dim={c.core_dim}"
-            + (f" {c.verdict}" if c.verdict else "")
-        )
+    lines.extend(_component_lines(result["components"]))
     lines.append(f"verdict: {result['verdict'] if result['verdict'] else 'n/a'}")
     return "\n".join(lines) + "\n"
 
@@ -156,17 +156,7 @@ def _graph_json_obj(result):
         "case": result["case"],
         "prediction": result["prediction"],
         "components": [
-            {
-                "f_vector": list(c.f_vector),
-                "betti_z": list(c.betti_z),
-                "torsion": [list(x) for x in c.torsion],
-                "betti_z2": list(c.betti_z2),
-                "euler": c.euler,
-                "surface": c.surface,
-                "core_dim": c.core_dim,
-                "verdict": c.verdict or None,
-            }
-            for c in result["components"]
+            {**c.to_json_obj(), "verdict": c.verdict or None} for c in result["components"]
         ],
         "verdict": result["verdict"],
     }
@@ -178,10 +168,6 @@ def _emit(text, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _verify_task(nst):
-    return verify(*nst)
 
 
 def _cmd_analyze(args):
@@ -205,28 +191,14 @@ def _cmd_analyze(args):
     if args.format == "json":
         text = json.dumps(_graph_json_obj(result), indent=2) + "\n"
     elif args.format == "csv":
-        rows = []
-        for i, c in enumerate(result["components"]):
-            rows.append(
-                {
-                    "n": result["num_vertices"],
-                    "s": "",
-                    "t": "",
-                    "case": result["case"] or "",
-                    "prediction": result["prediction"] or "",
-                    "component": i,
-                    "f_vector": _ints(c.f_vector),
-                    "betti_z": _ints(c.betti_z),
-                    "torsion": _torsion_cell(c.torsion),
-                    "betti_z2": _ints(c.betti_z2),
-                    "euler": c.euler,
-                    "surface": c.surface,
-                    "core_dim": c.core_dim,
-                    "component_verdict": c.verdict,
-                    "verdict": result["verdict"] or "",
-                }
-            )
-        text = _render_csv(rows)
+        head = {
+            "n": result["num_vertices"],
+            "s": "",
+            "t": "",
+            "case": result["case"] or "",
+            "prediction": result["prediction"] or "",
+        }
+        text = _render_csv(_component_rows(head, result["components"], result["verdict"] or ""))
     else:
         text = _render_graph_text(result)
     _emit(text, args.out)
@@ -240,10 +212,10 @@ def _cmd_sweep(args):
     workers = max(1, min(workers, len(tasks) or 1))
 
     if workers == 1:
-        reports = [_verify_task(nst) for nst in tasks]
+        reports = [verify(*nst) for nst in tasks]
     else:
         with multiprocessing.Pool(workers) as pool:
-            reports = pool.map(_verify_task, tasks, chunksize=8)
+            reports = pool.starmap(verify, tasks, chunksize=8)
     reports.sort(key=lambda r: (r.n, r.s, r.t))
 
     counts = {"pass": 0, "fail": 0, "notable": 0}
@@ -262,10 +234,7 @@ def _cmd_sweep(args):
         }
         text = json.dumps(obj, indent=2) + "\n"
     elif args.format == "csv":
-        rows = []
-        for r in reports:
-            rows.extend(_report_rows(r))
-        text = _render_csv(rows)
+        text = _render_csv([row for r in reports for row in _report_rows(r)])
     else:
         lines = []
         for r in reports:
@@ -287,13 +256,8 @@ def _cmd_sweep(args):
 def _cmd_export_complex(args):
     n, s, t = _parse_triple(args.circulant)
     g = circulant(n, (s, t))
-    k = neighborhood_complex(g)
     if args.core or args.trace:
-        if find_fold(g) is None:
-            trace = collapse_core(k, strategy="circulant", circulant=(n, s, t))
-        else:
-            k = neighborhood_complex(fold_reduce(g))
-            trace = collapse_core(k, strategy="generic")
+        _, k, trace = reduce_to_core(g, (n, s, t))
         obj = {"complex": k.to_json_obj(), "core": trace.core.to_json_obj()}
         if args.trace:
             obj["trace"] = {
@@ -304,7 +268,7 @@ def _cmd_export_complex(args):
                 ],
             }
     else:
-        obj = k.to_json_obj()
+        obj = neighborhood_complex(g).to_json_obj()
     _emit(json.dumps(obj, indent=2) + "\n", args.out)
     return 0
 

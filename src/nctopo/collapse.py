@@ -72,7 +72,8 @@ class _Engine:
                 cfs.add(m)
 
     def is_free_pair(self, sigma, tau):
-        return tau in self.maximal and self.cofaces.get(sigma) == {tau}
+        cfs = self.cofaces.get(sigma)
+        return tau in self.maximal and cfs is not None and len(cfs) == 1 and tau in cfs
 
     def collapse(self, sigma, tau):
         self.maximal.remove(tau)
@@ -105,7 +106,8 @@ class _Engine:
         heap = self.heap
         while heap:
             _, sigma, tau = heap[0]
-            if self.cofaces.get(sigma) == {tau}:
+            cfs = self.cofaces.get(sigma)
+            if cfs is not None and len(cfs) == 1 and tau in cfs:
                 return sigma, tau
             heappop(heap)
         return None

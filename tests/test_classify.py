@@ -2,19 +2,25 @@
 
 import pytest
 
+from nctopo import classify
 from nctopo.classify import (
     CASE_TAGS,
     PREDICTIONS,
     analyze_graph,
     case_of,
     predicted,
+    reduce_to_core,
     special_params,
     verify,
 )
+from nctopo.complexes import neighborhood_complex
 from nctopo.graphs import (
     Graph,
+    circulant,
     complete_graph,
     cycle_graph,
+    find_fold,
+    fold_reduce,
     k44_minus_matching,
 )
 
@@ -284,3 +290,55 @@ class TestAnalyzeGraph:
         assert out["case"] == "degenerate-3-regular"
         assert out["verdict"] == "pass"
         assert [c.betti_z for c in out["components"]] == [(1, 11)]
+
+
+class TestReduceToCore:
+    def test_fold_free_circulant_takes_the_schedule(self):
+        g = circulant(15, (1, 4))
+        assert find_fold(g) is None
+        graph, k, trace = reduce_to_core(g, (15, 1, 4))
+        assert graph is g
+        assert k == neighborhood_complex(g)
+        assert trace.strategy == "circulant"
+        assert trace.schedule is not None
+
+    def test_fold_instance_collapses_the_reduced_graph(self):
+        g = circulant(8, (1, 3))
+        assert find_fold(g) is not None
+        graph, k, trace = reduce_to_core(g, (8, 1, 3))
+        assert graph == fold_reduce(g)
+        assert graph.num_vertices < g.num_vertices
+        assert k == neighborhood_complex(graph)
+        assert trace.strategy == "generic" and trace.schedule is None
+        assert trace.replay(k) == trace.core
+
+    def test_without_params_the_graph_is_fold_reduced(self):
+        g = circulant(15, (1, 4))
+        graph, k, trace = reduce_to_core(g)
+        assert graph == fold_reduce(g)
+        assert trace.strategy == "generic"
+
+    @pytest.fixture
+    def fold_searches(self, monkeypatch):
+        calls = []
+        real = classify.find_fold
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(classify, "find_fold", counting)
+        return calls
+
+    def test_reduce_without_params_never_searches(self, fold_searches):
+        reduce_to_core(circulant(15, (1, 4)))
+        assert fold_searches == []
+
+    def test_analyze_graph_never_searches(self, fold_searches):
+        analyze_graph(cycle_graph(7))
+        assert fold_searches == []
+
+    @pytest.mark.parametrize("nst", [(15, 1, 4), (8, 1, 3)])
+    def test_verify_searches_once(self, fold_searches, nst):
+        verify(*nst)
+        assert len(fold_searches) == 1

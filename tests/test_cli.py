@@ -7,14 +7,32 @@ import time
 
 import pytest
 
+from nctopo import classify, cli
 from nctopo.cli import _CSV_FIELDS, _parse_triple, admissible_triples, main
-from nctopo.graphs import MAX_VERTEX_LABEL
+from nctopo.collapse import CollapseTrace
+from nctopo.complexes import SimplicialComplex, neighborhood_complex
+from nctopo.graphs import MAX_VERTEX_LABEL, circulant, fold_reduce
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _cells(xs):
+    return " ".join(str(x) for x in xs)
+
+
+def expected_component_line(i, comp):
+    """Text line of one JSON component, built without the CLI's renderer."""
+    torsion = "|".join(",".join(str(f) for f in dim) for dim in comp["torsion"])
+    line = (
+        f"  component {i}: f=({_cells(comp['f_vector'])}) betti_z=({_cells(comp['betti_z'])})"
+        f" torsion=[{torsion}] betti_z2=({_cells(comp['betti_z2'])})"
+        f" euler={comp['euler']} surface={comp['surface']} dim={comp['core_dim']}"
+    )
+    return line + (f" {comp['verdict']}" if comp.get("verdict") else "")
 
 
 class TestAnalyzeCirculant:
@@ -24,6 +42,21 @@ class TestAnalyzeCirculant:
         assert "C_10(1,3)" in out
         assert "case I2A" in out
         assert out.strip().endswith("verdict: pass")
+
+    @pytest.mark.parametrize("triple", ["10,1,3", "8,1,3", "12,1,3"])
+    def test_text_component_lines(self, capsys, triple):
+        rc, text, _ = run(capsys, "analyze", "--circulant", triple)
+        assert rc == 0
+        _, js, _ = run(capsys, "analyze", "--circulant", triple, "--format", "json")
+        _, table, _ = run(capsys, "analyze", "--circulant", triple, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(table)))
+        comps = json.loads(js)["components"]
+        lines = [x for x in text.splitlines() if x.startswith("  component ")]
+        assert lines == [
+            expected_component_line(i, {**c, "verdict": row["component_verdict"]})
+            for i, (c, row) in enumerate(zip(comps, rows))
+        ]
+        assert all(row["component_verdict"] for row in rows)
 
     def test_json_schema(self, capsys):
         rc, out, err = run(capsys, "analyze", "--circulant", "10,1,3", "--format", "json")
@@ -124,6 +157,64 @@ class TestAnalyzeGraphFile:
         assert rows[0]["s"] == "" and rows[0]["t"] == ""
         assert rows[0]["case"] == "degenerate-3-regular"
 
+    GRAPHS = {
+        "p4": ([(0, 1), (1, 2), (2, 3)], "pass"),
+        "petersen": (
+            sorted(
+                tuple(sorted(e))
+                for i in range(5)
+                for e in ((i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, i + 5))
+            ),
+            "pass",
+        ),
+        "k4": ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], None),
+    }
+
+    def outputs(self, capsys, tmp_path, name):
+        edges, verdict = self.GRAPHS[name]
+        path = self.write_edges(tmp_path, f"{name}.edges", edges)
+        out = {}
+        for fmt in ("json", "csv", "text"):
+            rc, out[fmt], _ = run(capsys, "analyze", "--graph", path, "--format", fmt)
+            assert rc == 0
+        obj = json.loads(out["json"])
+        assert obj["verdict"] == verdict
+        return obj, out
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_csv_rows_match_json_components(self, capsys, tmp_path, name):
+        obj, out = self.outputs(capsys, tmp_path, name)
+        rows = list(csv.DictReader(io.StringIO(out["csv"])))
+        assert len(rows) == len(obj["components"]) >= 1
+        for i, (row, comp) in enumerate(zip(rows, obj["components"])):
+            torsion = "|".join(",".join(str(f) for f in dim) for dim in comp["torsion"])
+            assert row == {
+                "n": str(obj["num_vertices"]),
+                "s": "",
+                "t": "",
+                "case": obj["case"] or "",
+                "prediction": obj["prediction"] or "",
+                "component": str(i),
+                "f_vector": _cells(comp["f_vector"]),
+                "betti_z": _cells(comp["betti_z"]),
+                "torsion": torsion,
+                "betti_z2": _cells(comp["betti_z2"]),
+                "euler": str(comp["euler"]),
+                "surface": comp["surface"],
+                "core_dim": str(comp["core_dim"]),
+                "component_verdict": comp["verdict"] or "",
+                "verdict": obj["verdict"] or "",
+            }
+            assert (row["component_verdict"] == "") == (comp["verdict"] is None)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_text_lines_share_the_circulant_format(self, capsys, tmp_path, name):
+        obj, out = self.outputs(capsys, tmp_path, name)
+        lines = [x for x in out["text"].splitlines() if x.startswith("  component ")]
+        assert lines == [expected_component_line(i, c) for i, c in enumerate(obj["components"])]
+        graded = obj["verdict"] is not None
+        assert all(line.endswith(f" {obj['verdict']}") == graded for line in lines)
+
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "analyze", "--graph", str(tmp_path / "absent.edges"))
         assert rc == 3
@@ -222,6 +313,30 @@ class TestExportComplex:
         assert len(obj["trace"]["pairs"]) == 15
         for sigma, tau in obj["trace"]["pairs"]:
             assert len(sigma) == 2 and len(tau) == 4
+
+    @pytest.mark.parametrize("nst", [(8, 1, 3), (30, 5, 10)])
+    def test_trace_on_fold_instance(self, capsys, monkeypatch, nst):
+        n, s, t = nst
+        expected = neighborhood_complex(fold_reduce(circulant(n, (s, t))))
+        builds = []
+
+        def counting(g):
+            builds.append(g)
+            return neighborhood_complex(g)
+
+        monkeypatch.setattr(classify, "neighborhood_complex", counting)
+        monkeypatch.setattr(cli, "neighborhood_complex", counting)
+        rc, out, err = run(capsys, "export-complex", "--circulant", f"{n},{s},{t}", "--trace")
+        assert rc == 0
+        assert len(builds) == 1
+        obj = json.loads(out)
+        assert obj["trace"]["strategy"] == "generic"
+        assert obj["trace"]["schedule"] is None
+        assert obj["complex"] == expected.to_json_obj()
+        k = SimplicialComplex.from_json_obj(obj["complex"])
+        core = SimplicialComplex.from_json_obj(obj["core"])
+        pairs = [(tuple(sigma), tuple(tau)) for sigma, tau in obj["trace"]["pairs"]]
+        assert CollapseTrace(pairs, core, "generic").replay(k) == core
 
     def test_malformed_triple(self, capsys):
         rc, _, err = run(capsys, "export-complex", "--circulant", "8;1;3")
