@@ -14,11 +14,73 @@ collapsed cores are very sparse and nearly all of their pivots are units,
 so the dense stage usually sees an empty or tiny block.  See Dumas,
 Saunders and Villard, "On efficient sparse integer matrix Smith normal
 form computations", J. Symb. Comput. 32 (2001).
+
+``snf_diagonal`` takes a sequence of equal-length integer rows.  Rows of
+type ``SparseRow``, which ``homology.chain_complex`` builds, hand their
+``{column: value}`` entries straight to the sparse stage; any other row is
+read densely and its nonzeros are picked out with ``itertools.compress``.
+This kernel handles every matrix it is given, graph incidence matrices
+included; the union-find shortcut for those sits in the dispatch entry,
+``nctopo._kernels.snf_diagonal``, which also densifies sparse rows for
+the compiled twin.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
+from itertools import compress
+
+
+class SparseRow(Sequence):
+    """Read-only integer row of length ``ncols`` stored as ``{column: value}``.
+
+    It behaves as the dense list it stands for: ``len``, indexing,
+    iteration and ``count`` see the zeros, and it compares equal to that
+    list.  ``entries`` holds the nonzeros only and must not be mutated.
+    """
+
+    __slots__ = ("ncols", "entries")
+
+    def __init__(self, ncols, entries):
+        self.ncols = ncols
+        self.entries = entries
+
+    def __len__(self):
+        return self.ncols
+
+    def __getitem__(self, j):
+        if j < 0:
+            j += self.ncols
+        if not 0 <= j < self.ncols:
+            raise IndexError("row index out of range")
+        return self.entries.get(j, 0)
+
+    def __iter__(self):
+        return iter(self.to_list())
+
+    def to_list(self):
+        """The dense row as a new list."""
+        # Filling a zero list costs per nonzero, not a lookup per cell.
+        dense = [0] * self.ncols
+        for j, v in self.entries.items():
+            dense[j] = v
+        return dense
+
+    def count(self, value):
+        if value == 0:
+            return self.ncols - len(self.entries)
+        return sum(1 for v in self.entries.values() if v == value)
+
+    def __eq__(self, other):
+        if isinstance(other, SparseRow):
+            return self.ncols == other.ncols and self.entries == other.entries
+        if isinstance(other, list):
+            return len(other) == self.ncols and list(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"SparseRow({list(self)!r})"
 
 
 def gf2_rank(rows):
@@ -44,8 +106,9 @@ def snf_diagonal(mat):
     """Invariant factors d1 | d2 | ... | dr of an integer matrix.
 
     Returns the full positive diagonal of the Smith normal form as a list,
-    ones included, so the rank is its length.  ``mat`` is a list of equal
-    length rows; a ragged matrix raises ValueError.
+    ones included, so the rank is its length.  ``mat`` is a sequence of
+    equal length rows, ``SparseRow`` or dense; a ragged matrix raises
+    ValueError.
     """
     rows = []
     nc = None
@@ -54,7 +117,10 @@ def snf_diagonal(mat):
             nc = len(r)
         elif len(r) != nc:
             raise ValueError("ragged matrix")
-        rows.append({j: v for j, v in enumerate(r) if v})
+        if isinstance(r, SparseRow):
+            rows.append(dict(r.entries))
+        else:
+            rows.append(dict(zip(compress(range(nc), r), filter(None, r))))
     cols = [set() for _ in range(nc or 0)]
     heap = []
     for i, row in enumerate(rows):

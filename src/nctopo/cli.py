@@ -20,7 +20,7 @@ import os
 import re
 import sys
 
-from .classify import analyze_graph, reduce_to_core, verify
+from .classify import analyze_graph, case_of, reduce_to_core, verify
 from .complexes import neighborhood_complex
 from .graphs import MAX_VERTEX_LABEL, circulant, read_edge_list
 
@@ -254,7 +254,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_export_complex(args):
-    n, s, t = _parse_triple(args.circulant)
+    case = case_of(*_parse_triple(args.circulant))
+    n, s, t = case.n, case.s, case.t
     g = circulant(n, (s, t))
     if args.core or args.trace:
         _, k, trace = reduce_to_core(g, (n, s, t))

@@ -19,9 +19,12 @@ class ChainComplex:
     """Bases and integer boundary matrices of a simplicial complex.
 
     bases[d] is the sorted tuple of d-simplices; boundaries[d] is the
-    matrix of the boundary map C_d -> C_{d-1} as a list of rows (rows
-    indexed by (d-1)-simplices, columns by d-simplices).  boundaries[0]
-    is the empty matrix with f_0 columns.
+    matrix of the boundary map C_d -> C_{d-1} as a list of sparse rows
+    (rows indexed by (d-1)-simplices, columns by d-simplices).  Each row
+    is a ``_kernels.SparseRow`` holding its nonzero entries as
+    ``{column: +-1}``; it behaves as the dense integer sequence it stands
+    for, so ``len``, indexing, ``count`` and comparison with a list see
+    the zeros.  boundaries[0] is the empty matrix with f_0 columns.
     """
 
     __slots__ = ("bases", "boundaries")
@@ -45,12 +48,13 @@ def chain_complex(k):
     boundaries = [[] for _ in range(top + 1)]
     for d in range(1, top + 1):
         index = {s: i for i, s in enumerate(bases[d - 1])}
-        rows = [[0] * len(bases[d]) for _ in bases[d - 1]]
+        rows = [{} for _ in bases[d - 1]]
         for col, s in enumerate(bases[d]):
             for i in range(len(s)):
                 face = s[:i] + s[i + 1 :]
                 rows[index[face]][col] = -1 if i % 2 else 1
-        boundaries[d] = rows
+        ncols = len(bases[d])
+        boundaries[d] = [_kernels.SparseRow(ncols, row) for row in rows]
     if top >= 0:
         boundaries[0] = []
     return ChainComplex([tuple(b) for b in bases], boundaries)

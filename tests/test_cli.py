@@ -342,6 +342,33 @@ class TestExportComplex:
         rc, _, err = run(capsys, "export-complex", "--circulant", "8;1;3")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "triple, flag, message",
+        [
+            ("7,3,3", "--trace", "generators coincide mod the dihedral symmetry: s = t = 3"),
+            ("4,1,2", "--core", "n = 4 is out of range"),
+        ],
+    )
+    def test_invalid_triple_rejected_like_analyze(self, capsys, triple, flag, message):
+        rc, out, err = run(capsys, "export-complex", "--circulant", triple, flag)
+        assert (rc, out) == (2, "")
+        assert message in err
+        assert run(capsys, "analyze", "--circulant", triple) == (rc, out, err)
+
+    def test_triple_is_normalized(self, capsys, monkeypatch):
+        seen = []
+        collapse = classify.collapse_core
+
+        def spy(k, strategy="generic", circulant=None):
+            seen.append(circulant)
+            return collapse(k, strategy=strategy, circulant=circulant)
+
+        monkeypatch.setattr(classify, "collapse_core", spy)
+        rc, raw, _ = run(capsys, "export-complex", "--circulant", "13,11,3", "--trace")
+        assert rc == 0
+        assert run(capsys, "export-complex", "--circulant", "13,2,3", "--trace") == (0, raw, "")
+        assert seen == [(13, 2, 3), (13, 2, 3)]
+
 
 class TestCirculantSizeBound:
     @pytest.mark.parametrize("command", ["analyze", "export-complex"])

@@ -2,7 +2,10 @@
 
 The pure Smith kernel eliminates unit pivots sparsely and hands the rest
 to a dense stage; both stages are checked here against sympy and against
-the dense stage run on the whole matrix.
+the dense stage run on the whole matrix.  The dispatch entry answers graph
+incidence matrices by union-find; that shortcut is checked against the
+same two oracles, and matrices that only look like incidence matrices
+must reach a backend.
 """
 
 import random
@@ -11,7 +14,8 @@ import pytest
 from conftest import oracle_invariant_factors
 
 from nctopo import _kernels, chain_complex, verify
-from nctopo._kernels import pure
+from nctopo._kernels import SparseRow, pure
+from nctopo.cli import admissible_triples
 
 try:
     from nctopo._kernels import _fast
@@ -35,6 +39,49 @@ def sparse_matrix(seed, values=(1, -1, 2, -2, 3, 6)):
         [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
         for _ in range(rows)
     ]
+
+
+def sparse_rows(dense):
+    return [SparseRow(len(row), {j: v for j, v in enumerate(row) if v}) for row in dense]
+
+
+def incidence_entries(seed):
+    """Oriented incidence entries of a random multigraph, one dict per vertex.
+
+    The vertices but the last are split into up to four blocks and edges
+    are drawn inside blocks, so the graph has several components; the last
+    vertex is isolated, a zero row; one edge is doubled, a parallel edge.
+    Returns (entries, number of edges).
+    """
+    rng = random.Random(seed)
+    nv = rng.randint(4, 14)
+    cuts = sorted(rng.sample(range(2, nv - 1), rng.randint(0, min(3, nv - 3))))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [nv - 1]):
+        if hi - lo >= 2:
+            edges.extend(rng.sample(range(lo, hi), 2) for _ in range(rng.randint(1, 2 * (hi - lo))))
+    edges.append(rng.choice(edges))
+    rng.shuffle(edges)
+    entries = [{} for _ in range(nv)]
+    for j, (a, b) in enumerate(edges):
+        entries[a][j] = 1
+        entries[b][j] = -1
+    return entries, len(edges)
+
+
+@pytest.fixture
+def backend_calls(monkeypatch):
+    """Record every matrix the active backend's Smith kernel receives."""
+    seen = []
+    owner = _kernels._fast if _kernels._fast is not None else pure
+    inner = owner.snf_diagonal
+
+    def record(mat):
+        seen.append(mat)
+        return inner(mat)
+
+    monkeypatch.setattr(owner, "snf_diagonal", record)
+    return seen
 
 
 def masks_of(mat):
@@ -159,6 +206,125 @@ class TestSparseStage:
             assert pure.snf_diagonal(mat) == pure._dense_snf(mat)
 
 
+class TestSparseRow:
+    def test_behaves_as_dense_list(self):
+        row = SparseRow(5, {1: -1, 3: 2})
+        dense = [0, -1, 0, 2, 0]
+        assert len(row) == 5
+        assert list(row) == dense
+        assert [row[j] for j in range(-5, 5)] == dense + dense
+        assert (row.count(0), row.count(-1), row.count(7)) == (3, 1, 0)
+        assert row == dense and dense == row
+        assert row != dense[:4] and row != [0, 1, 0, 2, 0]
+        assert row == SparseRow(5, {3: 2, 1: -1})
+        assert row != tuple(dense)
+        with pytest.raises(IndexError):
+            row[5]
+        with pytest.raises(IndexError):
+            row[-6]
+
+    def test_chain_complex_rows_are_sparse(self, torus7):
+        for mat in chain_complex(torus7).boundaries[1:]:
+            assert all(isinstance(r, SparseRow) for r in mat)
+            assert all(0 not in r.entries.values() for r in mat)
+
+    def test_sparse_and_dense_input_agree(self):
+        for seed in range(150):
+            mat = sparse_matrix(seed)
+            assert pure.snf_diagonal(sparse_rows(mat)) == pure.snf_diagonal(mat), seed
+            assert _kernels.snf_diagonal(sparse_rows(mat)) == pure.snf_diagonal(mat), seed
+
+    def test_ragged_sparse_raises(self):
+        # The first pair would pass the incidence test if widths were ignored.
+        for ragged in (
+            [SparseRow(1, {0: 1}), SparseRow(2, {0: -1})],
+            [SparseRow(2, {0: 1}), SparseRow(3, {0: -1})],
+        ):
+            for kernel in (_kernels.snf_diagonal, pure.snf_diagonal):
+                with pytest.raises(ValueError, match="ragged"):
+                    kernel(ragged)
+        with pytest.raises(ValueError, match="ragged"):
+            pure.snf_diagonal([SparseRow(2, {0: 1}), [1]])
+
+
+class TestIncidenceShortcut:
+    def test_random_multigraphs_against_oracles(self):
+        shapes = []
+        for seed in range(120):
+            entries, ncols = incidence_entries(seed)
+            rows = [SparseRow(ncols, e) for e in entries]
+            dense = [list(r) for r in rows]
+            got = _kernels.snf_diagonal(rows)
+            assert got == oracle_invariant_factors(dense) == pure._dense_snf(dense), seed
+            assert got == pure.snf_diagonal(rows), seed
+            assert _kernels._incidence_rank(rows) == len(got), seed
+            cols = [tuple(sorted(r for r, e in enumerate(entries) if j in e)) for j in range(ncols)]
+            shapes.append((len(rows) - len(got), len(set(cols)) < ncols))
+        assert sum(components >= 3 for components, _ in shapes) >= 30
+        assert all(parallel for _, parallel in shapes)
+
+    def test_shortcut_skips_the_backend(self, backend_calls):
+        entries, ncols = incidence_entries(0)
+        assert _kernels.snf_diagonal([SparseRow(ncols, e) for e in entries])
+        assert backend_calls == []
+
+    def test_dense_incidence_goes_to_backend(self, backend_calls):
+        entries, ncols = incidence_entries(1)
+        dense = [list(SparseRow(ncols, e)) for e in entries]
+        assert _kernels.snf_diagonal(dense) == oracle_invariant_factors(dense)
+        assert len(backend_calls) == 1
+
+    @pytest.mark.parametrize(
+        "defect", ["two plus ones", "entry 2", "entry -2", "extra entry 2", "single entry"]
+    )
+    def test_look_alikes_fall_through(self, backend_calls, defect):
+        for seed in range(20):
+            entries, ncols = incidence_entries(seed)
+            j = random.Random(seed).randrange(ncols)
+            plus = next(e for e in entries if e.get(j) == 1)
+            minus = next(e for e in entries if e.get(j) == -1)
+            if defect == "two plus ones":
+                minus[j] = 1
+            elif defect == "entry 2":
+                plus[j] = 2
+            elif defect == "entry -2":
+                minus[j] = -2
+            elif defect == "extra entry 2":
+                next(e for e in entries if j not in e)[j] = 2
+            else:
+                del minus[j]
+            rows = [SparseRow(ncols, e) for e in entries]
+            dense = [list(r) for r in rows]
+            assert _kernels._incidence_rank(rows) is None, seed
+            backend_calls.clear()
+            assert _kernels.snf_diagonal(rows) == oracle_invariant_factors(dense), seed
+            assert len(backend_calls) == 1, seed
+
+    def test_boundary_of_triangles_falls_through(self, backend_calls, solid_triangle, rp2):
+        for k, expected in ((solid_triangle, [1]), (rp2, [1] * 9 + [2])):
+            d2 = chain_complex(k).boundaries[2]
+            assert _kernels._incidence_rank(d2) is None
+            assert _kernels.snf_diagonal(d2) == expected
+        assert len(backend_calls) == 2
+
+    def test_fires_on_every_edge_boundary_of_a_sweep(self, monkeypatch):
+        fired = {1: [], 2: [], 3: []}
+        inner = _kernels._incidence_rank
+
+        def spy(rows):
+            rank = inner(rows)
+            d = sum(len(r.entries) for r in rows) // rows[0].ncols - 1
+            fired[d].append(rank is not None)
+            return rank
+
+        monkeypatch.setattr(_kernels, "_incidence_rank", spy)
+        for triple in admissible_triples(5, 15):
+            verify(*triple)
+        assert len(fired[1]) > 50 and all(fired[1])
+        assert len(fired[2]) > 20 and not any(fired[2])
+        assert not any(fired[3])
+
+
 @needs_compiled
 class TestCompiledMatchesPure:
     @pytest.mark.parametrize("seed", range(20))
@@ -208,6 +374,15 @@ class TestDispatch:
     def test_snf_dispatch(self):
         mat = random_matrix(4, 6, 6, -5, 5)
         assert _kernels.snf_diagonal(mat) == pure.snf_diagonal(mat)
+
+    def test_sparse_rows_densified_for_compiled_only(self, backend_calls):
+        mat = sparse_rows(sparse_matrix(5, values=(2, -2, 3)))
+        assert _kernels.snf_diagonal(mat) == oracle_invariant_factors([list(r) for r in mat])
+        (seen,) = backend_calls
+        if _kernels.BACKEND == "compiled":
+            assert all(type(r) is list for r in seen) and seen == mat
+        else:
+            assert seen is mat
 
     def test_overflow_escalates_to_pure(self):
         # The wrapper must fall back to the exact kernel, not raise.

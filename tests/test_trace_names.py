@@ -32,3 +32,24 @@ def test_a_missing_name_is_reported(tracer, monkeypatch):
     monkeypatch.delattr(classify, "find_fold")
     with pytest.raises(tracer.TraceError, match="nctopo.classify.find_fold"):
         tracer.Tracer()
+
+
+@pytest.mark.parametrize("n, s, t", [(80, 1, 4), (12, 1, 3)])
+def test_snf_counts_see_sparse_rows_as_dense(tracer, n, s, t):
+    """The Smith hook counts the same cells, nonzeros and sides for the
+    sparse boundary rows as for their dense copy: torus I4C and I2B cores."""
+    from nctopo import chain_complex, circulant
+    from nctopo._kernels import SparseRow
+    from nctopo.classify import reduce_to_core
+
+    core = reduce_to_core(circulant(n, (s, t)), (n, s, t))[2].core
+    mats = chain_complex(core).boundaries[1:]
+    assert len(mats) == 2 and all(isinstance(r, SparseRow) for m in mats for r in m)
+    for mat in mats:
+        counts = []
+        for m in (mat, [list(r) for r in mat]):
+            tr = tracer.Tracer()
+            tr._before_snf((m,), {})
+            counts.append((tr.counts["snf_cells"], tr.counts["snf_nnz"], tr.snf_max_side))
+        assert counts[0] == counts[1]
+        assert counts[0][1] == sum(len(r.entries) for r in mat) > 0
