@@ -32,10 +32,11 @@ With ``--gate`` the script instead times the kernel-backend question end
 to end, in fresh interpreters on the ``src`` it imports, which must hold a
 built compiled extension: the wall time of ``nctopo sweep --n 5..40
 --workers 1 --format csv`` and of ``verify(n, 1, 4)`` for n = 80, 160 and
-320, pure (``NCTOPO_PURE=1``) against compiled, in three rounds that
-alternate the backends, best of three.  It also records the SHA-256 of
-each backend's sweep CSV.  The figures go under ``gate`` in the same
-file:
+320, pure (``NCTOPO_PURE=1``) against compiled, in ten rounds that
+alternate the backends, pure first in every other round.  It records the best time per backend, every
+round's sweep times, the number of rounds whose pure sweep was the
+faster, and the SHA-256 of each backend's sweep CSV.  The figures go
+under ``gate`` in the same file:
 
     PYTHONPATH=src python3 benchmarks/bench_stages.py --gate --label change
 """
@@ -72,12 +73,12 @@ STAGES = (
 )
 GATE_SWEEP = "5..40"
 GATE_TORUS = (80, 160, 320)
-GATE_ROUNDS = 3
+GATE_ROUNDS = 10
 ABOUT = (
     "benchmarks/bench_stages.py: seconds for one pass over each workload's "
     "recorded inputs, best of three, per checkout and kernel backend (runs); "
     "end-to-end sweep and torus seconds, pure against compiled, best of "
-    "three alternating rounds (gate)"
+    "the alternating rounds, with every round's sweep seconds (gate)"
 )
 
 
@@ -187,16 +188,18 @@ def _child(args, pure):
 
 
 def gate():
-    """Sweep and torus wall times per backend, alternating, best of three."""
+    """Sweep and torus wall times per backend, alternating rounds, best of all."""
     backends = {"pure": True, "compiled": False}
-    sweep_s = dict.fromkeys(backends, math.inf)
+    sweep_runs = {b: [] for b in backends}
     digest = {b: set() for b in backends}
     torus_s = {f"n={n}": dict.fromkeys(backends, math.inf) for n in GATE_TORUS}
     sweep = ["-m", "nctopo", "sweep", "--n", GATE_SWEEP, "--workers", "1", "--format", "csv"]
-    for _ in range(GATE_ROUNDS):
-        for backend, pure in backends.items():
+    for rnd in range(GATE_ROUNDS):
+        # Every other round runs compiled first, so an order effect does
+        # not land on one backend.
+        for backend, pure in sorted(backends.items(), reverse=rnd % 2 == 1):
             dt, out = _child(sweep, pure)
-            sweep_s[backend] = min(sweep_s[backend], dt)
+            sweep_runs[backend].append(dt)
             digest[backend].add(hashlib.sha256(out).hexdigest())
             _, out = _child(["-c", _TORUS_CHILD, *map(str, GATE_TORUS)], pure)
             got, *times = out.decode().split()
@@ -207,7 +210,12 @@ def gate():
                 cell[backend] = min(cell[backend], dt)
     return {
         "sweep": f"nctopo sweep --n {GATE_SWEEP} --workers 1 --format csv",
-        "sweep_s": sweep_s,
+        "rounds": GATE_ROUNDS,
+        "sweep_s": {b: min(runs) for b, runs in sweep_runs.items()},
+        "sweep_runs_s": sweep_runs,
+        "sweep_pure_faster_rounds": sum(
+            p < c for p, c in zip(sweep_runs["pure"], sweep_runs["compiled"])
+        ),
         "sweep_csv_sha256": {b: sorted(d) for b, d in digest.items()},
         "torus_verify_s": torus_s,
     }

@@ -206,6 +206,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_sweep(args):
+    if args.workers < 0:
+        raise ValueError(f"--workers must be 0 (one per CPU) or positive, got {args.workers}")
     lo, hi = _parse_range(args.range)
     tasks = admissible_triples(lo, hi)
     workers = args.workers if args.workers else os.cpu_count() or 1

@@ -77,6 +77,13 @@ class SimplicialComplex:
             out.extend(self.faces(d))
         return out
 
+    def star(self, v):
+        """Maximal simplices through vertex v, empty if v is no vertex.
+
+        The list is the index itself and must not be mutated.
+        """
+        return self._star.get(v, ())
+
     def maximal_cofaces(self, simplex):
         """Maximal simplices containing simplex (none for the empty one).
 
@@ -119,8 +126,15 @@ class SimplicialComplex:
         return len(set(self._component_roots().values())) == 1
 
     def components(self):
-        """Connected components as complexes, ordered by minimum vertex."""
+        """Connected components as complexes, ordered by minimum vertex.
+
+        A complex is immutable, so a connected one is its own only
+        component and is returned as is, not rebuilt.  The empty complex
+        has no components.
+        """
         root = self._component_roots()
+        if len(set(root.values())) == 1:
+            return [self]
         groups = {}
         for m in self._maximal:
             groups.setdefault(root[m[0]], []).append(m)

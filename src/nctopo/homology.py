@@ -1,9 +1,13 @@
 """Simplicial homology over Z and over GF(2).
 
 Unreduced homology throughout: a point has betti_z == (1,).  The integer
-route goes through Smith normal form of the boundary matrices; the mod-2
-route does bit-packed Gaussian elimination on incidence masks built
-directly from face containment, sharing no elimination code with the SNF
+route goes through Smith normal form of the boundary matrices.  Every
+edge boundary, and the top boundary of a closed pseudomanifold core (a
+surface or a 3-sphere), is a signed-graph incidence matrix, which the
+Smith entry answers by parity union-find; the rest go to a backend.  The
+mod-2 route does bit-packed Gaussian elimination on incidence masks built
+directly from face containment.  It reads the face positions that
+``chain_complex`` indexed, but shares no elimination code with the SNF
 path.  The universal-coefficient relation between the two is a checkable
 consequence, not an assumption.
 """
@@ -11,6 +15,8 @@ consequence, not an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, repeat
+from operator import itemgetter
 
 from . import _kernels
 
@@ -25,13 +31,16 @@ class ChainComplex:
     ``{column: +-1}``; it behaves as the dense integer sequence it stands
     for, so ``len``, indexing, ``count`` and comparison with a list see
     the zeros.  boundaries[0] is the empty matrix with f_0 columns.
+    indices[d] maps each d-simplex to its position in bases[d], for every
+    d below the top dimension: the row index of boundaries[d + 1].
     """
 
-    __slots__ = ("bases", "boundaries")
+    __slots__ = ("bases", "boundaries", "indices")
 
-    def __init__(self, bases, boundaries):
+    def __init__(self, bases, boundaries, indices):
         self.bases = bases
         self.boundaries = boundaries
+        self.indices = indices
 
     def dim(self):
         return len(self.bases) - 1
@@ -46,18 +55,25 @@ def chain_complex(k):
     top = k.dim()
     bases = [k.faces(d) for d in range(top + 1)]
     boundaries = [[] for _ in range(top + 1)]
+    indices = [dict(zip(bases[d], range(len(bases[d])))) for d in range(top)]
     for d in range(1, top + 1):
-        index = {s: i for i, s in enumerate(bases[d - 1])}
+        index = indices[d - 1]
         rows = [{} for _ in bases[d - 1]]
-        for col, s in enumerate(bases[d]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                rows[index[face]][col] = -1 if i % 2 else 1
-        ncols = len(bases[d])
-        boundaries[d] = [_kernels.SparseRow(ncols, row) for row in rows]
+        for i in range(d + 1):
+            sign = -1 if i % 2 else 1
+            for col, row in enumerate(map(index.__getitem__, _faces_dropping(bases[d], i))):
+                rows[row][col] = sign
+        boundaries[d] = list(map(_kernels.SparseRow, repeat(len(bases[d])), rows))
     if top >= 0:
         boundaries[0] = []
-    return ChainComplex([tuple(b) for b in bases], boundaries)
+    return ChainComplex([tuple(b) for b in bases], boundaries, indices)
+
+
+def _faces_dropping(simplices, i):
+    """The face of each of the nonempty list of simplices that drops its
+    i-th vertex, in order."""
+    keep = [j for j in range(len(simplices[0])) if j != i]
+    return zip(*[map(itemgetter(j), simplices) for j in keep])
 
 
 def smith_normal_form(mat):
@@ -74,17 +90,16 @@ def _rank_gf2(cc, d):
     """Rank of the d-th boundary map over GF(2).
 
     Builds incidence bitmasks straight from face containment, one mask per
-    d-simplex over the (d-1)-simplex indices; no sign bookkeeping and no
-    shared code with the Smith route.
+    d-simplex over the (d-1)-simplex positions in ``cc.indices``; no sign
+    bookkeeping and no shared code with the Smith route.
     """
     if d <= 0 or d > cc.dim():
         return 0
-    lower = {s: i for i, s in enumerate(cc.bases[d - 1])}
+    lower = cc.indices[d - 1]
     masks = []
     for s in cc.bases[d]:
         m = 0
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
+        for face in combinations(s, d):
             m |= 1 << lower[face]
         masks.append(m)
     return _kernels.gf2_rank(masks, nbits=len(cc.bases[d - 1]))

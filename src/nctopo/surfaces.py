@@ -32,7 +32,7 @@ def is_pseudomanifold(k, d=None):
 
 def vertex_link(k, v):
     """Link of vertex v: all faces gamma with gamma + {v} a face, v not in gamma."""
-    star = k.maximal_cofaces((v,))
+    star = k.star(v)
     if not star:
         raise ValueError(f"{v} is not a vertex of the complex")
     return SimplicialComplex(rest for m in star if (rest := tuple(x for x in m if x != v)))
@@ -53,23 +53,27 @@ def _pseudomanifold_ridges(k):
     return ridges if all(len(ts) == 2 for ts in ridges.values()) else None
 
 
-def _links_are_cycles(k, ridges):
+def _links_are_cycles(k):
     """Every vertex link of the pure-2 pseudomanifold k is a single cycle.
 
-    A link vertex w of v has the two link neighbours opposite the edge vw,
-    one in each triangle on it, so the link has as many vertices as edges
-    and one walk around it must cover the whole star of v.
+    In the link of v each vertex w has exactly two neighbours, the third
+    vertices of the two triangles on the edge vw, so the link is a union
+    of disjoint cycles.  It is one cycle when a walk from one link vertex
+    returns after as many steps as v has triangles.  The walk reads a
+    two-neighbour adjacency built from the star of v alone.
     """
     for v in k.vertices():
-        star = k.maximal_cofaces((v,))
-        start, cur = (x for x in star[0] if x != v)
-        prev, steps = start, 1
-        while cur != start:
-            (a, _), (b, _) = ridges[(v, cur) if v < cur else (cur, v)]
-            nxt = next(x for x in a if x != v and x != cur)
-            if nxt == prev:
-                nxt = next(x for x in b if x != v and x != cur)
-            prev, cur, steps = cur, nxt, steps + 1
+        star = k.star(v)
+        nbrs = {}
+        for a, b, c in star:
+            x, y = (b, c) if v == a else (a, c) if v == b else (a, b)
+            nbrs.setdefault(x, []).append(y)
+            nbrs.setdefault(y, []).append(x)
+        # Walk from the link edge xy of the last triangle read.
+        prev, cur, steps = x, y, 1
+        while cur != x:
+            a, b = nbrs[cur]
+            prev, cur, steps = cur, b if a == prev else a, steps + 1
         if steps != len(star):
             return False
     return True
@@ -78,7 +82,7 @@ def _links_are_cycles(k, ridges):
 def is_closed_surface(k):
     """Every vertex link a single cycle; implies a closed 2-manifold."""
     ridges = _pseudomanifold_ridges(k)
-    return ridges is not None and _links_are_cycles(k, ridges)
+    return ridges is not None and _links_are_cycles(k)
 
 
 def _orient(k, ridges):
@@ -139,7 +143,7 @@ def classify_surface(k):
     pure2 = k.dim() == 2 and k.is_pure()
     ridges = _pseudomanifold_ridges(k)
     pm = ridges is not None
-    closed = pm and _links_are_cycles(k, ridges)
+    closed = pm and _links_are_cycles(k)
     connected = k.is_connected()
     orientable = None
     if pm:

@@ -16,6 +16,27 @@ def oracle_invariant_factors(mat):
     d = smith_normal_form(Matrix(mat))
     return sorted(abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
 
+
+def oracle_gf2_rank(mat):
+    """Rank mod 2 of an integer matrix by plain list elimination, column by
+    column; shares no package code."""
+    rows = [[v % 2 for v in row] for row in mat]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        rank += 1
+    return rank
+
+
 # Minimal 6-vertex triangulation of the real projective plane: complete
 # 1-skeleton, 10 triangles, Euler characteristic 1, H_1 = Z/2.
 RP2_TRIANGLES = (
@@ -39,6 +60,32 @@ TORUS_TRIANGLES = tuple(
 )
 
 
+# 9-vertex Klein bottle: a 3 x 3 grid of squares, each cut along its
+# diagonal, with vertex 3i + j at grid point (i, j).  The sides j = 0 and
+# j = 3 are glued straight and the sides i = 0 and i = 3 with a reversal,
+# (3, j) ~ (0, -j).  18 triangles, chi = 0, H_1 = Z + Z/2.
+KLEIN_TRIANGLES = (
+    (0, 1, 4),
+    (0, 1, 8),
+    (0, 2, 3),
+    (0, 2, 6),
+    (0, 3, 4),
+    (0, 6, 8),
+    (1, 2, 5),
+    (1, 2, 7),
+    (1, 4, 5),
+    (1, 7, 8),
+    (2, 3, 5),
+    (2, 6, 7),
+    (3, 4, 7),
+    (3, 5, 6),
+    (3, 6, 7),
+    (4, 5, 8),
+    (4, 7, 8),
+    (5, 6, 8),
+)
+
+
 @pytest.fixture
 def rp2():
     return SimplicialComplex(RP2_TRIANGLES)
@@ -47,6 +94,11 @@ def rp2():
 @pytest.fixture
 def torus7():
     return SimplicialComplex(TORUS_TRIANGLES)
+
+
+@pytest.fixture
+def klein():
+    return SimplicialComplex(KLEIN_TRIANGLES)
 
 
 @pytest.fixture

@@ -284,6 +284,13 @@ class TestSweep:
         assert rc1 == rc3 == 0
         assert one.read_bytes() == many.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["-3", "-1"])
+    def test_negative_workers_rejected(self, capsys, workers):
+        rc, out, err = run(capsys, "sweep", "--n", "5..6", "--workers", workers)
+        assert rc == 2
+        assert out == ""
+        assert err == f"nctopo: --workers must be 0 (one per CPU) or positive, got {workers}\n"
+
     @pytest.mark.parametrize("bad", ["9..5", "abc", "4..6", "5"])
     def test_bad_ranges(self, capsys, bad):
         rc, _, err = run(capsys, "sweep", "--n", bad)

@@ -69,6 +69,20 @@ class TestComponents:
     def test_connected_single(self, tetra_boundary):
         assert len(tetra_boundary.components()) == 1
 
+    def test_connected_complex_is_its_own_component(self, tetra_boundary, torus7):
+        for k in (tetra_boundary, torus7, SimplicialComplex([(3,)])):
+            (comp,) = k.components()
+            assert comp is k
+
+    def test_disconnected_components_are_new_complexes(self):
+        k = SimplicialComplex([(5, 6), (0, 1, 2), (6, 7), (9,)])
+        comps = k.components()
+        assert [c.maximal_simplices for c in comps] == [((0, 1, 2),), ((5, 6), (6, 7)), ((9,),)]
+        assert all(c is not k for c in comps)
+
+    def test_empty_complex_has_none(self):
+        assert SimplicialComplex([]).components() == []
+
 
 class TestJson:
     def test_round_trip(self, rp2):
@@ -182,6 +196,9 @@ def check_against_references(family, rng):
         holders = [m for m in maximal if p and set(p) <= set(m)]
         assert sorted(k.maximal_cofaces(p)) == holders, p
         assert k.has_face(p) == bool(holders), p
+    for v in k.vertices():
+        assert sorted(k.star(v)) == [m for m in maximal if v in m], v
+    assert k.star(max(k.vertices(), default=0) + 1) == ()
     expected = reference_component_vertex_sets(maximal)
     assert [set(c.vertices()) for c in k.components()] == expected
     assert k.is_connected() == (len(expected) == 1)

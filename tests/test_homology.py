@@ -24,7 +24,7 @@ from nctopo import (
     smith_normal_form as snf,
     uct_check,
 )
-from conftest import TORUS_TRIANGLES, oracle_invariant_factors
+from conftest import TORUS_TRIANGLES, oracle_gf2_rank, oracle_invariant_factors
 
 
 def boundary_composition_is_zero(cc):
@@ -42,24 +42,6 @@ def boundary_composition_is_zero(cc):
                 if sum(row[i] * col[i] for i in range(nmid)) != 0:
                     return False
     return True
-
-
-def oracle_gf2_rank(mat):
-    rows = [[v % 2 for v in row] for row in mat]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 class TestSmithNormalForm:
@@ -162,6 +144,14 @@ class TestHomologyProfiles:
         assert h.torsion == ((), (2,), ())
         assert h.betti_z2 == (1, 1, 1)
         assert h.euler == 1
+
+    def test_klein_bottle(self, klein):
+        h = homology(klein)
+        assert h.betti_z == (1, 1, 0)
+        assert h.torsion == ((), (2,), ())
+        assert h.betti_z2 == (1, 2, 1)
+        assert h.euler == 0
+        assert uct_check(h)
 
     def test_disjoint_union_adds(self, rp2):
         shifted = SimplicialComplex([tuple(v + 10 for v in m) for m in rp2.maximal_simplices])

@@ -2,18 +2,19 @@
 
 The pure Smith kernel eliminates unit pivots sparsely and hands the rest
 to a dense stage; both stages are checked here against sympy and against
-the dense stage run on the whole matrix.  The dispatch entry answers graph
-incidence matrices by union-find; that shortcut is checked against the
-same two oracles, and matrices that only look like incidence matrices
-must reach a backend.
+the dense stage run on the whole matrix.  The dispatch entry answers
+signed-graph incidence matrices by parity union-find; that shortcut is
+checked against the same two oracles, in both orientations, and matrices
+that only look like such incidence matrices must reach a backend.
 """
 
 import random
 
 import pytest
-from conftest import oracle_invariant_factors
+from conftest import RP2_TRIANGLES, oracle_gf2_rank, oracle_invariant_factors
 
-from nctopo import _kernels, chain_complex, verify
+from nctopo import SimplicialComplex, _kernels, chain_complex, verify
+from nctopo.classify import case_of
 from nctopo._kernels import SparseRow, pure
 from nctopo.cli import admissible_triples
 
@@ -69,6 +70,49 @@ def incidence_entries(seed):
     return entries, len(edges)
 
 
+def signed_graph(seed):
+    """Random signed graph as (edges, number of nodes).
+
+    An edge is ((a, sa), (b, sb)) with signs +-1.  The nodes but the last
+    two are split into up to four blocks and edges are drawn inside
+    blocks, so the graph has several components; the last two nodes are
+    isolated.  One edge is doubled.  A block is balanced, an ordinary
+    incidence pattern under random node signs, or with probability 0.7
+    gets random edge signs, which makes it unbalanced as soon as a cycle
+    in it has an odd number of negative edges.
+    """
+    rng = random.Random(seed)
+    nv = rng.randint(5, 14)
+    cuts = sorted(rng.sample(range(2, nv - 2), rng.randint(0, min(3, nv - 4))))
+    flip = [rng.choice((1, -1)) for _ in range(nv)]
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [nv - 2]):
+        if hi - lo < 2:
+            continue
+        mixed = rng.random() < 0.7
+        for _ in range(rng.randint(1, 2 * (hi - lo))):
+            a, b = rng.sample(range(lo, hi), 2)
+            sign = rng.choice((1, -1)) if mixed else -1
+            edges.append(((a, flip[a]), (b, flip[b] * sign)))
+    edges.append(rng.choice(edges))
+    rng.shuffle(edges)
+    return edges, nv
+
+
+def edge_rows(edges, nv):
+    """One sparse row per edge over the nodes: two entries in every row."""
+    return [SparseRow(nv, {a: sa, b: sb}) for (a, sa), (b, sb) in edges]
+
+
+def node_rows(edges, nv):
+    """One sparse row per node over the edges: two entries in every column."""
+    entries = [{} for _ in range(nv)]
+    for j, ((a, sa), (b, sb)) in enumerate(edges):
+        entries[a][j] = sa
+        entries[b][j] = sb
+    return [SparseRow(len(edges), e) for e in entries]
+
+
 @pytest.fixture
 def backend_calls(monkeypatch):
     """Record every matrix the active backend's Smith kernel receives."""
@@ -107,6 +151,25 @@ class TestPureGf2:
 
     def test_dependent_rows(self):
         assert pure.gf2_rank([0b011, 0b101, 0b110]) == 2
+
+    def test_rank_ignores_row_order(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            cols = rng.randint(1, 40)
+            # Rows built from a few generators, so the rank is often short.
+            gens = [rng.getrandbits(cols) for _ in range(rng.randint(1, 8))]
+            rows = []
+            for _ in range(rng.randint(1, 20)):
+                m = 0
+                for g in rng.sample(gens, rng.randint(1, len(gens))):
+                    m ^= g
+                rows.append(m)
+            rank = pure.gf2_rank(rows)
+            bits = [[(m >> j) & 1 for j in range(cols)] for m in rows]
+            assert rank == oracle_gf2_rank(bits), seed
+            for _ in range(5):
+                rng.shuffle(rows)
+                assert pure.gf2_rank(rows) == rank, seed
 
 
 class TestPureSnf:
@@ -257,25 +320,54 @@ class TestIncidenceShortcut:
             got = _kernels.snf_diagonal(rows)
             assert got == oracle_invariant_factors(dense) == pure._dense_snf(dense), seed
             assert got == pure.snf_diagonal(rows), seed
-            assert _kernels._incidence_rank(rows) == len(got), seed
+            assert _kernels._signed_graph_factors(rows) == got == [1] * len(got), seed
             cols = [tuple(sorted(r for r, e in enumerate(entries) if j in e)) for j in range(ncols)]
             shapes.append((len(rows) - len(got), len(set(cols)) < ncols))
         assert sum(components >= 3 for components, _ in shapes) >= 30
         assert all(parallel for _, parallel in shapes)
 
+    def test_random_signed_graphs_against_oracles(self):
+        shapes = []
+        for seed in range(120):
+            edges, nv = signed_graph(seed)
+            for rows in (edge_rows(edges, nv), node_rows(edges, nv)):
+                dense = [list(r) for r in rows]
+                got = _kernels._signed_graph_factors(rows)
+                assert got == oracle_invariant_factors(dense) == pure._dense_snf(dense), seed
+                assert _kernels.snf_diagonal(rows) == pure.snf_diagonal(rows) == got, seed
+            unbalanced = got.count(2)
+            shapes.append((unbalanced, nv - len(got)))
+        # Balanced components include the two isolated nodes.
+        assert sum(u == 0 and b >= 4 for u, b in shapes) >= 20
+        assert sum(u >= 2 for u, _ in shapes) >= 8
+        assert sum(u >= 1 and b >= 3 for u, b in shapes) >= 20
+
+    def test_two_projective_planes(self, backend_calls):
+        shifted = [tuple(v + 6 for v in t) for t in RP2_TRIANGLES]
+        k = SimplicialComplex(RP2_TRIANGLES + tuple(shifted))
+        d2 = chain_complex(k).boundaries[2]
+        assert _kernels.snf_diagonal(d2) == [1] * 18 + [2, 2]
+        assert backend_calls == []
+
     def test_shortcut_skips_the_backend(self, backend_calls):
         entries, ncols = incidence_entries(0)
         assert _kernels.snf_diagonal([SparseRow(ncols, e) for e in entries])
+        edges, nv = signed_graph(0)
+        assert _kernels.snf_diagonal(edge_rows(edges, nv))
+        assert _kernels.snf_diagonal(node_rows(edges, nv))
         assert backend_calls == []
 
     def test_dense_incidence_goes_to_backend(self, backend_calls):
         entries, ncols = incidence_entries(1)
-        dense = [list(SparseRow(ncols, e)) for e in entries]
-        assert _kernels.snf_diagonal(dense) == oracle_invariant_factors(dense)
-        assert len(backend_calls) == 1
+        edges, nv = signed_graph(1)
+        mats = [[SparseRow(ncols, e) for e in entries], edge_rows(edges, nv), node_rows(edges, nv)]
+        for mat in mats:
+            dense = [list(r) for r in mat]
+            assert _kernels.snf_diagonal(dense) == oracle_invariant_factors(dense)
+        assert len(backend_calls) == len(mats)
 
     @pytest.mark.parametrize(
-        "defect", ["two plus ones", "entry 2", "entry -2", "extra entry 2", "single entry"]
+        "defect", ["three entries", "entry 2", "entry -2", "extra entry 2", "single entry"]
     )
     def test_look_alikes_fall_through(self, backend_calls, defect):
         for seed in range(20):
@@ -283,8 +375,8 @@ class TestIncidenceShortcut:
             j = random.Random(seed).randrange(ncols)
             plus = next(e for e in entries if e.get(j) == 1)
             minus = next(e for e in entries if e.get(j) == -1)
-            if defect == "two plus ones":
-                minus[j] = 1
+            if defect == "three entries":
+                next(e for e in entries if j not in e)[j] = 1
             elif defect == "entry 2":
                 plus[j] = 2
             elif defect == "entry -2":
@@ -295,34 +387,72 @@ class TestIncidenceShortcut:
                 del minus[j]
             rows = [SparseRow(ncols, e) for e in entries]
             dense = [list(r) for r in rows]
-            assert _kernels._incidence_rank(rows) is None, seed
+            assert _kernels._signed_graph_factors(rows) is None, seed
+            backend_calls.clear()
+            assert _kernels.snf_diagonal(rows) == oracle_invariant_factors(dense), seed
+            assert len(backend_calls) == 1, seed
+
+    @pytest.mark.parametrize("defect", ["entry 2", "entry -2", "one entry", "three entries"])
+    def test_edge_row_look_alikes_fall_through(self, backend_calls, defect):
+        for seed in range(20):
+            edges, nv = signed_graph(seed)
+            rows = edge_rows(edges, nv)
+            entries = rows[random.Random(seed).randrange(len(rows))].entries
+            a, b = entries
+            if defect == "entry 2":
+                entries[a] = 2
+            elif defect == "entry -2":
+                entries[b] = -2
+            elif defect == "one entry":
+                del entries[b]
+            else:
+                entries[next(c for c in range(nv) if c not in entries)] = -1
+            dense = [list(r) for r in rows]
+            assert _kernels._signed_graph_factors(rows) is None, seed
             backend_calls.clear()
             assert _kernels.snf_diagonal(rows) == oracle_invariant_factors(dense), seed
             assert len(backend_calls) == 1, seed
 
     def test_boundary_of_triangles_falls_through(self, backend_calls, solid_triangle, rp2):
-        for k, expected in ((solid_triangle, [1]), (rp2, [1] * 9 + [2])):
-            d2 = chain_complex(k).boundaries[2]
-            assert _kernels._incidence_rank(d2) is None
-            assert _kernels.snf_diagonal(d2) == expected
-        assert len(backend_calls) == 2
+        # The solid triangle's edges lie in one triangle each; RP^2's lie
+        # in two, so its dual graph is an unbalanced signed graph.
+        d2 = chain_complex(solid_triangle).boundaries[2]
+        assert _kernels._signed_graph_factors(d2) is None
+        assert _kernels.snf_diagonal(d2) == [1]
+        assert len(backend_calls) == 1
+        d2 = chain_complex(rp2).boundaries[2]
+        assert _kernels._signed_graph_factors(d2) == [1] * 9 + [2]
+        assert _kernels.snf_diagonal(d2) == [1] * 9 + [2]
+        assert len(backend_calls) == 1
 
     def test_fires_on_every_edge_boundary_of_a_sweep(self, monkeypatch):
-        fired = {1: [], 2: [], 3: []}
-        inner = _kernels._incidence_rank
+        fired = {}
+        inner = _kernels._signed_graph_factors
+        tag = None
 
         def spy(rows):
-            rank = inner(rows)
+            factors = inner(rows)
             d = sum(len(r.entries) for r in rows) // rows[0].ncols - 1
-            fired[d].append(rank is not None)
-            return rank
+            fired.setdefault((tag, d), []).append(factors is not None)
+            return factors
 
-        monkeypatch.setattr(_kernels, "_incidence_rank", spy)
-        for triple in admissible_triples(5, 15):
+        monkeypatch.setattr(_kernels, "_signed_graph_factors", spy)
+        # (20, 3, 5) adds a garland core (I3A) to the sweep.
+        for triple in admissible_triples(5, 15) + [(20, 3, 5)]:
+            tag = case_of(*triple).tag
             verify(*triple)
-        assert len(fired[1]) > 50 and all(fired[1])
-        assert len(fired[2]) > 20 and not any(fired[2])
-        assert not any(fired[3])
+        edges = [f for (_, d), fs in fired.items() if d == 1 for f in fs]
+        assert len(edges) > 50 and all(edges)
+        # Closed surfaces: tetrahedron boundaries (I1A) and tori.
+        for t in ("I1A", "I3D", "I4C"):
+            assert fired[(t, 2)] and all(fired[(t, 2)]), t
+        # Wedges and garlands of spheres, and the 2-skeleton of S^3.
+        for t in ("I2A", "I2B", "I3A", "I3B", "I4A", "I4B"):
+            assert fired[(t, 2)] and not any(fired[(t, 2)]), t
+        # S^3 as the boundary of a 4-simplex.
+        triangles = [(t, fs) for (t, d), fs in fired.items() if d == 3]
+        assert {t for t, _ in triangles} == {"I2A", "I4A"}
+        assert all(f for _, fs in triangles for f in fs)
 
 
 @needs_compiled

@@ -169,6 +169,13 @@ class TestClassifySurface:
         assert r.orientable is False
         assert r.euler == 1
 
+    def test_klein_bottle(self, klein):
+        r = classify_surface(klein)
+        assert r.classification == "nonorientable-crosscap-2"
+        assert r.closed_surface and r.connected
+        assert r.orientable is False
+        assert r.euler == 0
+
     def test_pinched_sphere(self, pinched_sphere):
         r = classify_surface(pinched_sphere)
         assert r.classification == "not-a-surface"
