@@ -1,5 +1,5 @@
 """Time the collapse, complex, surface, fold, Smith and homology stages on
-the inputs the pipeline sees, and the kernel-backend gate end to end.
+the inputs the pipeline sees.
 
 Inputs are recorded by wrapping ``collapse_core`` and ``fold_reduce`` in
 ``nctopo.classify`` and ``nctopo._kernels.snf_diagonal`` while the
@@ -17,39 +17,23 @@ of
 - ``core.components()``;
 - ``classify_surface`` on every component of every core;
 - ``fold_reduce`` on every recorded graph;
-- ``_kernels.snf_diagonal`` on every recorded matrix, on the backend the
-  checkout provides;
+- ``_kernels.snf_diagonal`` on every recorded matrix;
 - ``homology`` on every core: boundary build, Smith kernel and GF(2)
   ranks together.
 
 The result is stored under ``--label`` in ``BENCH_stages.json``, next to
-the entries of other checkouts and backends, with machine, Python and
-backend metadata.  Run it against any checkout's ``src``:
+the entries of other checkouts, with machine and Python metadata.  Run it
+against any checkout's ``src``:
 
-    PYTHONPATH=src python3 benchmarks/bench_stages.py --label change/pure
-
-With ``--gate`` the script instead times the kernel-backend question end
-to end, in fresh interpreters on the ``src`` it imports, which must hold a
-built compiled extension: the wall time of ``nctopo sweep --n 5..40
---workers 1 --format csv`` and of ``verify(n, 1, 4)`` for n = 80, 160 and
-320, pure (``NCTOPO_PURE=1``) against compiled, in ten rounds that
-alternate the backends, pure first in every other round.  It records the best time per backend, every
-round's sweep times, the number of rounds whose pure sweep was the
-faster, and the SHA-256 of each backend's sweep CSV.  The figures go
-under ``gate`` in the same file:
-
-    PYTHONPATH=src python3 benchmarks/bench_stages.py --gate --label change
+    PYTHONPATH=src python3 benchmarks/bench_stages.py --label change
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import math
 import os
 import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -71,14 +55,14 @@ STAGES = (
     "snf",
     "homology",
 )
-GATE_SWEEP = "5..40"
-GATE_TORUS = (80, 160, 320)
-GATE_ROUNDS = 10
 ABOUT = (
     "benchmarks/bench_stages.py: seconds for one pass over each workload's "
-    "recorded inputs, best of three, per checkout and kernel backend (runs); "
-    "end-to-end sweep and torus seconds, pure against compiled, best of "
-    "the alternating rounds, with every round's sweep seconds (gate)"
+    "recorded inputs, best of three, per checkout (runs; labels ending in "
+    "/pure or /compiled name the kernel backend of the time). The gate "
+    "entries are end-to-end sweep and torus seconds, pure against the "
+    "compiled kernel backend that has since been removed, best of the "
+    "alternating rounds, with every round's sweep seconds; the script no "
+    "longer writes them"
 )
 
 
@@ -162,65 +146,6 @@ def measure():
     return rows
 
 
-_TORUS_CHILD = """
-import sys, time
-from nctopo import BACKEND, verify
-verify(80, 1, 4)
-out = [BACKEND]
-for n in map(int, sys.argv[1:]):
-    t0 = time.perf_counter()
-    verify(n, 1, 4)
-    out.append(repr(time.perf_counter() - t0))
-print(" ".join(out))
-"""
-
-
-def _child(args, pure):
-    """Run a fresh interpreter on this checkout's src; (seconds, stdout)."""
-    src = str(Path(nctopo.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "NCTOPO_PURE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if pure:
-        env["NCTOPO_PURE"] = "1"
-    t0 = time.perf_counter()
-    out = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True).stdout
-    return time.perf_counter() - t0, out
-
-
-def gate():
-    """Sweep and torus wall times per backend, alternating rounds, best of all."""
-    backends = {"pure": True, "compiled": False}
-    sweep_runs = {b: [] for b in backends}
-    digest = {b: set() for b in backends}
-    torus_s = {f"n={n}": dict.fromkeys(backends, math.inf) for n in GATE_TORUS}
-    sweep = ["-m", "nctopo", "sweep", "--n", GATE_SWEEP, "--workers", "1", "--format", "csv"]
-    for rnd in range(GATE_ROUNDS):
-        # Every other round runs compiled first, so an order effect does
-        # not land on one backend.
-        for backend, pure in sorted(backends.items(), reverse=rnd % 2 == 1):
-            dt, out = _child(sweep, pure)
-            sweep_runs[backend].append(dt)
-            digest[backend].add(hashlib.sha256(out).hexdigest())
-            _, out = _child(["-c", _TORUS_CHILD, *map(str, GATE_TORUS)], pure)
-            got, *times = out.decode().split()
-            if got != backend:
-                raise SystemExit(f"bench_stages: wanted the {backend} backend, the child ran {got}")
-            for n, dt in zip(GATE_TORUS, map(float, times)):
-                cell = torus_s[f"n={n}"]
-                cell[backend] = min(cell[backend], dt)
-    return {
-        "sweep": f"nctopo sweep --n {GATE_SWEEP} --workers 1 --format csv",
-        "rounds": GATE_ROUNDS,
-        "sweep_s": {b: min(runs) for b, runs in sweep_runs.items()},
-        "sweep_runs_s": sweep_runs,
-        "sweep_pure_faster_rounds": sum(
-            p < c for p, c in zip(sweep_runs["pure"], sweep_runs["compiled"])
-        ),
-        "sweep_csv_sha256": {b: sorted(d) for b, d in digest.items()},
-        "torus_verify_s": torus_s,
-    }
-
-
 def _seconds(value):
     return "-" if value is None else f"{value:.4f}s"
 
@@ -238,12 +163,10 @@ def cpu_model():
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="entry name, e.g. parent/pure")
+    ap.add_argument("--label", required=True, help="entry name, e.g. parent")
     ap.add_argument("--out", default=str(ROOT / "BENCH_stages.json"))
-    ap.add_argument("--gate", action="store_true", help="time the backend gate instead")
     args = ap.parse_args(argv)
     meta = {
-        "backend": nctopo.BACKEND,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu": cpu_model(),
@@ -252,13 +175,6 @@ def main(argv=None):
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}
     doc["about"] = ABOUT
-    if args.gate:
-        del meta["backend"]
-        entry = {"meta": meta, **gate()}
-        doc.setdefault("gate", {})[args.label] = entry
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(json.dumps(entry, indent=2, sort_keys=True))
-        return
     entry = {"meta": meta, "stages": measure()}
     doc["runs"][args.label] = entry
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

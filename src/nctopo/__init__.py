@@ -1,9 +1,8 @@
 """Neighborhood complexes of circulant graphs: construction, reduction,
 homology, surface recognition, and classification checks.
 
-The heavy integer kernels (Smith normal form, GF(2) rank) run on a
-compiled extension when it is importable and on pure Python otherwise;
-``BACKEND`` names the active one.
+The exact integer kernels (Smith normal form, GF(2) rank) are pure
+Python; ``BACKEND`` names them, ``"pure"``, in benchmark metadata.
 """
 
 from ._kernels import BACKEND

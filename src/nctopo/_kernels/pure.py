@@ -1,9 +1,7 @@
-"""Pure-Python exact kernels: integer Smith normal form and GF(2) rank.
+"""Integer Smith normal form in pure Python, and the sparse row type.
 
-These are the reference implementations.  The compiled twins in ``_fast``
-must agree with them bit for bit; the test suite checks that on random
-input.  Python integers make the Smith reduction exact no matter how big
-the intermediate entries grow.
+Python integers make the reduction exact no matter how big the
+intermediate entries grow.
 
 The Smith reduction runs in two stages.  A sparse stage eliminates unit
 pivots (entries of absolute value 1), cheapest Markowitz cost first; each
@@ -20,9 +18,9 @@ type ``SparseRow``, which ``homology.chain_complex`` builds, hand their
 ``{column: value}`` entries straight to the sparse stage; any other row is
 read densely and its nonzeros are picked out with ``itertools.compress``.
 This kernel handles every matrix it is given, signed-graph incidence
-matrices included; the union-find shortcut for those sits in the dispatch
-entry, ``nctopo._kernels.snf_diagonal``, which also densifies sparse rows
-for the compiled twin.
+matrices included; the union-find shortcut for those sits in the entry
+``nctopo._kernels.snf_diagonal``, which calls this kernel for every other
+matrix.
 """
 
 from __future__ import annotations
@@ -81,30 +79,6 @@ class SparseRow(Sequence):
 
     def __repr__(self):
         return f"SparseRow({list(self)!r})"
-
-
-def gf2_rank(rows):
-    """Rank over GF(2) of the matrix whose rows are the given bitmasks.
-
-    Each row is a nonnegative int; bit j set means entry 1 in column j.
-    The rows are eliminated in descending order of top bit, rows with the
-    same top bit in the order given.  That keeps the chains of reductions
-    short on boundary matrices: the edge boundary of the torus core at
-    n = 320 takes 1903 reduction steps, against 25159 in the order the
-    edges come in.
-    """
-    pivots = {}
-    rank = 0
-    for row in sorted(rows, key=int.bit_length, reverse=True):
-        while row:
-            b = row.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = row
-                rank += 1
-                break
-            row ^= p
-    return rank
 
 
 def snf_diagonal(mat):

@@ -60,6 +60,8 @@ def _parse_range(text):
     lo, hi = int(m.group(1)), int(m.group(2))
     if not 5 <= lo <= hi:
         raise ValueError(f"need 5 <= A <= B, got {lo}..{hi}")
+    if hi > MAX_VERTEX_LABEL + 1:
+        raise ValueError(f"n must be at most {MAX_VERTEX_LABEL + 1}, got {hi}")
     return lo, hi
 
 

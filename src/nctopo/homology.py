@@ -4,7 +4,7 @@ Unreduced homology throughout: a point has betti_z == (1,).  The integer
 route goes through Smith normal form of the boundary matrices.  Every
 edge boundary, and the top boundary of a closed pseudomanifold core (a
 surface or a 3-sphere), is a signed-graph incidence matrix, which the
-Smith entry answers by parity union-find; the rest go to a backend.  The
+Smith entry answers by parity union-find; the rest go to its kernel.  The
 mod-2 route does bit-packed Gaussian elimination on incidence masks built
 directly from face containment.  It reads the face positions that
 ``chain_complex`` indexed, but shares no elimination code with the SNF
@@ -102,7 +102,7 @@ def _rank_gf2(cc, d):
         for face in combinations(s, d):
             m |= 1 << lower[face]
         masks.append(m)
-    return _kernels.gf2_rank(masks, nbits=len(cc.bases[d - 1]))
+    return _kernels.gf2_rank(masks)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from nctopo import classify, cli
-from nctopo.cli import _CSV_FIELDS, _parse_triple, admissible_triples, main
+from nctopo.cli import _CSV_FIELDS, _parse_range, _parse_triple, admissible_triples, main
 from nctopo.collapse import CollapseTrace
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import MAX_VERTEX_LABEL, circulant, fold_reduce
@@ -378,11 +378,13 @@ class TestExportComplex:
 
 
 class TestCirculantSizeBound:
-    @pytest.mark.parametrize("command", ["analyze", "export-complex"])
+    @pytest.mark.parametrize("command", ["analyze", "export-complex", "sweep"])
     def test_huge_n_rejected_before_allocation(self, capsys, command):
-        # circulant(n, ...) allocates n adjacency sets.
+        # circulant(n, ...) allocates n adjacency sets; a sweep would first
+        # list every triple up to n.
+        huge = ["--n", "5..4000000000"] if command == "sweep" else ["--circulant", "4000000000,1,2"]
         t0 = time.perf_counter()
-        rc, out, err = run(capsys, command, "--circulant", "4000000000,1,2")
+        rc, out, err = run(capsys, command, *huge)
         assert time.perf_counter() - t0 < 1.0
         assert rc == 2
         assert out == ""
@@ -392,6 +394,9 @@ class TestCirculantSizeBound:
         assert _parse_triple(f"{MAX_VERTEX_LABEL + 1},1,2") == (MAX_VERTEX_LABEL + 1, 1, 2)
         with pytest.raises(ValueError):
             _parse_triple(f"{MAX_VERTEX_LABEL + 2},1,2")
+        assert _parse_range(f"5..{MAX_VERTEX_LABEL + 1}") == (5, MAX_VERTEX_LABEL + 1)
+        with pytest.raises(ValueError, match=f"n must be at most {MAX_VERTEX_LABEL + 1}"):
+            _parse_range(f"5..{MAX_VERTEX_LABEL + 2}")
 
 
 class TestConsoleScript:

@@ -1,11 +1,13 @@
-"""Pure and compiled kernels must agree; overflow must escalate cleanly.
+"""The exact kernels against independent oracles.
 
-The pure Smith kernel eliminates unit pivots sparsely and hands the rest
-to a dense stage; both stages are checked here against sympy and against
-the dense stage run on the whole matrix.  The dispatch entry answers
-signed-graph incidence matrices by parity union-find; that shortcut is
-checked against the same two oracles, in both orientations, and matrices
-that only look like such incidence matrices must reach a backend.
+The GF(2) rank is checked against plain list elimination, on masks of one
+and of several machine words.  The Smith kernel eliminates unit pivots
+sparsely and hands the rest to a dense stage; both stages are checked
+here against sympy and against the dense stage run on the whole matrix.
+The entry answers signed-graph incidence matrices by parity union-find;
+that shortcut is checked against the same two oracles, in both
+orientations, and matrices that only look like such incidence matrices
+must reach the Smith kernel.
 """
 
 import random
@@ -13,22 +15,22 @@ import random
 import pytest
 from conftest import RP2_TRIANGLES, oracle_gf2_rank, oracle_invariant_factors
 
+import nctopo
 from nctopo import SimplicialComplex, _kernels, chain_complex, verify
 from nctopo.classify import case_of
 from nctopo._kernels import SparseRow, pure
 from nctopo.cli import admissible_triples
 
-try:
-    from nctopo._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-
 
 def random_matrix(seed, rows, cols, lo=-9, hi=9):
     rng = random.Random(seed)
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def dense_matrix(seed):
+    """Random dense matrix of 1..8 rows and 1..8 columns, entries -6..6."""
+    rng = random.Random(seed)
+    return random_matrix(seed, rng.randint(1, 8), rng.randint(1, 8), -6, 6)
 
 
 def sparse_matrix(seed, values=(1, -1, 2, -2, 3, 6)):
@@ -114,17 +116,16 @@ def node_rows(edges, nv):
 
 
 @pytest.fixture
-def backend_calls(monkeypatch):
-    """Record every matrix the active backend's Smith kernel receives."""
+def kernel_calls(monkeypatch):
+    """Record every matrix the entry hands to the Smith kernel."""
     seen = []
-    owner = _kernels._fast if _kernels._fast is not None else pure
-    inner = owner.snf_diagonal
+    inner = pure.snf_diagonal
 
     def record(mat):
         seen.append(mat)
         return inner(mat)
 
-    monkeypatch.setattr(owner, "snf_diagonal", record)
+    monkeypatch.setattr(pure, "snf_diagonal", record)
     return seen
 
 
@@ -139,37 +140,54 @@ def masks_of(mat):
     return out
 
 
+def gf2_inputs():
+    """(name, masks, width) cases: short-rank and random masks up to 130
+    bits wide, across the one-word boundary, and masks 201 bits wide."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        cols = rng.randint(1, 130)
+        # Rows built from a few generators, so the rank is often short.
+        gens = [rng.getrandbits(cols) for _ in range(rng.randint(1, 8))]
+        rows = []
+        for _ in range(rng.randint(1, 20)):
+            m = 0
+            for g in rng.sample(gens, rng.randint(1, len(gens))):
+                m ^= g
+            rows.append(m)
+        yield f"generated {seed}", rows, cols
+    for seed in range(20):
+        rng = random.Random(seed)
+        cols = rng.randint(1, 130)
+        yield f"random {seed}", [rng.getrandbits(cols) for _ in range(rng.randint(1, 40))], cols
+    yield "multiword", [1 << 200, (1 << 200) | 1, 1], 201
+
+
 class TestPureGf2:
     def test_empty(self):
-        assert pure.gf2_rank([]) == 0
+        assert _kernels.gf2_rank([]) == 0
 
     def test_zero_rows(self):
-        assert pure.gf2_rank([0, 0, 0]) == 0
+        assert _kernels.gf2_rank([0, 0, 0]) == 0
 
     def test_independent_bits(self):
-        assert pure.gf2_rank([0b001, 0b010, 0b100]) == 3
+        assert _kernels.gf2_rank([0b001, 0b010, 0b100]) == 3
 
     def test_dependent_rows(self):
-        assert pure.gf2_rank([0b011, 0b101, 0b110]) == 2
+        assert _kernels.gf2_rank([0b011, 0b101, 0b110]) == 2
 
     def test_rank_ignores_row_order(self):
-        for seed in range(60):
-            rng = random.Random(seed)
-            cols = rng.randint(1, 40)
-            # Rows built from a few generators, so the rank is often short.
-            gens = [rng.getrandbits(cols) for _ in range(rng.randint(1, 8))]
-            rows = []
-            for _ in range(rng.randint(1, 20)):
-                m = 0
-                for g in rng.sample(gens, rng.randint(1, len(gens))):
-                    m ^= g
-                rows.append(m)
-            rank = pure.gf2_rank(rows)
+        widths = []
+        for name, rows, cols in gf2_inputs():
+            rank = _kernels.gf2_rank(rows)
             bits = [[(m >> j) & 1 for j in range(cols)] for m in rows]
-            assert rank == oracle_gf2_rank(bits), seed
+            assert rank == oracle_gf2_rank(bits), name
+            rng = random.Random(name)
             for _ in range(5):
                 rng.shuffle(rows)
-                assert pure.gf2_rank(rows) == rank, seed
+                assert _kernels.gf2_rank(rows) == rank, name
+            widths.append(max(rows).bit_length())
+        # Masks of two and three 64-bit words are checked, not just one.
+        assert sum(w > 64 for w in widths) >= 20 and max(widths) > 128
 
 
 class TestPureSnf:
@@ -226,11 +244,12 @@ def dense_inputs(monkeypatch):
 
 class TestSparseStage:
     def test_sparse_random_against_sympy(self):
-        for seed in range(150):
-            mat = sparse_matrix(seed)
+        cases = [(f"sparse {seed}", sparse_matrix(seed)) for seed in range(150)]
+        cases += [(f"dense {seed}", dense_matrix(seed)) for seed in range(20)]
+        for name, mat in cases:
             got = pure.snf_diagonal(mat)
-            assert got == oracle_invariant_factors(mat), seed
-            assert got == pure._dense_snf(mat), seed
+            assert got == oracle_invariant_factors(mat), name
+            assert got == pure._dense_snf(mat), name
 
     def test_residual_has_no_unit_entry(self, dense_inputs):
         for seed in range(150):
@@ -342,34 +361,34 @@ class TestIncidenceShortcut:
         assert sum(u >= 2 for u, _ in shapes) >= 8
         assert sum(u >= 1 and b >= 3 for u, b in shapes) >= 20
 
-    def test_two_projective_planes(self, backend_calls):
+    def test_two_projective_planes(self, kernel_calls):
         shifted = [tuple(v + 6 for v in t) for t in RP2_TRIANGLES]
         k = SimplicialComplex(RP2_TRIANGLES + tuple(shifted))
         d2 = chain_complex(k).boundaries[2]
         assert _kernels.snf_diagonal(d2) == [1] * 18 + [2, 2]
-        assert backend_calls == []
+        assert kernel_calls == []
 
-    def test_shortcut_skips_the_backend(self, backend_calls):
+    def test_shortcut_skips_the_backend(self, kernel_calls):
         entries, ncols = incidence_entries(0)
         assert _kernels.snf_diagonal([SparseRow(ncols, e) for e in entries])
         edges, nv = signed_graph(0)
         assert _kernels.snf_diagonal(edge_rows(edges, nv))
         assert _kernels.snf_diagonal(node_rows(edges, nv))
-        assert backend_calls == []
+        assert kernel_calls == []
 
-    def test_dense_incidence_goes_to_backend(self, backend_calls):
+    def test_dense_incidence_goes_to_backend(self, kernel_calls):
         entries, ncols = incidence_entries(1)
         edges, nv = signed_graph(1)
         mats = [[SparseRow(ncols, e) for e in entries], edge_rows(edges, nv), node_rows(edges, nv)]
         for mat in mats:
             dense = [list(r) for r in mat]
             assert _kernels.snf_diagonal(dense) == oracle_invariant_factors(dense)
-        assert len(backend_calls) == len(mats)
+        assert len(kernel_calls) == len(mats)
 
     @pytest.mark.parametrize(
         "defect", ["three entries", "entry 2", "entry -2", "extra entry 2", "single entry"]
     )
-    def test_look_alikes_fall_through(self, backend_calls, defect):
+    def test_look_alikes_fall_through(self, kernel_calls, defect):
         for seed in range(20):
             entries, ncols = incidence_entries(seed)
             j = random.Random(seed).randrange(ncols)
@@ -388,12 +407,12 @@ class TestIncidenceShortcut:
             rows = [SparseRow(ncols, e) for e in entries]
             dense = [list(r) for r in rows]
             assert _kernels._signed_graph_factors(rows) is None, seed
-            backend_calls.clear()
+            kernel_calls.clear()
             assert _kernels.snf_diagonal(rows) == oracle_invariant_factors(dense), seed
-            assert len(backend_calls) == 1, seed
+            assert len(kernel_calls) == 1, seed
 
     @pytest.mark.parametrize("defect", ["entry 2", "entry -2", "one entry", "three entries"])
-    def test_edge_row_look_alikes_fall_through(self, backend_calls, defect):
+    def test_edge_row_look_alikes_fall_through(self, kernel_calls, defect):
         for seed in range(20):
             edges, nv = signed_graph(seed)
             rows = edge_rows(edges, nv)
@@ -409,21 +428,21 @@ class TestIncidenceShortcut:
                 entries[next(c for c in range(nv) if c not in entries)] = -1
             dense = [list(r) for r in rows]
             assert _kernels._signed_graph_factors(rows) is None, seed
-            backend_calls.clear()
+            kernel_calls.clear()
             assert _kernels.snf_diagonal(rows) == oracle_invariant_factors(dense), seed
-            assert len(backend_calls) == 1, seed
+            assert len(kernel_calls) == 1, seed
 
-    def test_boundary_of_triangles_falls_through(self, backend_calls, solid_triangle, rp2):
+    def test_boundary_of_triangles_falls_through(self, kernel_calls, solid_triangle, rp2):
         # The solid triangle's edges lie in one triangle each; RP^2's lie
         # in two, so its dual graph is an unbalanced signed graph.
         d2 = chain_complex(solid_triangle).boundaries[2]
         assert _kernels._signed_graph_factors(d2) is None
         assert _kernels.snf_diagonal(d2) == [1]
-        assert len(backend_calls) == 1
+        assert len(kernel_calls) == 1
         d2 = chain_complex(rp2).boundaries[2]
         assert _kernels._signed_graph_factors(d2) == [1] * 9 + [2]
         assert _kernels.snf_diagonal(d2) == [1] * 9 + [2]
-        assert len(backend_calls) == 1
+        assert len(kernel_calls) == 1
 
     def test_fires_on_every_edge_boundary_of_a_sweep(self, monkeypatch):
         fired = {}
@@ -455,98 +474,20 @@ class TestIncidenceShortcut:
         assert all(f for _, fs in triangles for f in fs)
 
 
-@needs_compiled
-class TestCompiledMatchesPure:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_snf_random(self, seed):
-        rng = random.Random(seed)
-        mat = random_matrix(seed, rng.randint(1, 8), rng.randint(1, 8), -6, 6)
-        assert _fast.snf_diagonal(mat) == pure.snf_diagonal(mat)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_gf2_random(self, seed):
-        rng = random.Random(seed)
-        cols = rng.randint(1, 130)  # crosses the one-word boundary
-        rows = [rng.getrandbits(cols) for _ in range(rng.randint(1, 40))]
-        assert _fast.gf2_rank(rows, cols) == pure.gf2_rank(rows)
-
-    def test_gf2_multiword(self):
-        rows = [1 << 200, (1 << 200) | 1, 1]
-        assert _fast.gf2_rank(rows, 201) == pure.gf2_rank(rows) == 2
-
-    def test_gf2_nbits_too_small(self):
-        with pytest.raises(ValueError):
-            _fast.gf2_rank([0b100], 2)
-
-    def test_gf2_negative_mask(self):
-        with pytest.raises(ValueError):
-            _fast.gf2_rank([-1], 4)
-
-    def test_snf_overflow_raises(self):
-        # Dense random matrices blow up entry growth past the 2**31 guard.
-        mat = random_matrix(7, 60, 80, -3, 3)
-        with pytest.raises(OverflowError):
-            _fast.snf_diagonal(mat)
-
-    def test_snf_entry_too_large_raises(self):
-        with pytest.raises(OverflowError):
-            _fast.snf_diagonal([[2**31]])
-
-
 class TestDispatch:
     def test_backend_name(self):
-        assert _kernels.BACKEND in ("pure", "compiled")
+        assert _kernels.BACKEND == nctopo.BACKEND == "pure"
 
     def test_gf2_rank_dispatch(self):
         mat = random_matrix(3, 10, 12)
-        assert _kernels.gf2_rank(masks_of(mat)) == pure.gf2_rank(masks_of(mat))
+        assert _kernels.gf2_rank(masks_of(mat)) == oracle_gf2_rank(mat)
 
     def test_snf_dispatch(self):
         mat = random_matrix(4, 6, 6, -5, 5)
         assert _kernels.snf_diagonal(mat) == pure.snf_diagonal(mat)
 
-    def test_sparse_rows_densified_for_compiled_only(self, backend_calls):
+    def test_sparse_rows_reach_the_kernel_unchanged(self, kernel_calls):
         mat = sparse_rows(sparse_matrix(5, values=(2, -2, 3)))
         assert _kernels.snf_diagonal(mat) == oracle_invariant_factors([list(r) for r in mat])
-        (seen,) = backend_calls
-        if _kernels.BACKEND == "compiled":
-            assert all(type(r) is list for r in seen) and seen == mat
-        else:
-            assert seen is mat
-
-    def test_overflow_escalates_to_pure(self):
-        # The wrapper must fall back to the exact kernel, not raise.
-        mat = random_matrix(7, 60, 80, -3, 3)
-        assert _kernels.snf_diagonal(mat) == pure.snf_diagonal(mat)
-
-    def test_pure_env_forces_pure_backend(self):
-        import importlib.util
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import nctopo
-
-        # The children import the same nctopo this process tested.
-        src = str(Path(nctopo.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-
-        def child_backend(env):
-            out = subprocess.run(
-                [sys.executable, "-c", "import nctopo; print(nctopo.BACKEND)"],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            return out.stdout.strip()
-
-        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
-        assert child_backend({**env, "NCTOPO_PURE": "1"}) == "pure"
-        # Control: without NCTOPO_PURE the child picks the compiled kernel
-        # whenever it is built, so the check above is not vacuous.  `_fast`
-        # above is None when this suite itself runs under NCTOPO_PURE, so ask
-        # the import system whether the extension exists, without loading it.
-        built = _fast is not None or importlib.util.find_spec("nctopo._kernels._fast") is not None
-        assert child_backend(env) == ("compiled" if built else "pure")
+        (seen,) = kernel_calls
+        assert seen is mat

@@ -34,6 +34,18 @@ def test_a_missing_name_is_reported(tracer, monkeypatch):
         tracer.Tracer()
 
 
+def test_kernel_spans_keep_their_names(tracer):
+    """Both kernel entries record under ``kernels.*``: a re-export of a
+    function defined in another module would record under that module's
+    name and leave these spans without calls."""
+    from nctopo import classify
+
+    tr = tracer.Tracer()
+    with tr.installed():
+        assert classify.verify(12, 1, 3).verdict == "pass"
+    assert tr.calls["kernels.gf2_rank"] == tr.calls["kernels.snf_diagonal"] > 0
+
+
 @pytest.mark.parametrize("n, s, t", [(80, 1, 4), (12, 1, 3)])
 def test_snf_counts_see_sparse_rows_as_dense(tracer, n, s, t):
     """The Smith hook counts the same cells, nonzeros and sides for the
