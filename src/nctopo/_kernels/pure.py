@@ -55,15 +55,11 @@ class SparseRow(Sequence):
         return self.entries.get(j, 0)
 
     def __iter__(self):
-        return iter(self.to_list())
-
-    def to_list(self):
-        """The dense row as a new list."""
         # Filling a zero list costs per nonzero, not a lookup per cell.
         dense = [0] * self.ncols
         for j, v in self.entries.items():
             dense[j] = v
-        return dense
+        return iter(dense)
 
     def count(self, value):
         if value == 0:

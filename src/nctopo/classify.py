@@ -325,7 +325,7 @@ def _check_component(shape, comp, h, sr):
             return "fail", "no tetrahedron-boundary pieces found"
         if h.betti_z != (1, 1, m):
             return "fail", f"betti {h.betti_z} differs from (1, 1, {m}) for {m} pieces"
-        covered = {f for quad in pieces for f in _quad_triangles(quad)}
+        covered = {f for quad in pieces for f in combinations(quad, 3)}
         if covered != set(comp.faces(2)) or 4 * m != len(comp.faces(2)):
             return "fail", "triangles are not exactly the garland piece boundaries"
         return "pass", ""
@@ -343,11 +343,6 @@ def _check_component(shape, comp, h, sr):
             return "notable", f"genus {genus} exceeds the expected genus 1"
         return "pass", ""
     raise ValueError(f"unknown predicted shape {shape!r}")
-
-
-def _quad_triangles(quad):
-    a, b, c, d = quad
-    return ((a, b, c), (a, b, d), (a, c, d), (b, c, d))
 
 
 def _shelling_certificate(comps, n, s, t):

@@ -13,14 +13,20 @@ from itertools import combinations
 class SimplicialComplex:
     """Immutable simplicial complex given by maximal simplices.
 
-    The constructor also keeps, for each vertex, the maximal simplices
-    through it (its star); containment, link and connectivity queries read
-    that index instead of scanning every maximal simplex.  Face enumeration
-    per dimension is cached lazily; the cache write is a single dict
-    assignment, so concurrent readers are safe under the GIL.
+    It keeps three indices, each built once:
+
+    - ``star(v)``, the maximal simplices through vertex v, built by the
+      constructor; containment, link and connectivity queries read it
+      instead of scanning every maximal simplex;
+    - ``faces(d)``, the sorted d-faces;
+    - ``cofaces(d)``, each (d-1)-face of a d-face -> the sorted d-faces
+      through it, read by surface recognition and garland piece detection.
+
+    The last two are built on first use per dimension; each cache write is
+    a single dict assignment, so concurrent readers are safe under the GIL.
     """
 
-    __slots__ = ("_maximal", "_faces", "_star")
+    __slots__ = ("_maximal", "_dim", "_faces", "_cofaces", "_star")
 
     def __init__(self, simplices):
         cleaned = sorted(
@@ -40,7 +46,9 @@ class SimplicialComplex:
                 for v in s:
                     star.setdefault(v, []).append(s)
         self._maximal = tuple(sorted(kept))
+        self._dim = top - 1
         self._faces = {}
+        self._cofaces = {}
 
     @property
     def maximal_simplices(self):
@@ -51,7 +59,7 @@ class SimplicialComplex:
 
     def dim(self):
         """Dimension; -1 for the empty complex."""
-        return max((len(m) for m in self._maximal), default=0) - 1
+        return self._dim
 
     def is_pure(self):
         dims = {len(m) for m in self._maximal}
@@ -71,11 +79,21 @@ class SimplicialComplex:
             self._faces[d] = cached
         return cached
 
-    def all_faces(self):
-        out = []
-        for d in range(self.dim() + 1):
-            out.extend(self.faces(d))
-        return out
+    def cofaces(self, d):
+        """Each (d-1)-face of a d-face -> the sorted d-faces through it.
+
+        Empty for d < 1.  The dict is the index itself and must not be
+        mutated.
+        """
+        cached = self._cofaces.get(d)
+        if cached is None:
+            cached = {}
+            if d >= 1:
+                for s in self.faces(d):
+                    for f in combinations(s, d):
+                        cached.setdefault(f, []).append(s)
+            self._cofaces[d] = cached
+        return cached
 
     def star(self, v):
         """Maximal simplices through vertex v, empty if v is no vertex.

@@ -2,9 +2,11 @@
 
 The route is intrinsic: pseudomanifold check, vertex links, then an
 orientation attempt by sign propagation over the triangle adjacency
-graph.  Orientability obtained this way is independent of the rank of
-H_2, so homology can cross-validate it.  Closed surfaces are classified
-by orientability and Euler characteristic alone.
+graph.  The pseudomanifold check, the orientation walk and garland piece
+detection read the complex's ``cofaces(d)`` index; edge signs are
+computed locally, so orientability obtained this way is independent of
+the rank of H_2, and homology can cross-validate it.  Closed surfaces are
+classified by orientability and Euler characteristic alone.
 """
 
 from __future__ import annotations
@@ -23,11 +25,7 @@ def is_pseudomanifold(k, d=None):
         d = k.dim()
     if d < 1 or k.dim() != d or not k.is_pure():
         return False
-    counts = {}
-    for m in k.maximal_simplices:
-        for f in combinations(m, d):
-            counts[f] = counts.get(f, 0) + 1
-    return all(c == 2 for c in counts.values())
+    return all(len(fs) == 2 for fs in k.cofaces(d).values())
 
 
 def vertex_link(k, v):
@@ -36,21 +34,6 @@ def vertex_link(k, v):
     if not star:
         raise ValueError(f"{v} is not a vertex of the complex")
     return SimplicialComplex(rest for m in star if (rest := tuple(x for x in m if x != v)))
-
-
-def _pseudomanifold_ridges(k):
-    """Edge -> [(triangle, sign)] when k is a pure-2 pseudomanifold, else None.
-
-    The sign is that of the edge in the boundary of the sorted triangle,
-    (-1)**i for the dropped vertex i.
-    """
-    if k.dim() != 2 or not k.is_pure():
-        return None
-    ridges = {}
-    for m in k.maximal_simplices:
-        for i in range(3):
-            ridges.setdefault(m[:i] + m[i + 1 :], []).append((m, -1 if i % 2 else 1))
-    return ridges if all(len(ts) == 2 for ts in ridges.values()) else None
 
 
 def _links_are_cycles(k):
@@ -81,11 +64,13 @@ def _links_are_cycles(k):
 
 def is_closed_surface(k):
     """Every vertex link a single cycle; implies a closed 2-manifold."""
-    ridges = _pseudomanifold_ridges(k)
-    return ridges is not None and _links_are_cycles(k)
+    return is_pseudomanifold(k, 2) and _links_are_cycles(k)
 
 
-def _orient(k, ridges):
+def _orient(k):
+    # The sign of edge e in the boundary of the sorted triangle t is
+    # (-1)**i for the dropped vertex t[i]: -1 exactly when t[1] is dropped.
+    ridges = k.cofaces(2)
     signs = {}
     for start in k.maximal_simplices:
         if start in signs:
@@ -95,9 +80,11 @@ def _orient(k, ridges):
         while stack:
             tri = stack.pop()
             for e in combinations(tri, 2):
-                (a, sign_a), (b, sign_b) = ridges[e]
+                a, b = ridges[e]
                 other = b if a == tri else a
-                want = -signs[tri] * sign_a * sign_b
+                sign_tri = -1 if tri[1] not in e else 1
+                sign_other = -1 if other[1] not in e else 1
+                want = -signs[tri] * sign_tri * sign_other
                 have = signs.get(other)
                 if have is None:
                     signs[other] = want
@@ -116,10 +103,9 @@ def orient(k):
     shared edge with opposite signs.  A propagation conflict means the
     complex is non-orientable, reported as None.
     """
-    ridges = _pseudomanifold_ridges(k)
-    if ridges is None:
+    if not is_pseudomanifold(k, 2):
         raise ValueError("orientation is defined here for pure-2 pseudomanifolds")
-    return _orient(k, ridges)
+    return _orient(k)
 
 
 @dataclass(frozen=True)
@@ -141,13 +127,12 @@ def classify_surface(k):
     disconnected or lower-dimensional input).
     """
     pure2 = k.dim() == 2 and k.is_pure()
-    ridges = _pseudomanifold_ridges(k)
-    pm = ridges is not None
+    pm = is_pseudomanifold(k, 2)
     closed = pm and _links_are_cycles(k)
     connected = k.is_connected()
     orientable = None
     if pm:
-        orientable = _orient(k, ridges) is not None
+        orientable = _orient(k) is not None
     euler = k.euler_characteristic()
     if closed and connected:
         if orientable:
@@ -176,22 +161,18 @@ def classify_surface(k):
 def tetrahedron_boundary_pieces(k):
     """All 4-vertex sets whose full tetrahedron boundary lies in k.
 
-    Candidates come from pairs of triangles sharing an edge, so the scan
-    is quadratic only in the triangles per edge.  Used to certify garland
-    structure: cores made of boundary-of-tetrahedron pieces glued along
-    edges, where the piece count is the top Betti number.
+    Candidates come from pairs of triangles sharing an edge, read from the
+    complex's edge -> triangles index, so the scan is quadratic only in the
+    triangles per edge.  Used to certify garland structure: cores made of
+    boundary-of-tetrahedron pieces glued along edges, where the piece
+    count is the top Betti number.
     """
     tris = set(k.faces(2))
-    by_edge = {}
-    for m in tris:
-        for e in combinations(m, 2):
-            by_edge.setdefault(e, []).append(m)
     pieces = set()
-    for e, holders in by_edge.items():
+    for holders in k.cofaces(2).values():
         for a, b in combinations(holders, 2):
+            # Two triangles on one edge span exactly four vertices.
             quad = tuple(sorted(set(a) | set(b)))
-            if len(quad) != 4:
-                continue
             if all(f in tris for f in combinations(quad, 3)):
                 pieces.add(quad)
     return sorted(pieces)

@@ -187,10 +187,29 @@ def probes(family, rng):
     return out
 
 
+def reference_cofaces(maximal, d):
+    """(d-1)-face -> sorted d-faces through it, found by trying every
+    vertex as the missing one."""
+    if d < 1:
+        return {}
+    d_faces = {f for m in maximal for f in combinations(m, d + 1)}
+    verts = {v for m in maximal for v in m}
+    ridges = {r for f in d_faces for r in combinations(f, d)}
+    return {
+        r: sorted(f for v in verts - set(r) if (f := tuple(sorted(r + (v,)))) in d_faces)
+        for r in ridges
+    }
+
+
 def check_against_references(family, rng):
     k = SimplicialComplex(family)
     maximal = reference_maximal(family)
     assert k.maximal_simplices == maximal
+    top = max((len(m) for m in maximal), default=0) - 1
+    assert k.dim() == top
+    for d in range(-1, top + 2):
+        assert k.cofaces(d) == reference_cofaces(maximal, d), d
+        assert k.cofaces(d) is k.cofaces(d)
     assert k.vertices() == tuple(sorted({v for m in maximal for v in m}))
     for p in probes(family, rng):
         holders = [m for m in maximal if p and set(p) <= set(m)]

@@ -67,6 +67,11 @@ class TestPseudomanifold:
     def test_dimension_zero_rejected(self):
         assert not is_pseudomanifold(SimplicialComplex([(0,), (1,)]))
 
+    def test_three_sphere_and_one_facet_removed(self):
+        facets = list(combinations(range(5), 4))
+        assert is_pseudomanifold(SimplicialComplex(facets))
+        assert not is_pseudomanifold(SimplicialComplex(facets[1:]), 3)
+
 
 class TestVertexLink:
     def test_link_in_tetra_boundary(self, tetra_boundary):
