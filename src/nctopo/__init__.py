@@ -1,8 +1,9 @@
 """Neighborhood complexes of circulant graphs: construction, reduction,
 homology, surface recognition, and classification checks.
 
-The exact integer kernels (Smith normal form, GF(2) rank) are pure
-Python; ``BACKEND`` names them, ``"pure"``, in benchmark metadata.
+The exact integer kernels (Smith normal form, GF(2) rank) live in one
+pure-Python module, ``_kernels``; ``BACKEND`` names them, ``"pure"``, in
+benchmark metadata.
 """
 
 from ._kernels import BACKEND

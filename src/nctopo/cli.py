@@ -220,6 +220,7 @@ def _cmd_sweep(args):
     else:
         with multiprocessing.Pool(workers) as pool:
             reports = pool.starmap(verify, tasks, chunksize=8)
+    # admissible_triples runs t before s; the output is ordered by (n, s, t).
     reports.sort(key=lambda r: (r.n, r.s, r.t))
 
     counts = {"pass": 0, "fail": 0, "notable": 0}

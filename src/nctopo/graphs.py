@@ -318,8 +318,8 @@ def is_isomorphic_small(g, h):
 def circulant_component_count(n, generators):
     """Number of connected components of circulant(n, generators).
 
-    Equals gcd(n, g1, ..., gk); kept as an arithmetic cross-check for the
-    union-find route.
+    Equals gcd(n, g1, ..., gk); kept as an arithmetic cross-check for
+    ``connected_components``.
     """
     d = n
     for a in generators:

@@ -1,10 +1,13 @@
 """Simplicial homology over Z and over GF(2).
 
 Unreduced homology throughout: a point has betti_z == (1,).  The integer
-route goes through Smith normal form of the boundary matrices.  Every
-edge boundary, and the top boundary of a closed pseudomanifold core (a
-surface or a 3-sphere), is a signed-graph incidence matrix, which the
-Smith entry answers by parity union-find; the rest go to its kernel.  The
+route goes through Smith normal form of the boundary matrices, which
+reach ``_kernels.snf_diagonal`` as the sparse rows ``chain_complex``
+builds; ``smith_normal_form``, the entry for matrices from outside,
+converts dense rows to sparse ones first.  Every edge boundary, and the
+top boundary of a closed pseudomanifold core (a surface or a 3-sphere),
+is a signed-graph incidence matrix, which the Smith entry answers by
+parity union-find; the rest take its sparse-then-dense reduction.  The
 mod-2 route does bit-packed Gaussian elimination on incidence masks built
 directly from face containment.  It reads the face positions that
 ``chain_complex`` indexed, but shares no elimination code with the SNF
@@ -79,10 +82,18 @@ def _faces_dropping(simplices, i):
 def smith_normal_form(mat):
     """Invariant factors (d1 | d2 | ...) and rank of an integer matrix.
 
+    mat is a sequence of equal-length rows, each a ``_kernels.SparseRow``
+    or a dense sequence of integers; a ragged matrix raises ValueError.
     Returns (factors, rank) where factors is the full positive diagonal of
     the Smith normal form, ones included, so rank == len(factors).
     """
-    factors = tuple(_kernels.snf_diagonal(mat))
+    rows = [
+        row
+        if isinstance(row, _kernels.SparseRow)
+        else _kernels.SparseRow(len(row), {j: v for j, v in enumerate(row) if v})
+        for row in mat
+    ]
+    factors = tuple(_kernels.snf_diagonal(rows))
     return factors, len(factors)
 
 
@@ -118,9 +129,6 @@ class HomologyProfile:
     torsion: tuple
     betti_z2: tuple
     euler: int
-
-    def top_dim(self):
-        return len(self.betti_z) - 1
 
 
 def homology(k):

@@ -24,6 +24,7 @@ from nctopo import (
     smith_normal_form as snf,
     uct_check,
 )
+from nctopo._kernels import SparseRow
 from conftest import TORUS_TRIANGLES, oracle_gf2_rank, oracle_invariant_factors
 
 
@@ -81,6 +82,25 @@ class TestSmithNormalForm:
         mat = [[2, 0], [0, 6]]
         factors, _ = snf(mat)
         assert factors == (2, 6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_and_mixed_rows(self, seed):
+        rng = random.Random(seed)
+        cols = rng.randint(1, 7)
+        mat = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(cols)] for _ in range(rng.randint(1, 7))]
+        sparse = [SparseRow(cols, {j: v for j, v in enumerate(row) if v}) for row in mat]
+        mixed = [s if i % 2 else row for i, (s, row) in enumerate(zip(sparse, mat))]
+        expect = snf(mat)
+        assert sorted(expect[0]) == oracle_invariant_factors(mat)
+        assert snf(sparse) == snf(mixed) == expect
+
+    def test_ragged_raises(self):
+        for mat in ([[1, 0], [1]], [[2], [0, 3]], [[], [0]]):
+            with pytest.raises(ValueError, match="ragged"):
+                snf(mat)
+
+    def test_empty(self):
+        assert snf([]) == snf([[], []]) == ((), 0)
 
 
 class TestChainComplex:

@@ -1,13 +1,13 @@
 """The exact kernels against independent oracles.
 
 The GF(2) rank is checked against plain list elimination, on masks of one
-and of several machine words.  The Smith kernel eliminates unit pivots
-sparsely and hands the rest to a dense stage; both stages are checked
-here against sympy and against the dense stage run on the whole matrix.
-The entry answers signed-graph incidence matrices by parity union-find;
-that shortcut is checked against the same two oracles, in both
-orientations, and matrices that only look like such incidence matrices
-must reach the Smith kernel.
+and of several machine words.  The Smith entry takes sparse rows; its
+general reduction eliminates unit pivots sparsely and hands the rest to a
+dense stage, and both stages are checked here against sympy and against
+the dense stage run on the whole matrix.  The entry answers signed-graph
+incidence matrices by parity union-find; that shortcut is checked against
+the same two oracles, in both orientations, and matrices that only look
+like such incidence matrices must reach the general reduction.
 """
 
 import random
@@ -16,9 +16,9 @@ import pytest
 from conftest import RP2_TRIANGLES, oracle_gf2_rank, oracle_invariant_factors
 
 import nctopo
-from nctopo import SimplicialComplex, _kernels, chain_complex, verify
+from nctopo import SimplicialComplex, _kernels, chain_complex, smith_normal_form, verify
 from nctopo.classify import case_of
-from nctopo._kernels import SparseRow, pure
+from nctopo._kernels import SparseRow
 from nctopo.cli import admissible_triples
 
 
@@ -117,15 +117,15 @@ def node_rows(edges, nv):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record every matrix the entry hands to the Smith kernel."""
+    """Record every matrix the entry hands to the general reduction."""
     seen = []
-    inner = pure.snf_diagonal
+    inner = _kernels._general_snf
 
     def record(mat):
         seen.append(mat)
         return inner(mat)
 
-    monkeypatch.setattr(pure, "snf_diagonal", record)
+    monkeypatch.setattr(_kernels, "_general_snf", record)
     return seen
 
 
@@ -190,55 +190,60 @@ class TestPureGf2:
         assert sum(w > 64 for w in widths) >= 20 and max(widths) > 128
 
 
+def snf(dense):
+    return _kernels.snf_diagonal(sparse_rows(dense))
+
+
 class TestPureSnf:
     def test_single_entry(self):
-        assert pure.snf_diagonal([[6]]) == [6]
+        assert snf([[6]]) == [6]
 
     def test_sign_normalization(self):
-        assert pure.snf_diagonal([[-5]]) == [5]
+        assert snf([[-5]]) == [5]
 
     def test_divisibility_enforced(self):
-        for diag in pure.snf_diagonal([[2, 0], [0, 3]]), pure.snf_diagonal([[6, 4], [4, 6]]):
+        for diag in snf([[2, 0], [0, 3]]), snf([[6, 4], [4, 6]]):
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
 
     def test_huge_entries_exact(self):
         big = 10**30
-        assert pure.snf_diagonal([[big]]) == [big]
+        assert snf([[big]]) == [big]
         # A unit pivot mixes the huge entries: 1 - big**2 must stay exact.
         mat = [[1, big], [big, 1]]
-        assert pure.snf_diagonal(mat) == pure._dense_snf(mat) == [1, big**2 - 1]
+        assert snf(mat) == _kernels._dense_snf(mat) == [1, big**2 - 1]
 
     def test_empty(self):
-        assert pure.snf_diagonal([]) == []
-        assert pure.snf_diagonal([[], []]) == []
+        assert _kernels.snf_diagonal([]) == []
+        assert snf([[], []]) == []
 
     def test_all_zero(self):
-        assert pure.snf_diagonal([[0, 0, 0], [0, 0, 0]]) == []
+        assert snf([[0, 0, 0], [0, 0, 0]]) == []
 
     def test_ragged_raises(self):
-        with pytest.raises(ValueError):
-            pure.snf_diagonal([[1, 0], [1]])
-        with pytest.raises(ValueError):
-            pure.snf_diagonal([[2], [0, 3]])
+        with pytest.raises(ValueError, match="ragged"):
+            snf([[1, 0], [1]])
+        with pytest.raises(ValueError, match="ragged"):
+            snf([[2], [0, 3]])
 
     def test_rp2_torsion(self, rp2):
-        # d2 of RP^2 is 15x10 with factors 1 (nine times) and 2.
+        # d2 of RP^2 is 15x10 with factors 1 (nine times) and 2; the
+        # entry answers it by the shortcut, so the reduction runs directly.
         d2 = chain_complex(rp2).boundaries[2]
-        assert pure.snf_diagonal(d2) == pure._dense_snf(d2) == [1] * 9 + [2]
+        assert _kernels._general_snf(d2) == _kernels._dense_snf(d2) == [1] * 9 + [2]
 
 
 @pytest.fixture
 def dense_inputs(monkeypatch):
     """Record every residual block the sparse stage hands to the dense one."""
     seen = []
-    dense = pure._dense_snf
+    dense = _kernels._dense_snf
 
     def record(mat):
         seen.append(mat)
         return dense(mat)
 
-    monkeypatch.setattr(pure, "_dense_snf", record)
+    monkeypatch.setattr(_kernels, "_dense_snf", record)
     return seen
 
 
@@ -247,26 +252,26 @@ class TestSparseStage:
         cases = [(f"sparse {seed}", sparse_matrix(seed)) for seed in range(150)]
         cases += [(f"dense {seed}", dense_matrix(seed)) for seed in range(20)]
         for name, mat in cases:
-            got = pure.snf_diagonal(mat)
+            got = _kernels._general_snf(sparse_rows(mat))
             assert got == oracle_invariant_factors(mat), name
-            assert got == pure._dense_snf(mat), name
+            assert got == _kernels._dense_snf(mat), name
 
     def test_residual_has_no_unit_entry(self, dense_inputs):
         for seed in range(150):
-            pure.snf_diagonal(sparse_matrix(seed))
+            _kernels._general_snf(sparse_rows(sparse_matrix(seed)))
         assert sum(map(len, dense_inputs)) > 0
         assert all(abs(v) != 1 for mat in dense_inputs for row in mat for v in row)
 
     def test_random_inputs_have_torsion(self):
         # Without factors above 1 the dense stage would go untested.
-        tops = [max(pure.snf_diagonal(sparse_matrix(seed)), default=1) for seed in range(150)]
+        tops = [max(snf(sparse_matrix(seed)), default=1) for seed in range(150)]
         assert sum(top > 1 for top in tops) >= 30
 
     def test_no_unit_entry_goes_to_dense_stage(self, dense_inputs):
         for seed in range(60):
             mat = sparse_matrix(seed, values=(2, -2, 3, 6, -9))
             dense_inputs.clear()
-            got = pure.snf_diagonal(mat)
+            got = snf(mat)
             assert got == oracle_invariant_factors(mat), seed
             # The residual is the whole matrix minus its zero rows and columns.
             nonzero_cols = [j for j in range(len(mat[0])) if any(row[j] for row in mat)]
@@ -285,7 +290,7 @@ class TestSparseStage:
         assert verify(80, 1, 4).verdict == "pass"
         assert [(len(m), len(m[0])) for m in mats] == [(80, 240), (240, 160)]
         for mat in mats:
-            assert pure.snf_diagonal(mat) == pure._dense_snf(mat)
+            assert _kernels._general_snf(mat) == _kernels._dense_snf(mat)
 
 
 class TestSparseRow:
@@ -313,8 +318,9 @@ class TestSparseRow:
     def test_sparse_and_dense_input_agree(self):
         for seed in range(150):
             mat = sparse_matrix(seed)
-            assert pure.snf_diagonal(sparse_rows(mat)) == pure.snf_diagonal(mat), seed
-            assert _kernels.snf_diagonal(sparse_rows(mat)) == pure.snf_diagonal(mat), seed
+            rows = sparse_rows(mat)
+            assert _kernels.snf_diagonal(rows) == _kernels._general_snf(rows), seed
+            assert smith_normal_form(mat) == smith_normal_form(rows), seed
 
     def test_ragged_sparse_raises(self):
         # The first pair would pass the incidence test if widths were ignored.
@@ -322,11 +328,11 @@ class TestSparseRow:
             [SparseRow(1, {0: 1}), SparseRow(2, {0: -1})],
             [SparseRow(2, {0: 1}), SparseRow(3, {0: -1})],
         ):
-            for kernel in (_kernels.snf_diagonal, pure.snf_diagonal):
+            for kernel in (_kernels.snf_diagonal, smith_normal_form):
                 with pytest.raises(ValueError, match="ragged"):
                     kernel(ragged)
         with pytest.raises(ValueError, match="ragged"):
-            pure.snf_diagonal([SparseRow(2, {0: 1}), [1]])
+            smith_normal_form([SparseRow(2, {0: 1}), [1]])
 
 
 class TestIncidenceShortcut:
@@ -337,8 +343,8 @@ class TestIncidenceShortcut:
             rows = [SparseRow(ncols, e) for e in entries]
             dense = [list(r) for r in rows]
             got = _kernels.snf_diagonal(rows)
-            assert got == oracle_invariant_factors(dense) == pure._dense_snf(dense), seed
-            assert got == pure.snf_diagonal(rows), seed
+            assert got == oracle_invariant_factors(dense) == _kernels._dense_snf(dense), seed
+            assert got == _kernels._general_snf(rows), seed
             assert _kernels._signed_graph_factors(rows) == got == [1] * len(got), seed
             cols = [tuple(sorted(r for r, e in enumerate(entries) if j in e)) for j in range(ncols)]
             shapes.append((len(rows) - len(got), len(set(cols)) < ncols))
@@ -352,8 +358,8 @@ class TestIncidenceShortcut:
             for rows in (edge_rows(edges, nv), node_rows(edges, nv)):
                 dense = [list(r) for r in rows]
                 got = _kernels._signed_graph_factors(rows)
-                assert got == oracle_invariant_factors(dense) == pure._dense_snf(dense), seed
-                assert _kernels.snf_diagonal(rows) == pure.snf_diagonal(rows) == got, seed
+                assert got == oracle_invariant_factors(dense) == _kernels._dense_snf(dense), seed
+                assert _kernels.snf_diagonal(rows) == _kernels._general_snf(rows) == got, seed
             unbalanced = got.count(2)
             shapes.append((unbalanced, nv - len(got)))
         # Balanced components include the two isolated nodes.
@@ -376,14 +382,16 @@ class TestIncidenceShortcut:
         assert _kernels.snf_diagonal(node_rows(edges, nv))
         assert kernel_calls == []
 
-    def test_dense_incidence_goes_to_backend(self, kernel_calls):
+    def test_dense_incidence_takes_the_shortcut(self, kernel_calls):
+        # smith_normal_form turns dense rows into sparse ones first.
         entries, ncols = incidence_entries(1)
         edges, nv = signed_graph(1)
         mats = [[SparseRow(ncols, e) for e in entries], edge_rows(edges, nv), node_rows(edges, nv)]
         for mat in mats:
             dense = [list(r) for r in mat]
-            assert _kernels.snf_diagonal(dense) == oracle_invariant_factors(dense)
-        assert len(kernel_calls) == len(mats)
+            factors, _ = smith_normal_form(dense)
+            assert list(factors) == oracle_invariant_factors(dense)
+        assert kernel_calls == []
 
     @pytest.mark.parametrize(
         "defect", ["three entries", "entry 2", "entry -2", "extra entry 2", "single entry"]
@@ -481,10 +489,6 @@ class TestDispatch:
     def test_gf2_rank_dispatch(self):
         mat = random_matrix(3, 10, 12)
         assert _kernels.gf2_rank(masks_of(mat)) == oracle_gf2_rank(mat)
-
-    def test_snf_dispatch(self):
-        mat = random_matrix(4, 6, 6, -5, 5)
-        assert _kernels.snf_diagonal(mat) == pure.snf_diagonal(mat)
 
     def test_sparse_rows_reach_the_kernel_unchanged(self, kernel_calls):
         mat = sparse_rows(sparse_matrix(5, values=(2, -2, 3)))
