@@ -21,11 +21,17 @@ of
 - ``homology`` on every core: boundary build, Smith kernel and GF(2)
   ranks together.
 
-The result is stored under ``--label`` in ``BENCH_stages.json``, next to
-the entries of other checkouts, with machine and Python metadata.  Run it
-against any checkout's ``src``:
+Each run is appended under ``--label`` in ``BENCH_stages.json``, next to
+the entries of other checkouts, with machine and Python metadata, and the
+label's ``stages`` become the per-stage medians over all its runs.  Give
+each checkout a label of its own.  Machine drift moves every run of one
+stretch alike, so alternate the checkouts run by run rather than timing
+one after the other:
 
-    PYTHONPATH=src python3 benchmarks/bench_stages.py --label change
+    for i in 1 2 3 4 5; do
+        PYTHONPATH=../parent/src python3 benchmarks/bench_stages.py --label parent-abc1234
+        PYTHONPATH=src python3 benchmarks/bench_stages.py --label change-def5678
+    done
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -57,12 +64,16 @@ STAGES = (
 )
 ABOUT = (
     "benchmarks/bench_stages.py: seconds for one pass over each workload's "
-    "recorded inputs, best of three, per checkout (runs; labels ending in "
-    "/pure or /compiled name the kernel backend of the time). The gate "
-    "entries are end-to-end sweep and torus seconds, pure against the "
-    "compiled kernel backend that has since been removed, best of the "
-    "alternating rounds, with every round's sweep seconds; the script no "
-    "longer writes them"
+    "recorded inputs, best of three, per checkout (runs). A label keeps "
+    "every run made under it in its runs list, and its stages are the "
+    "per-stage medians over them; each checkout gets a label of its own, "
+    "and checkouts are alternated run by run so that machine drift falls "
+    "on both alike. Older labels hold one run each; those ending in /pure "
+    "or /compiled name the kernel backend of the time. The gate entries "
+    "are end-to-end sweep and torus seconds, pure against the compiled "
+    "kernel backend that has since been removed, best of the alternating "
+    "rounds, with every round's sweep seconds; the script no longer "
+    "writes them"
 )
 
 
@@ -146,6 +157,19 @@ def measure():
     return rows
 
 
+def medians(runs):
+    """Per workload, each stage's median seconds over runs (None when the
+    stage had nothing to time); the input counts of the last run."""
+    out = {}
+    for name, row in runs[-1].items():
+        out[name] = dict(row)
+        for stage in STAGES:
+            key = stage + "_s"
+            values = [run[name][key] for run in runs if run[name][key] is not None]
+            out[name][key] = statistics.median(values) if values else None
+    return out
+
+
 def _seconds(value):
     return "-" if value is None else f"{value:.4f}s"
 
@@ -175,12 +199,14 @@ def main(argv=None):
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}
     doc["about"] = ABOUT
-    entry = {"meta": meta, "stages": measure()}
-    doc["runs"][args.label] = entry
+    prior = doc["runs"].get(args.label, {})
+    runs = prior.get("runs", []) + [measure()]
+    doc["runs"][args.label] = {"meta": meta, "runs": runs, "stages": medians(runs)}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for name, row in entry["stages"].items():
+    for name, row in runs[-1].items():
         cells = " ".join(f"{s}={_seconds(row[s + '_s'])}" for s in STAGES)
         print(f"{args.label:16s} {name:32s} {cells}")
+    print(f"{args.label:16s} {len(runs)} runs; medians in {path.name}")
 
 
 if __name__ == "__main__":

@@ -6,22 +6,25 @@ sigma <= gamma <= tau.  After the removal the candidates for new maximal
 simplices are exactly the sets tau minus one vertex of sigma; a candidate
 that is contained in another maximal simplex is absorbed instead.
 
-The generic strategy takes free faces from a lazily validated heap,
-never from a rescan of every face.  The circulant strategy first tries
-the closed-form pair schedules that exist for two-generator circulant
-graphs (an edge schedule in two mirrored forms, plus a free-triangle
-schedule for two special parameter families), verifying every pair as
-it is applied, and then lets the generic strategy run to a fixed point.
-A schedule whose first pair is not free is skipped before its face map
-is built, and the generic strategy builds one only when no schedule
-applied.  Everything is deterministic.
+The generic strategy takes free faces from a lazily validated heap over a
+face -> cofaces map, never from a rescan of every face.  The circulant
+strategy first tries the closed-form pair schedules that exist for
+two-generator circulant graphs (an edge schedule in two mirrored forms,
+plus a free-triangle schedule for two special parameter families).  A
+schedule runs on a live maximal set and vertex -> star index, with every
+pair verified as it is applied, and needs no face map.  After it a ridge
+screen decides whether anything is still free: the face map is built,
+and the generic strategy run to a fixed point, only when some ridge lies
+in a single maximal simplex.  When no schedule applies the generic
+strategy runs on the whole complex.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 
 from .complexes import SimplicialComplex
 
@@ -54,8 +57,8 @@ class _Engine:
     when it reaches the top (Benedetti and Lutz's free-face list).
     """
 
-    def __init__(self, k):
-        self.maximal = set(k.maximal_simplices)
+    def __init__(self, maximal):
+        self.maximal = set(maximal)
         self.cofaces = {}
         self.heap = None
         for m in self.maximal:
@@ -70,10 +73,6 @@ class _Engine:
                     heappush(self.heap, (-len(m), f, m))
             else:
                 cfs.add(m)
-
-    def is_free_pair(self, sigma, tau):
-        cfs = self.cofaces.get(sigma)
-        return tau in self.maximal and cfs is not None and len(cfs) == 1 and tau in cfs
 
     def collapse(self, sigma, tau):
         self.maximal.remove(tau)
@@ -233,20 +232,65 @@ def triangle_collapse_pairs(n, s, t):
 
 
 def _schedule_candidates(n, s, t):
-    out = []
-    try:
-        out.append(("edges(s)", circulant_collapse_pairs(n, s, t)))
-    except CollapseError:
-        pass
-    try:
-        out.append(("edges(t)", circulant_collapse_pairs(n, t, s)))
-    except CollapseError:
-        pass
-    try:
-        out.append(("triangles", triangle_collapse_pairs(n, s, t)))
-    except CollapseError:
-        pass
-    return out
+    """(label, pairs) for each schedule of C_n(s, t), built when reached."""
+    builders = (
+        ("edges(s)", lambda: circulant_collapse_pairs(n, s, t)),
+        ("edges(t)", lambda: circulant_collapse_pairs(n, t, s)),
+        ("triangles", lambda: triangle_collapse_pairs(n, s, t)),
+    )
+    for label, build in builders:
+        try:
+            sched = build()
+        except CollapseError:
+            continue
+        yield label, sched
+
+
+def _apply_schedule(k, sched):
+    """Apply sched to a live copy of k's maximal set and star index.
+
+    Each pair (sigma, tau) must be free when it is reached: tau is
+    maximal, sigma is a proper subset of tau, and no other maximal simplex
+    contains sigma, that is the stars of sigma's vertices meet in tau
+    alone.  Returns the maximal set and the star index after the last
+    pair, or None when some pair is not free.
+    """
+    maximal = set(k.maximal_simplices)
+    star = {v: set(k.star(v)) for v in k.vertices()}
+    lookup = star.__getitem__
+    meet = set.intersection
+    for sigma, tau in sched:
+        if tau not in maximal or not set(sigma) < set(tau):
+            return None
+        if len(meet(*map(lookup, sigma))) != 1:
+            return None
+        maximal.remove(tau)
+        for v in tau:
+            star[v].remove(tau)
+        for x in sigma:
+            i = tau.index(x)
+            cand = tau[:i] + tau[i + 1 :]
+            # A candidate contained in another maximal simplex is absorbed.
+            if not meet(*map(lookup, cand)):
+                maximal.add(cand)
+                for v in cand:
+                    star[v].add(cand)
+    return maximal, star
+
+
+def _has_free_face(maximal, star):
+    """True iff some ridge of a maximal simplex lies in no other one.
+
+    Every proper face of tau lies in a ridge of tau, so this holds iff the
+    complex has a free face.  A ridge of two maximal simplices of the same
+    dimension is not free; any other is checked against the star of its
+    first vertex, where star[v] holds the maximal simplices through v.
+    """
+    ridges = Counter(chain.from_iterable(combinations(m, len(m) - 1) for m in maximal))
+    ridges.pop((), None)  # a vertex simplex has no proper face
+    return any(
+        c == 1 and sum(map(set(r).issubset, star[r[0]])) == 1 for r, c in ridges.items()
+    )
 
 
 def collapse_core(k, strategy="generic", circulant=None):
@@ -255,8 +299,10 @@ def collapse_core(k, strategy="generic", circulant=None):
     strategy "generic" repeatedly removes the free pair whose coface has
     highest dimension, tie-broken by lexicographically smallest free face.
     strategy "circulant" expects circulant=(n, s, t) and first applies the
-    closed-form pair schedule for those parameters when one exists and
-    verifies step by step, then finishes generically.  Both strategies are
+    closed-form pair schedule for those parameters when one exists,
+    verifying each pair against a live star index, then finishes
+    generically; after a schedule the face map of the generic strategy is
+    built only when the ridge screen finds a free face.  Both strategies are
     deterministic; the core is a fixed point of collapsing but is not
     guaranteed to have minimal size.
     """
@@ -264,36 +310,25 @@ def collapse_core(k, strategy="generic", circulant=None):
         raise ValueError(f"unknown strategy {strategy!r}")
     pairs_applied = []
     schedule_used = None
-    eng = None
+    maximal = k.maximal_simplices
     if strategy == "circulant":
         if circulant is None:
             raise ValueError("strategy 'circulant' needs circulant=(n, s, t)")
-        n, s, t = circulant
-        for label, sched in _schedule_candidates(n, s, t):
+        for label, sched in _schedule_candidates(*circulant):
             sigma0, tau0 = sched[0]
             if k.maximal_cofaces(sigma0) != [tau0]:
                 continue
-            trial = _Engine(k)
-            done = []
-            ok = True
-            for sigma, tau in sched:
-                if not trial.is_free_pair(sigma, tau):
-                    ok = False
-                    break
-                trial.collapse(sigma, tau)
-                done.append((sigma, tau))
-            if ok:
-                eng = trial
-                pairs_applied.extend(done)
+            live = _apply_schedule(k, sched)
+            if live is not None:
+                maximal, star = live
+                pairs_applied.extend(sched)
                 schedule_used = label
                 break
-    if eng is None:
-        eng = _Engine(k)
-    while True:
-        nxt = eng.find_free_generic()
-        if nxt is None:
-            break
-        eng.collapse(*nxt)
-        pairs_applied.append(nxt)
-    core = SimplicialComplex(eng.maximal)
+    if schedule_used is None or _has_free_face(maximal, star):
+        eng = _Engine(maximal)
+        while (nxt := eng.find_free_generic()) is not None:
+            eng.collapse(*nxt)
+            pairs_applied.append(nxt)
+        maximal = eng.maximal
+    core = SimplicialComplex(maximal)
     return CollapseTrace(pairs=pairs_applied, core=core, strategy=strategy, schedule=schedule_used)

@@ -168,8 +168,7 @@ class SimplicialComplex:
     @classmethod
     def from_json_obj(cls, obj):
         k = cls(obj["maximal_simplices"])
-        declared = set(obj.get("vertices", ()))
-        if declared and declared != set(k.vertices()):
+        if "vertices" in obj and set(obj["vertices"]) != set(k.vertices()):
             raise ValueError("vertex list does not match the maximal simplices")
         return k
 

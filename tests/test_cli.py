@@ -243,6 +243,10 @@ class TestSweep:
         assert len(admissible_triples(5, 8)) == 13
         assert admissible_triples(5, 5) == [(5, 1, 2)]
 
+    def test_admissible_triples_come_sorted(self):
+        triples = admissible_triples(5, 12)
+        assert triples == sorted(triples)
+
     def test_text_summary_line(self, capsys):
         rc, out, err = run(capsys, "sweep", "--n", "5..8", "--workers", "1")
         assert rc == 0

@@ -10,6 +10,9 @@ from nctopo import classify, collapse
 from nctopo.collapse import (
     CollapseError,
     CongruenceError,
+    _apply_schedule,
+    _Engine,
+    _has_free_face,
     _schedule_candidates,
     circulant_collapse_pairs,
     collapse_core,
@@ -461,17 +464,32 @@ class TestEngineBuilds:
         count = [0]
         init = collapse._Engine.__init__
 
-        def counting(self, k):
+        def counting(self, maximal):
             count[0] += 1
-            init(self, k)
+            init(self, maximal)
 
         monkeypatch.setattr(collapse._Engine, "__init__", counting)
         return count
 
-    def test_schedule_hit_builds_one_engine(self, builds):
-        tr = collapse_core(nbhd(13, 2, 3), strategy="circulant", circulant=(13, 2, 3))
+    def test_schedule_that_leaves_nothing_free_builds_none(self, builds):
+        k = nbhd(13, 2, 3)
+        tr = collapse_core(k, strategy="circulant", circulant=(13, 2, 3))
         assert tr.schedule == "edges(s)"
+        assert builds[0] == 0
+        assert (tr.pairs, tr.core, tr.schedule) == reference_collapse_core(
+            k, "circulant", (13, 2, 3)
+        )
+
+    @pytest.mark.parametrize("n,s,t", [(9, 2, 3), (7, 1, 2)])
+    def test_schedule_with_generic_finish_builds_one_engine(self, builds, n, s, t):
+        k = nbhd(n, s, t)
+        tr = collapse_core(k, strategy="circulant", circulant=(n, s, t))
+        assert tr.schedule is not None
+        assert len(tr.pairs) > n
         assert builds[0] == 1
+        assert (tr.pairs, tr.core, tr.schedule) == reference_collapse_core(
+            k, "circulant", (n, s, t)
+        )
 
     def test_generic_builds_one_engine(self, builds):
         collapse_core(nbhd(11, 2, 3))
@@ -487,3 +505,79 @@ class TestEngineBuilds:
         assert tr.schedule is None
         assert builds[0] == 1
         assert (tr.pairs, tr.core, None) == reference_collapse_core(k, "circulant", (13, 2, 3))
+
+
+class TestStarSchedule:
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ((1,), (1, 2)),  # tau is not maximal
+            ((3,), (0, 1, 2)),  # sigma is a face, but not of tau
+            ((1, 2), (0, 1, 2)),  # sigma lies in (1, 2, 3) as well
+        ],
+    )
+    def test_refuses_pairs_that_are_not_free(self, pair):
+        k = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+        assert not verify_collapsible_pair(k, *pair)
+        assert _apply_schedule(k, [pair]) is None
+
+    def test_free_pair_matches_collapse_step(self):
+        k = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+        pair = ((0,), (0, 1, 2))
+        assert verify_collapsible_pair(k, *pair)
+        maximal, star = _apply_schedule(k, [pair])
+        after = collapse_step(k, pair)
+        assert SimplicialComplex(maximal) == after
+        for v in after.vertices():
+            assert star[v] == set(after.star(v))
+
+    def test_agrees_with_verify_pair_on_random_pairs(self):
+        rng = random.Random(3)
+        seen = set()
+        for seed in range(300):
+            k = SimplicialComplex(random_family(seed))
+            if not k.maximal_simplices:
+                continue
+            for sigma, tau in random_pairs(k, rng, 8):
+                sigma, tau = tuple(sorted(set(sigma))), tuple(sorted(set(tau)))
+                if not sigma or outcome(verify_collapsible_pair, k, sigma, tau) == "raises":
+                    continue
+                free = verify_collapsible_pair(k, sigma, tau)
+                assert (_apply_schedule(k, [(sigma, tau)]) is not None) == free
+                seen.add(free)
+        assert seen == {True, False}
+
+
+def engine_finds_free_face(maximal):
+    return _Engine(maximal).find_free_generic() is not None
+
+
+def star_index(k):
+    return {v: k.star(v) for v in k.vertices()}
+
+
+class TestRidgeScreen:
+    def test_random_complexes(self):
+        seen = set()
+        for seed in range(400):
+            k = SimplicialComplex(random_family(seed))
+            for c in (k, collapse_core(k).core):
+                free = engine_finds_free_face(c.maximal_simplices)
+                assert _has_free_face(c.maximal_simplices, star_index(c)) == free
+                seen.add(free)
+        assert seen == {True, False}
+
+    def test_pipeline_inputs(self, pipeline_inputs):
+        seen = set()
+        for k, strategy, circ in pipeline_inputs["collapse_calls"]:
+            live = [(k.maximal_simplices, star_index(k))]
+            if strategy == "circulant":
+                for _, sched in _schedule_candidates(*circ):
+                    applied = _apply_schedule(k, sched)
+                    if applied is not None:
+                        live.append(applied)
+            for maximal, star in live:
+                free = engine_finds_free_face(maximal)
+                assert _has_free_face(maximal, star) == free
+                seen.add(free)
+        assert seen == {True, False}

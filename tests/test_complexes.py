@@ -90,10 +90,12 @@ class TestJson:
         assert again == rp2
 
     def test_vertex_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex.from_json_obj(
-                {"vertices": [0, 1, 9], "maximal_simplices": [[0, 1]]}
-            )
+        # An empty declared list is a declaration too, not an absent key.
+        for vertices in ([0, 1, 9], []):
+            with pytest.raises(ValueError):
+                SimplicialComplex.from_json_obj(
+                    {"vertices": vertices, "maximal_simplices": [[0, 1]]}
+                )
 
 
 class TestBoundaryOfSimplex:
