@@ -16,9 +16,8 @@ notable, never silently passed.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .collapse import collapse_core
@@ -38,23 +37,6 @@ from .homology import homology, uct_check
 from .shelling import verify_shelling, wedge_shelling_orders
 from .surfaces import classify_surface, tetrahedron_boundary_pieces
 
-CASE_TAGS = (
-    "I1A",
-    "I1B",
-    "I2A",
-    "I2B",
-    "I2C",
-    "I3A",
-    "I3B",
-    "I3C",
-    "I3D",
-    "I4A",
-    "I4B",
-    "I4C",
-    "degenerate-3-regular",
-    "out-of-range",
-)
-
 PREDICTIONS = {
     "I1A": "point-or-wedge-circles",
     "I1B": "point-or-S1",
@@ -70,6 +52,8 @@ PREDICTIONS = {
     "I4C": "connected-sum-tori",
     "degenerate-3-regular": "point-or-wedge-circles",
 }
+
+CASE_TAGS = tuple(PREDICTIONS)
 
 
 @dataclass(frozen=True)
@@ -103,8 +87,6 @@ def case_of(n, s, t):
         if n == 12 * s:
             return ClassificationCase("I2B", n, s, t, "t = 3s, n = 12s")
         # n = 8s would force 2(s+t) = n, already captured above.
-        if n == 8 * s:
-            raise AssertionError("unreachable: n = 8s lands in the 2(s+t) = n case")
         return ClassificationCase("I2C", n, s, t, "t = 3s, n not in {8s, 10s, 12s}")
 
     if 5 * s == 3 * t:
@@ -146,9 +128,10 @@ def special_params(p, q):
 
     The two generator families are (s, t) = ((p-q)/2, (p+q)/2) and
     ((p^2-q)/2, (p^2+q)/2), reduced mod n and normalized.  A family
-    member is admissible when none of the nine screening congruences
-    2s, 2t, 2(s+t), 3s-t, 3t-s, 3s+t, 3t+s, 4s, 4t vanishes mod n; each
-    admissible triple is expected to verify as a single torus component.
+    member is admissible when case_of puts it in a torus case, I3D or
+    I4C, that is when none of 2s, 2t, 2(s+t), 3s-t, 3t-s, 3s+t, 3t+s,
+    4s, 4t vanishes mod n; each admissible triple is expected to verify
+    as a single torus component.
     """
     if p <= 0 or q <= 0:
         raise ValueError("factors must be positive")
@@ -160,26 +143,11 @@ def special_params(p, q):
         if num_s % 2 or num_t % 2:
             continue
         try:
-            s0, t0 = normalize_circulant_pair(n, (num_s // 2) % n, (num_t // 2) % n)
+            case = case_of(n, (num_s // 2) % n, (num_t // 2) % n)
         except ValueError:
             continue
-        if n < 5:
-            continue
-        nine = (
-            2 * s0,
-            2 * t0,
-            2 * (s0 + t0),
-            3 * s0 - t0,
-            3 * t0 - s0,
-            3 * s0 + t0,
-            3 * t0 + s0,
-            4 * s0,
-            4 * t0,
-        )
-        if any(v % n == 0 for v in nine):
-            continue
-        if (n, s0, t0) not in out:
-            out.append((n, s0, t0))
+        if case.tag in ("I3D", "I4C") and (n, case.s, case.t) not in out:
+            out.append((n, case.s, case.t))
     return out
 
 
@@ -230,40 +198,6 @@ class VerificationReport:
         }
 
 
-def _torsion_free(h):
-    return all(not t for t in h.torsion)
-
-
-def _is_point(comp, h):
-    return comp.dim() == 0 and h.betti_z == (1,)
-
-
-def _is_homology_point(h):
-    return h.betti_z[0] == 1 and not any(h.betti_z[1:]) and _torsion_free(h)
-
-
-def _is_wedge_circles(comp, h):
-    # A vertex counts as the empty wedge; a 1-dimensional torsion-free
-    # core with connected b0 covers every positive circle count.
-    if not _torsion_free(h):
-        return False
-    if comp.dim() == 0:
-        return h.betti_z == (1,)
-    return comp.dim() == 1 and h.betti_z[0] == 1
-
-
-def _is_circle(comp, h):
-    return comp.dim() == 1 and h.betti_z == (1, 1) and _torsion_free(h)
-
-
-def _is_three_sphere(comp, h):
-    return h.betti_z == (1, 0, 0, 1) and _torsion_free(h)
-
-
-def _is_sphere_wedge_pair(comp, h):
-    return comp.dim() == 2 and h.betti_z == (1, 0, 2) and _torsion_free(h)
-
-
 def _is_tetrahedron_boundary(comp):
     verts = comp.vertices()
     if len(verts) != 4:
@@ -272,59 +206,57 @@ def _is_tetrahedron_boundary(comp):
 
 
 def _check_component(shape, comp, h, sr):
-    """Per-component verdict (verdict, note) for a predicted shape."""
-    if not _torsion_free(h):
+    """Per-component verdict (verdict, note) for a predicted shape.
+
+    After the torsion and UCT prelude every rule reads the core's
+    dimension d and integral Betti numbers b; garlands add their
+    tetrahedron pieces, spheres and tori the surface report.
+    """
+    if any(h.torsion):
         return "fail", f"torsion {h.torsion} contradicts every predicted shape"
     if not uct_check(h):
         return "fail", "mod-2 Betti numbers disagree with the integral ones"
 
-    if shape == "point-or-wedge-circles":
-        if _is_point(comp, h) or _is_wedge_circles(comp, h):
+    d, b = comp.dim(), h.betti_z
+    # A vertex counts as the empty wedge; a 1-dimensional core with
+    # connected b0 covers every positive circle count.
+    wedge = d in (0, 1) and b[0] == 1
+    rules = {
+        "point-or-wedge-circles": (wedge, "core is neither a vertex nor 1-dimensional"),
+        "point-or-S1": (
+            d in (0, 1) and b == (1,) * (d + 1),
+            "core is neither a vertex nor a single circle",
+        ),
+        "wedge-circles": (wedge, "core is not a torsion-free 1-dimensional complex"),
+        "S1-or-S3": (
+            (d == 1 and b == (1, 1)) or b == (1, 0, 0, 1),
+            "component is neither a circle core nor a homology 3-sphere profile",
+        ),
+        "S3": (b == (1, 0, 0, 1), f"betti {b} differs from (1, 0, 0, 1)"),
+        "S2vS2": (d == 2 and b == (1, 0, 2), f"betti {b} differs from (1, 0, 2)"),
+        "tetra-sphere": (
+            b == (1, 0, 1) and sr.classification == "sphere" and _is_tetrahedron_boundary(comp),
+            "component is not a tetrahedron boundary sphere",
+        ),
+    }
+    if shape in rules:
+        ok, note = rules[shape]
+        if ok:
             return "pass", ""
         # Contractibility gets certified only by an actual collapse to a
         # vertex; trivial homology alone is not allowed to claim it.
-        if _is_homology_point(h):
+        if shape in ("point-or-wedge-circles", "point-or-S1") and b[0] == 1 and not any(b[1:]):
             return "notable", "homology-trivial core that did not collapse to a vertex"
-        return "fail", "core is neither a vertex nor 1-dimensional"
-    if shape == "point-or-S1":
-        if _is_point(comp, h) or _is_circle(comp, h):
-            return "pass", ""
-        if _is_homology_point(h):
-            return "notable", "homology-trivial core that did not collapse to a vertex"
-        return "fail", "core is neither a vertex nor a single circle"
-    if shape == "wedge-circles":
-        if _is_wedge_circles(comp, h):
-            return "pass", ""
-        return "fail", "core is not a torsion-free 1-dimensional complex"
-    if shape == "S1-or-S3":
-        if _is_circle(comp, h) or _is_three_sphere(comp, h):
-            return "pass", ""
-        return "fail", "component is neither a circle core nor a homology 3-sphere profile"
-    if shape == "S3":
-        if _is_three_sphere(comp, h):
-            return "pass", ""
-        return "fail", f"betti {h.betti_z} differs from (1, 0, 0, 1)"
-    if shape == "S2vS2":
-        if _is_sphere_wedge_pair(comp, h):
-            return "pass", ""
-        return "fail", f"betti {h.betti_z} differs from (1, 0, 2)"
-    if shape == "tetra-sphere":
-        if (
-            _is_tetrahedron_boundary(comp)
-            and h.betti_z == (1, 0, 1)
-            and sr.classification == "sphere"
-        ):
-            return "pass", ""
-        return "fail", "component is not a tetrahedron boundary sphere"
+        return "fail", note
     if shape == "garland-of-S2":
-        if comp.dim() != 2 or len(h.betti_z) != 3:
+        if d != 2 or len(b) != 3:
             return "fail", "core is not 2-dimensional"
         pieces = tetrahedron_boundary_pieces(comp)
         m = len(pieces)
         if m < 1:
             return "fail", "no tetrahedron-boundary pieces found"
-        if h.betti_z != (1, 1, m):
-            return "fail", f"betti {h.betti_z} differs from (1, 1, {m}) for {m} pieces"
+        if b != (1, 1, m):
+            return "fail", f"betti {b} differs from (1, 1, {m}) for {m} pieces"
         covered = {f for quad in pieces for f in combinations(quad, 3)}
         if covered != set(comp.faces(2)) or 4 * m != len(comp.faces(2)):
             return "fail", "triangles are not exactly the garland piece boundaries"
@@ -337,8 +269,8 @@ def _check_component(shape, comp, h, sr):
         genus = (2 - sr.euler) // 2
         if genus < 1:
             return "fail", "surface is a sphere, expected genus at least 1"
-        if h.betti_z != (1, 2 * genus, 1):
-            return "fail", f"betti {h.betti_z} inconsistent with genus {genus}"
+        if b != (1, 2 * genus, 1):
+            return "fail", f"betti {b} inconsistent with genus {genus}"
         if genus > 1:
             return "notable", f"genus {genus} exceeds the expected genus 1"
         return "pass", ""
@@ -372,13 +304,9 @@ def _shelling_certificate(comps, n, s, t):
     return out
 
 
-def _worse(a, b):
-    rank = {"pass": 0, "notable": 1, "fail": 2}
-    return a if rank[a] >= rank[b] else b
-
-
-def _overall(components):
-    return functools.reduce(_worse, (c.verdict for c in components), "pass")
+def _worse(*verdicts):
+    """The worst of the verdicts; pass when there are none."""
+    return max(verdicts, key=("pass", "notable", "fail").index, default="pass")
 
 
 def _is_excluded(g):
@@ -406,13 +334,20 @@ def reduce_to_core(g, params=None):
     return g, k, collapse_core(k, strategy="generic")
 
 
-def _measure(comps, shape):
-    """One ComponentReport per component, graded against shape unless it is None."""
+def _measure(comps, shape, certificate=None):
+    """One ComponentReport per component, graded against shape unless it is None.
+
+    A certificate, such as the shelling check's, is one more (verdict,
+    note) per component: a verdict worse than pass is merged in and its
+    note appended.
+    """
     out = []
-    for comp in comps:
+    for comp, (cert, cert_note) in zip(comps, certificate or [("pass", "")] * len(comps)):
         h = homology(comp)
         sr = classify_surface(comp)
         verdict, note = ("", "") if shape is None else _check_component(shape, comp, h, sr)
+        if cert != "pass":
+            verdict, note = _worse(verdict, cert), (note + "; " + cert_note).strip("; ")
         out.append(
             ComponentReport(
                 f_vector=comp.f_vector(),
@@ -456,17 +391,10 @@ def verify(n, s, t):
 
     _, _, trace = reduce_to_core(g, (n, s, t))
     comps = trace.core.components()
-    components = _measure(comps, grading)
-
-    if case.tag in ("I2B", "I3B"):
-        for i, (verdict, note) in enumerate(_shelling_certificate(comps, n, s, t)):
-            if verdict != "pass":
-                c = components[i]
-                note = (c.note + "; " + note).strip("; ")
-                components[i] = replace(c, verdict=_worse(c.verdict, verdict), note=note)
-
+    certificate = _shelling_certificate(comps, n, s, t) if case.tag in ("I2B", "I3B") else None
+    components = _measure(comps, grading, certificate)
     notes += [c.note for c in components if c.note]
-    overall = _overall(components)
+    overall = _worse(*(c.verdict for c in components))
 
     # Components of one circulant complex are pairwise isomorphic under
     # rotation, so their measurements must coincide.
@@ -516,5 +444,5 @@ def analyze_graph(g, name=""):
         "case": case,
         "prediction": prediction,
         "components": components,
-        "verdict": _overall(components) if applicable else None,
+        "verdict": _worse(*(c.verdict for c in components)) if applicable else None,
     }

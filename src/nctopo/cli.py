@@ -1,7 +1,9 @@
 """Command-line front end: analyze, sweep, export-complex.
 
-Circulant reports and graph analyses share one component renderer per
-format; export-complex reduces through classify.reduce_to_core.
+analyze turns a circulant report or a graph analysis into one CSV head,
+title, JSON object, component list, note list and verdict, and renders
+them through one format switch; export-complex reduces through
+classify.reduce_to_core.
 
 Exit codes: 0 when no component verdict is fail, 1 when one is, 2 for
 invalid parameters, 3 for unreadable or unwritable files.  JSON and CSV
@@ -103,9 +105,9 @@ def _component_rows(head, components, verdict):
     ]
 
 
-def _report_rows(r):
-    head = dict(n=r.n, s=r.s, t=r.t, case=r.case.tag, prediction=r.prediction)
-    return _component_rows(head, r.components, r.verdict)
+def _circulant_head(r):
+    """The instance columns of a VerificationReport's CSV rows."""
+    return dict(n=r.n, s=r.s, t=r.t, case=r.case.tag, prediction=r.prediction)
 
 
 def _render_csv(rows):
@@ -127,43 +129,6 @@ def _component_lines(components):
     ]
 
 
-def _render_report_text(report):
-    lines = [
-        f"C_{report.n}({report.s},{report.t})  case {report.case.tag}"
-        f"  [{report.case.witness}]  prediction {report.prediction}"
-    ]
-    lines.extend(_component_lines(report.components))
-    lines.extend(f"  note: {note}" for note in report.notes)
-    lines.append(f"verdict: {report.verdict}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_graph_text(result):
-    head = result["graph"] or "graph"
-    lines = [
-        f"{head}: {result['num_vertices']} vertices, max degree {result['max_degree']}"
-    ]
-    if result["case"]:
-        lines.append(f"case {result['case']}  prediction {result['prediction']}")
-    lines.extend(_component_lines(result["components"]))
-    lines.append(f"verdict: {result['verdict'] if result['verdict'] else 'n/a'}")
-    return "\n".join(lines) + "\n"
-
-
-def _graph_json_obj(result):
-    return {
-        "graph": result["graph"],
-        "num_vertices": result["num_vertices"],
-        "max_degree": result["max_degree"],
-        "case": result["case"],
-        "prediction": result["prediction"],
-        "components": [
-            {**c.to_json_obj(), "verdict": c.verdict or None} for c in result["components"]
-        ],
-        "verdict": result["verdict"],
-    }
-
-
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -177,34 +142,41 @@ def _cmd_analyze(args):
         raise ValueError("exactly one of --circulant and --graph is required")
 
     if args.circulant is not None:
-        n, s, t = _parse_triple(args.circulant)
-        report = verify(n, s, t)
-        if args.format == "json":
-            text = json.dumps(report.to_json_obj(), indent=2) + "\n"
-        elif args.format == "csv":
-            text = _render_csv(_report_rows(report))
-        else:
-            text = _render_report_text(report)
-        _emit(text, args.out)
-        return 0 if report.verdict != "fail" else 1
-
-    g = read_edge_list(args.graph)
-    result = analyze_graph(g, name=os.path.basename(args.graph))
-    if args.format == "json":
-        text = json.dumps(_graph_json_obj(result), indent=2) + "\n"
-    elif args.format == "csv":
-        head = {
-            "n": result["num_vertices"],
-            "s": "",
-            "t": "",
-            "case": result["case"] or "",
-            "prediction": result["prediction"] or "",
-        }
-        text = _render_csv(_component_rows(head, result["components"], result["verdict"] or ""))
+        r = verify(*_parse_triple(args.circulant))
+        head = _circulant_head(r)
+        title = [
+            f"C_{r.n}({r.s},{r.t})  case {r.case.tag}"
+            f"  [{r.case.witness}]  prediction {r.prediction}"
+        ]
+        obj = r.to_json_obj()
+        components, notes, verdict = r.components, r.notes, r.verdict
     else:
-        text = _render_graph_text(result)
+        res = analyze_graph(read_edge_list(args.graph), name=os.path.basename(args.graph))
+        case, prediction = res["case"] or "", res["prediction"] or ""
+        head = dict(n=res["num_vertices"], s="", t="", case=case, prediction=prediction)
+        title = [
+            f"{res['graph'] or 'graph'}: {res['num_vertices']} vertices,"
+            f" max degree {res['max_degree']}"
+        ]
+        if case:
+            title.append(f"case {case}  prediction {prediction}")
+        components, notes, verdict = res["components"], (), res["verdict"]
+        obj = {
+            **res,
+            "components": [{**c.to_json_obj(), "verdict": c.verdict or None} for c in components],
+        }
+
+    if args.format == "json":
+        text = json.dumps(obj, indent=2) + "\n"
+    elif args.format == "csv":
+        text = _render_csv(_component_rows(head, components, verdict or ""))
+    else:
+        lines = title + _component_lines(components)
+        lines += [f"  note: {note}" for note in notes]
+        lines.append(f"verdict: {verdict or 'n/a'}")
+        text = "\n".join(lines) + "\n"
     _emit(text, args.out)
-    return 0 if result["verdict"] != "fail" else 1
+    return 0 if verdict != "fail" else 1
 
 
 def _cmd_sweep(args):
@@ -237,7 +209,8 @@ def _cmd_sweep(args):
         }
         text = json.dumps(obj, indent=2) + "\n"
     elif args.format == "csv":
-        text = _render_csv([row for r in reports for row in _report_rows(r)])
+        rows = [_component_rows(_circulant_head(r), r.components, r.verdict) for r in reports]
+        text = _render_csv([row for instance in rows for row in instance])
     else:
         lines = []
         for r in reports:

@@ -1,5 +1,8 @@
 """Case partition, predictions, per-instance verification, graph analysis."""
 
+import dataclasses
+import math
+
 import pytest
 
 from nctopo import classify
@@ -13,7 +16,7 @@ from nctopo.classify import (
     special_params,
     verify,
 )
-from nctopo.complexes import neighborhood_complex
+from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import (
     Graph,
     circulant,
@@ -22,7 +25,13 @@ from nctopo.graphs import (
     find_fold,
     fold_reduce,
     k44_minus_matching,
+    normalize_circulant_pair,
 )
+from nctopo.homology import HomologyProfile
+from nctopo.shelling import ShellingReport, wedge_shelling_orders
+from nctopo.surfaces import classify_surface
+
+from conftest import TORUS_TRIANGLES
 
 
 class TestCaseOf:
@@ -88,8 +97,6 @@ class TestCaseOf:
 class TestPredicted:
     def test_every_case_has_a_prediction(self):
         for tag in CASE_TAGS:
-            if tag == "out-of-range":
-                continue
             assert PREDICTIONS[tag]
 
     def test_accepts_case_or_tag(self):
@@ -97,7 +104,32 @@ class TestPredicted:
         assert predicted(case) == predicted("I2A") == "S3"
 
 
+def nine_congruence_params(p, q):
+    """Reference for special_params: each family member, normalized, is
+    kept unless one of 2s, 2t, 2(s+t), 3s-t, 3t-s, 3s+t, 3t+s, 4s, 4t
+    vanishes mod n = p*q."""
+    n = p * q
+    out = []
+    for num_s, num_t in ((p - q, p + q), (p * p - q, p * p + q)):
+        if num_s % 2 or num_t % 2 or n < 5:
+            continue
+        try:
+            s, t = normalize_circulant_pair(n, (num_s // 2) % n, (num_t // 2) % n)
+        except ValueError:
+            continue
+        nine = (2 * s, 2 * t, 2 * (s + t), 3 * s - t, 3 * t - s, 3 * s + t, 3 * t + s, 4 * s, 4 * t)
+        if all(v % n for v in nine) and (n, s, t) not in out:
+            out.append((n, s, t))
+    return out
+
+
 class TestSpecialParams:
+    def test_matches_the_nine_congruence_screen(self):
+        pairs = [(p, q) for p in range(2, 41) for q in range(1, p) if math.gcd(p, q) == 1]
+        assert sum(1 for p, q in pairs if nine_congruence_params(p, q)) > 100
+        for p, q in pairs:
+            assert special_params(p, q) == nine_congruence_params(p, q), (p, q)
+
     def test_first_pair(self):
         assert special_params(5, 3) == [(15, 1, 4)]
 
@@ -342,3 +374,214 @@ class TestReduceToCore:
     def test_verify_searches_once(self, fold_searches, nst):
         verify(*nst)
         assert len(fold_searches) == 1
+
+
+def _genus2_surface():
+    """Connected sum of two 7-vertex tori: both lose triangle (0, 1, 3)
+    and are glued along its boundary; 11 vertices, chi = -2."""
+    relabel = {0: 0, 1: 1, 3: 3, 2: 7, 4: 8, 5: 9, 6: 10}
+    first = [tri for tri in TORUS_TRIANGLES if tri != (0, 1, 3)]
+    second = [tuple(relabel[v] for v in tri) for tri in first]
+    return SimplicialComplex(first + second)
+
+
+def _graded(comp, shape):
+    (report,) = classify._measure([comp], shape)
+    return report.verdict, report.note
+
+
+class TestRefusals:
+    """Every refusal of the grader, one per note string.
+
+    A component is graded through classify._measure, or through
+    _check_component when the profile has to be built by hand because no
+    real complex has it (torsion-free yet UCT-breaking, or torsion-free
+    with a non-orientable surface report).
+    """
+
+    def test_torsion(self, rp2):
+        assert _graded(rp2, "point-or-wedge-circles") == (
+            "fail",
+            "torsion ((), (2,), ()) contradicts every predicted shape",
+        )
+
+    def test_uct(self, tetra_boundary):
+        h = HomologyProfile(betti_z=(1, 0, 1), torsion=((), (), ()), betti_z2=(1, 1, 1), euler=2)
+        sr = classify_surface(tetra_boundary)
+        assert classify._check_component("S2vS2", tetra_boundary, h, sr) == (
+            "fail",
+            "mod-2 Betti numbers disagree with the integral ones",
+        )
+
+    @pytest.mark.parametrize("shape", ["point-or-wedge-circles", "point-or-S1"])
+    def test_homology_point_is_notable(self, solid_triangle, shape):
+        assert _graded(solid_triangle, shape) == (
+            "notable",
+            "homology-trivial core that did not collapse to a vertex",
+        )
+
+    @pytest.mark.parametrize(
+        "shape, note",
+        [
+            ("point-or-wedge-circles", "core is neither a vertex nor 1-dimensional"),
+            ("point-or-S1", "core is neither a vertex nor a single circle"),
+            ("wedge-circles", "core is not a torsion-free 1-dimensional complex"),
+            ("S1-or-S3", "component is neither a circle core nor a homology 3-sphere profile"),
+            ("S3", "betti (1, 0, 1) differs from (1, 0, 0, 1)"),
+            ("S2vS2", "betti (1, 0, 1) differs from (1, 0, 2)"),
+            ("garland-of-S2", "betti (1, 0, 1) differs from (1, 1, 1) for 1 pieces"),
+            ("connected-sum-tori", "surface is a sphere, expected genus at least 1"),
+        ],
+    )
+    def test_tetrahedron_boundary(self, tetra_boundary, shape, note):
+        assert _graded(tetra_boundary, shape) == ("fail", note)
+
+    def test_circle_passes_the_circle_shapes_only(self):
+        circle = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
+        for shape in ("point-or-wedge-circles", "point-or-S1", "wedge-circles", "S1-or-S3"):
+            assert _graded(circle, shape) == ("pass", "")
+        assert _graded(circle, "garland-of-S2") == ("fail", "core is not 2-dimensional")
+
+    def test_tetra_sphere(self, solid_triangle, tetra_boundary):
+        assert _graded(tetra_boundary, "tetra-sphere") == ("pass", "")
+        assert _graded(solid_triangle, "tetra-sphere") == (
+            "fail",
+            "component is not a tetrahedron boundary sphere",
+        )
+
+    def test_garland_without_pieces(self, solid_triangle):
+        assert _graded(solid_triangle, "garland-of-S2") == (
+            "fail",
+            "no tetrahedron-boundary pieces found",
+        )
+
+    def test_garland_betti(self, tetra_boundary):
+        shifted = [tuple(v + 3 for v in tri) for tri in tetra_boundary.maximal_simplices]
+        pair = SimplicialComplex(list(tetra_boundary.maximal_simplices) + shifted)
+        assert pair.vertices() == tuple(range(7))
+        assert _graded(pair, "garland-of-S2") == (
+            "fail",
+            "betti (1, 0, 2) differs from (1, 1, 2) for 2 pieces",
+        )
+
+    def test_garland_with_a_stray_triangle(self, tetra_boundary):
+        loop = [(3, 4), (4, 5), (3, 5)]
+        one = SimplicialComplex(list(tetra_boundary.maximal_simplices) + loop)
+        assert _graded(one, "garland-of-S2") == ("pass", "")
+        stray = SimplicialComplex(list(one.maximal_simplices) + [(0, 1, 6)])
+        assert _graded(stray, "garland-of-S2") == (
+            "fail",
+            "triangles are not exactly the garland piece boundaries",
+        )
+
+    def test_not_a_closed_surface(self, solid_triangle):
+        assert _graded(solid_triangle, "connected-sum-tori") == (
+            "fail",
+            "component is not a closed surface",
+        )
+
+    def test_non_orientable(self, klein):
+        h = HomologyProfile(betti_z=(1, 1, 0), torsion=((), (), ()), betti_z2=(1, 1, 0), euler=0)
+        sr = classify_surface(klein)
+        assert classify._check_component("connected-sum-tori", klein, h, sr) == (
+            "fail",
+            "surface is non-orientable",
+        )
+
+    def test_genus_against_betti(self, torus7):
+        h = HomologyProfile(betti_z=(1, 0, 1), torsion=((), (), ()), betti_z2=(1, 0, 1), euler=0)
+        sr = classify_surface(torus7)
+        assert classify._check_component("connected-sum-tori", torus7, h, sr) == (
+            "fail",
+            "betti (1, 0, 1) inconsistent with genus 1",
+        )
+
+    def test_torus_passes(self, torus7):
+        assert _graded(torus7, "connected-sum-tori") == ("pass", "")
+
+    def test_genus_two_is_notable(self):
+        surface = _genus2_surface()
+        assert classify_surface(surface).classification == "orientable-genus-2"
+        assert _graded(surface, "connected-sum-tori") == (
+            "notable",
+            "genus 2 exceeds the expected genus 1",
+        )
+
+    def test_unknown_shape(self, tetra_boundary):
+        with pytest.raises(ValueError, match="unknown predicted shape"):
+            _graded(tetra_boundary, "klein-bottle")
+
+
+class TestCertificateRefusals:
+    """Shelling refusals on the I2B instance (12, 1, 3), and the check that
+    the components of one instance agree, reached by replacing the
+    certificate source and the surface recognizer."""
+
+    NST = (12, 1, 3)
+
+    def _verify_with(self, monkeypatch, certs):
+        monkeypatch.setattr(classify, "wedge_shelling_orders", lambda n, s, t: certs)
+        return verify(*self.NST)
+
+    def _assert_refused(self, r, note):
+        assert r.verdict == "fail"
+        assert [c.verdict for c in r.components] == ["fail", "fail"]
+        assert [c.note for c in r.components] == [note, note]
+        assert r.notes == (note, note)
+
+    def test_order_count(self, monkeypatch):
+        r = self._verify_with(monkeypatch, wedge_shelling_orders(*self.NST)[:1])
+        self._assert_refused(r, "1 shelling orders for 2 components")
+
+    def test_no_matching_order(self, monkeypatch):
+        certs = wedge_shelling_orders(*self.NST)
+        r = self._verify_with(monkeypatch, [certs[0], certs[0]])
+        assert sorted((c.verdict, c.note) for c in r.components) == [
+            ("fail", "component does not match any canonical shelling order"),
+            ("pass", ""),
+        ]
+        assert r.notes == ("component does not match any canonical shelling order",)
+        assert r.verdict == "fail"
+
+    def test_order_is_not_a_shelling(self, monkeypatch):
+        certs = []
+        for order, spanning in wedge_shelling_orders(*self.NST):
+            j = next(j for j, f in enumerate(order) if not set(f) & set(order[0]))
+            order = [order[0], order[j]] + [f for i, f in enumerate(order) if i not in (0, j)]
+            certs.append((order, spanning))
+        r = self._verify_with(monkeypatch, certs)
+        self._assert_refused(r, "canonical order is not a shelling of the component")
+
+    def test_wrong_spanning(self, monkeypatch):
+        certs = [(order, order[:2]) for order, _ in wedge_shelling_orders(*self.NST)]
+        r = self._verify_with(monkeypatch, certs)
+        self._assert_refused(r, "spanning simplices differ from the canonical pair")
+
+    def test_wrong_sphere_dimensions(self, monkeypatch):
+        real = classify.verify_shelling
+
+        def one_sphere(k, order):
+            report = real(k, order)
+            return ShellingReport(report.order, report.valid, report.spanning, (2,))
+
+        monkeypatch.setattr(classify, "verify_shelling", one_sphere)
+        r = verify(*self.NST)
+        self._assert_refused(r, "shelling gives spheres (2,), expected (2, 2)")
+
+    def test_components_disagree(self, monkeypatch):
+        real = classify.classify_surface
+        seen = []
+
+        def second_differs(k):
+            seen.append(k)
+            report = real(k)
+            if len(seen) == 2:
+                report = dataclasses.replace(report, classification="moved")
+            return report
+
+        monkeypatch.setattr(classify, "classify_surface", second_differs)
+        r = verify(10, 1, 5)
+        assert len(r.components) == 2
+        assert [c.verdict for c in r.components] == ["pass", "pass"]
+        assert r.verdict == "fail"
+        assert r.notes == ("components disagree, breaking the homeomorphic-components invariant",)

@@ -581,3 +581,21 @@ class TestRidgeScreen:
                 assert _has_free_face(maximal, star) == free
                 seen.add(free)
         assert seen == {True, False}
+
+
+class TestPipelineSample:
+    def test_sample_meets_every_collapse_outcome(self, pipeline_inputs):
+        """The recorded sweep sample reaches all four ways collapse_core
+        can go: a schedule hit that leaves nothing free, a schedule hit
+        with a generic finish, a circulant miss, and the fold path."""
+        seen = set()
+        calls = pipeline_inputs["collapse_calls"]
+        for (k, strategy, circ), (_, trace) in zip(calls, pipeline_inputs["traces"]):
+            if strategy == "generic":
+                seen.add("fold path")
+            elif trace.schedule is None:
+                seen.add("circulant miss")
+            else:
+                sched = dict(_schedule_candidates(*circ))[trace.schedule]
+                seen.add("generic finish" if len(trace.pairs) > len(sched) else "nothing free")
+        assert seen == {"nothing free", "generic finish", "circulant miss", "fold path"}
