@@ -2,10 +2,12 @@
 the inputs the pipeline sees.
 
 Inputs are recorded by wrapping ``collapse_core`` and ``fold_reduce`` in
-``nctopo.classify`` and ``nctopo._kernels.snf_diagonal`` while the
-pipeline runs: the ``(complex, strategy, circulant)`` arguments of every
-collapse, the collapsed cores, the graphs handed to fold reduction and
-the core boundary matrices handed to the Smith kernel, for the torus case
+``nctopo.classify``, ``nctopo._kernels.snf_diagonal`` and
+``SimplicialComplex.__init__`` while the pipeline runs: the
+``(complex, strategy, circulant)`` arguments of every collapse, the
+collapsed cores, the graphs handed to fold reduction, the core boundary
+matrices handed to the Smith kernel and the positional and keyword
+arguments of every complex built, for the torus case
 I4C at n = 80, 160 and 320 (``verify(n, 1, 4)``), for all 571 instances
 of the n = 5..25 sweep, and for ``analyze_graph`` on the benchmark's
 graph pool at seed 0 (generated by ``perfbench/run.py``, imported and not
@@ -13,6 +15,9 @@ modified).  For each workload the script times one pass, best of three,
 of
 
 - ``collapse_core`` on every recorded argument triple;
+- construction: every recorded ``SimplicialComplex(...)`` call replayed
+  with its own arguments, so each checkout times the calls its own
+  pipeline makes;
 - normalization: ``SimplicialComplex(core.maximal_simplices)``;
 - ``core.components()``;
 - ``classify_surface`` on every component of every core;
@@ -55,6 +60,7 @@ from run import FULL, graph_pool  # noqa: E402
 
 STAGES = (
     "collapse_core",
+    "construct",
     "normalize",
     "components",
     "classify_surface",
@@ -78,10 +84,11 @@ ABOUT = (
 
 
 def _record(run):
-    """Collapse arguments, cores, fold inputs and Smith inputs that the
-    pipeline produces while run() runs."""
-    calls, cores, graphs, mats = [], [], [], []
+    """Collapse arguments, cores, fold inputs, Smith inputs and complex
+    constructor arguments that the pipeline produces while run() runs."""
+    calls, cores, graphs, mats, builds = [], [], [], [], []
     collapse, fold, snf = classify.collapse_core, classify.fold_reduce, _kernels.snf_diagonal
+    init = SimplicialComplex.__init__
 
     def record_collapse(k, strategy="generic", circulant=None):
         calls.append((k, strategy, circulant))
@@ -97,14 +104,21 @@ def _record(run):
         mats.append(mat)
         return snf(mat)
 
+    def record_init(self, simplices, *args, **kwargs):
+        simplices = list(simplices)
+        builds.append(((simplices, *args), kwargs))
+        init(self, simplices, *args, **kwargs)
+
     classify.collapse_core, classify.fold_reduce = record_collapse, record_fold
     _kernels.snf_diagonal = record_snf
+    SimplicialComplex.__init__ = record_init
     try:
         run()
     finally:
         classify.collapse_core, classify.fold_reduce = collapse, fold
         _kernels.snf_diagonal = snf
-    return calls, cores, graphs, mats
+        SimplicialComplex.__init__ = init
+    return calls, cores, graphs, mats, builds
 
 
 def _best_of(fn, items, repeats=3):
@@ -138,7 +152,7 @@ def workloads():
 
 def measure():
     rows = {}
-    for name, (calls, cores, graphs, mats) in workloads().items():
+    for name, (calls, cores, graphs, mats, builds) in workloads().items():
         comps = [c for core in cores for c in core.components()]
         rows[name] = {
             "cores": len(cores),
@@ -146,7 +160,9 @@ def measure():
             "components": len(comps),
             "graphs": len(graphs),
             "snf_matrices": len(mats),
+            "constructions": len(builds),
             "collapse_core_s": _best_of(lambda call: nctopo.collapse_core(*call), calls),
+            "construct_s": _best_of(lambda b: SimplicialComplex(*b[0], **b[1]), builds),
             "normalize_s": _best_of(lambda c: SimplicialComplex(c.maximal_simplices), cores),
             "components_s": _best_of(SimplicialComplex.components, cores),
             "classify_surface_s": _best_of(nctopo.classify_surface, comps),

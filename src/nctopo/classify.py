@@ -324,13 +324,14 @@ def reduce_to_core(g, params=None):
     complex of g itself is collapsed with the circulant strategy.
     Otherwise g is fold-reduced and its complex is collapsed generically:
     folds relabel vertices, after which the closed-form schedules no
-    longer address the right simplices.
+    longer address the right simplices.  Either way the graph whose
+    complex is built is fold-free, so its neighborhoods are built unfiltered.
     """
     if params is not None and find_fold(g) is None:
-        k = neighborhood_complex(g)
+        k = neighborhood_complex(g, fold_free=True)
         return g, k, collapse_core(k, strategy="circulant", circulant=params)
     g = fold_reduce(g)
-    k = neighborhood_complex(g)
+    k = neighborhood_complex(g, fold_free=True)
     return g, k, collapse_core(k, strategy="generic")
 
 

@@ -330,5 +330,7 @@ def collapse_core(k, strategy="generic", circulant=None):
             eng.collapse(*nxt)
             pairs_applied.append(nxt)
         maximal = eng.maximal
-    core = SimplicialComplex(maximal)
+    # Both the schedule and the engine add a candidate only when no maximal
+    # simplex contains it, so the maximal set stays an antichain.
+    core = SimplicialComplex(maximal, antichain=True)
     return CollapseTrace(pairs=pairs_applied, core=core, strategy=strategy, schedule=schedule_used)

@@ -2,7 +2,9 @@
 
 A complex stores an antichain of sorted vertex tuples.  Construction
 normalizes any generating family: faces of larger simplices and duplicates
-are dropped, so two presentations of the same complex compare equal.
+are dropped, so two presentations of the same complex compare equal.  A
+caller whose family is already such an antichain says so with
+``antichain=True`` and skips that work.
 """
 
 from __future__ import annotations
@@ -28,25 +30,38 @@ class SimplicialComplex:
 
     __slots__ = ("_maximal", "_dim", "_faces", "_cofaces", "_star")
 
-    def __init__(self, simplices):
-        cleaned = sorted(
-            {tuple(sorted(set(s))) for s in simplices if len(s) > 0},
-            key=lambda s: (-len(s), s),
-        )
-        # Longest first: a candidate can only lie inside a strictly longer
-        # simplex, kept before it, so the longest ones need no test.  _star
-        # (vertex -> kept maximal simplices through it) is the incidence
-        # index that maximal_cofaces scans.
+    def __init__(self, simplices, antichain=False):
+        """Complex generated by simplices.
+
+        With antichain=True the caller promises sorted vertex tuples that
+        form an antichain, and the normalization and the filter of faces
+        are skipped; only the indices are built.
+        """
         self._star = star = {}
-        kept = []
-        top = len(cleaned[0]) if cleaned else 0
-        for s in cleaned:
-            if len(s) == top or not self.maximal_cofaces(s):
-                kept.append(s)
+        if antichain:
+            kept = sorted(simplices)
+            for s in kept:
                 for v in s:
                     star.setdefault(v, []).append(s)
-        self._maximal = tuple(sorted(kept))
-        self._dim = top - 1
+        else:
+            cleaned = sorted(
+                {tuple(sorted(set(s))) for s in simplices if len(s) > 0},
+                key=lambda s: (-len(s), s),
+            )
+            # Longest first: a candidate can only lie inside a strictly
+            # longer simplex, kept before it, so the longest ones need no
+            # test.  _star (vertex -> kept maximal simplices through it) is
+            # the incidence index that maximal_cofaces scans.
+            kept = []
+            top = len(cleaned[0]) if cleaned else 0
+            for s in cleaned:
+                if len(s) == top or not self.maximal_cofaces(s):
+                    kept.append(s)
+                    for v in s:
+                        star.setdefault(v, []).append(s)
+            kept.sort()
+        self._maximal = tuple(kept)
+        self._dim = max(map(len, kept), default=0) - 1
         self._faces = {}
         self._cofaces = {}
 
@@ -156,7 +171,7 @@ class SimplicialComplex:
         groups = {}
         for m in self._maximal:
             groups.setdefault(root[m[0]], []).append(m)
-        return [SimplicialComplex(groups[r]) for r in sorted(groups)]
+        return [SimplicialComplex(groups[r], antichain=True) for r in sorted(groups)]
 
     def to_json_obj(self):
         """Canonical dict form: sorted vertices, sorted maximal simplices."""
@@ -190,10 +205,14 @@ def boundary_of_simplex(vertices):
     return SimplicialComplex(combinations(vs, len(vs) - 1))
 
 
-def neighborhood_complex(g):
+def neighborhood_complex(g, fold_free=False):
     """Complex whose maximal simplices are the maximal open neighborhoods.
 
     Vertices with empty neighborhoods contribute nothing.  For a graph with
-    no edges the result is the empty complex.
+    no edges the result is the empty complex.  fold_free=True promises that
+    g has no fold: then no neighborhood lies in another one (N(u) in N(v)
+    is a fold), so they already form an antichain and are not filtered.
     """
-    return SimplicialComplex(ns for v in g.vertices() if (ns := g.neighborhood(v)))
+    return SimplicialComplex(
+        (ns for v in g.vertices() if (ns := g.neighborhood(v))), antichain=fold_free
+    )

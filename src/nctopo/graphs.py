@@ -1,15 +1,23 @@
 """Finite simple graphs, circulant constructions, and fold reduction.
 
-Vertices are always 0..num_vertices-1.  A fold deletes a vertex whose
-neighborhood is contained in the neighborhood of another vertex; this
+Vertices are always 0..num_vertices-1.  A fold deletes a vertex u whose
+neighborhood is contained in the neighborhood of another vertex v; this
 never changes the homotopy type of the neighborhood complex, so
 ``fold_reduce`` is the cheap first pass before any simplicial work.
+
+Fold reduction runs from a worklist.  Deleting u shrinks only the
+neighborhoods of u's neighbors, and takes u away as a fold target, so
+only those neighbors can gain a fold; a vertex tested without one keeps
+having none.  Each deletion therefore requeues u's remaining neighbors
+and nothing else, and the work is one test per vertex plus one per
+neighbor of a deleted vertex, not a rescan of the graph per fold.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import chain, combinations
 
 
 class Graph:
@@ -139,25 +147,24 @@ def is_connected(g):
     return g.num_vertices <= 1 or len(connected_components(g)) == 1
 
 
-def _next_fold(adj, start):
-    """Smallest fold pair (u, v) with u >= start, or None.
+def _fold_targets(adj, u):
+    """The vertices v != u with N(u) contained in N(v): the one fold rule.
 
     adj[x] is the neighbor set of x, or None once x is deleted.  Every v
     with a nonempty N(u) contained in N(v) is adjacent to each vertex of
-    N(u), so only the neighbors of one of them are tested.
+    N(u), so only the neighbors of one of them are tested.  An empty N(u)
+    lies in the neighborhood of every other live vertex; the search for
+    one starts at u + 1 and then wraps below u, because fold_reduce pops
+    an isolated u before any larger vertex, so all of those are still
+    live, while the vertices below u may be deleted.  Lazy, so a caller
+    that asks only whether u folds stops at the first target.
     """
-    for u in range(start, len(adj)):
-        nu = adj[u]
-        if nu is None:
-            continue
-        if nu:
-            w = next(iter(nu))
-            v = min((v for v in adj[w] if v != u and adj[v] >= nu), default=None)
-        else:
-            v = next((v for v, nv in enumerate(adj) if v != u and nv is not None), None)
-        if v is not None:
-            return (u, v)
-    return None
+    nu = adj[u]
+    if nu:
+        w = next(iter(nu))
+        return (v for v in adj[w] if v != u and adj[v] >= nu)
+    others = chain(range(u + 1, len(adj)), range(u))
+    return (v for v in others if adj[v] is not None)
 
 
 def find_fold(g):
@@ -167,7 +174,12 @@ def find_fold(g):
     When N(u) == N(v) the smaller vertex is the one reported for deletion.
     An isolated u folds onto the smallest other vertex.
     """
-    return _next_fold([set(ns) for ns in g._adj], 0)
+    adj = [set(ns) for ns in g._adj]
+    for u in range(len(adj)):
+        v = min(_fold_targets(adj, u), default=None)
+        if v is not None:
+            return (u, v)
+    return None
 
 
 def induced_subgraph(g, vertices):
@@ -187,18 +199,30 @@ def fold_reduce(g):
 
     The neighborhood complex of the result is homotopy equivalent to the
     neighborhood complex of the input.  Deterministic: each round deletes
-    the u of the lexicographically smallest fold pair.  Vertices keep
-    their labels until the end, so after deleting u the scan resumes at
-    the smallest of u and its neighbors: only a neighbor of u can gain a
-    fold, and no smaller vertex had one.
+    the u of the lexicographically smallest fold pair, as a loop around
+    ``find_fold`` would.  Vertices keep their labels until the end.
+
+    A min-heap holds the vertices that may have a fold, at first all of
+    them.  The smallest is popped and tested: without a fold it is
+    dropped, with one it is deleted and each remaining neighbor not yet
+    queued is pushed back.  Only a neighbor of a deleted vertex can gain a
+    fold, so every live vertex off the heap has none, and the popped
+    vertex is the smallest that folds.  A neighbor smaller than u goes
+    back below it.
     """
     adj = [set(ns) for ns in g._adj]
-    start = 0
-    while (pair := _next_fold(adj, start)) is not None:
-        u = pair[0]
+    heap = list(range(len(adj)))  # sorted, so already a heap
+    queued = [True] * len(adj)
+    while heap:
+        u = heappop(heap)
+        queued[u] = False
+        if next(_fold_targets(adj, u), None) is None:
+            continue
         for w in adj[u]:
             adj[w].discard(u)
-        start = min(adj[u] | {u})
+            if not queued[w]:
+                queued[w] = True
+                heappush(heap, w)
         adj[u] = None
     return induced_subgraph(g, [v for v, nv in enumerate(adj) if nv is not None])
 

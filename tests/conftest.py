@@ -1,6 +1,7 @@
 """Shared fixtures: standard complexes with known topology, seeded
 generating families, the inputs verify produces, and reference helpers."""
 
+import pathlib
 import random
 
 import pytest
@@ -171,6 +172,15 @@ def reference_component_vertex_sets(maximal):
     return sorted(groups.values(), key=min)
 
 
+@pytest.fixture
+def run(monkeypatch):
+    """The benchmark's perfbench/run.py, imported and never modified."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import run
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def pipeline_inputs():
     """What verify hands to the complex, collapse and surface layers.
@@ -191,10 +201,10 @@ def pipeline_inputs():
     collapse = classify.collapse_core
     surface = classify.classify_surface
 
-    def record_init(self, simplices):
+    def record_init(self, simplices, **kwargs):
         simplices = list(simplices)
-        families.append(simplices)
-        init(self, simplices)
+        families.append((simplices, kwargs.get("antichain", False)))
+        init(self, simplices, **kwargs)
 
     def record_collapse(k, strategy="generic", circulant=None):
         trace = collapse(k, strategy=strategy, circulant=circulant)

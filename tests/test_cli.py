@@ -331,9 +331,9 @@ class TestExportComplex:
         expected = neighborhood_complex(fold_reduce(circulant(n, (s, t))))
         builds = []
 
-        def counting(g):
+        def counting(g, **kwargs):
             builds.append(g)
-            return neighborhood_complex(g)
+            return neighborhood_complex(g, **kwargs)
 
         monkeypatch.setattr(classify, "neighborhood_complex", counting)
         monkeypatch.setattr(cli, "neighborhood_complex", counting)

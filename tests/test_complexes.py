@@ -203,8 +203,8 @@ def reference_cofaces(maximal, d):
     }
 
 
-def check_against_references(family, rng):
-    k = SimplicialComplex(family)
+def check_against_references(family, rng, antichain=False):
+    k = SimplicialComplex(family, antichain=antichain)
     maximal = reference_maximal(family)
     assert k.maximal_simplices == maximal
     top = max((len(m) for m in maximal), default=0) - 1
@@ -250,8 +250,15 @@ class TestIncidenceIndexMatchesReferences:
 
     def test_pipeline_families(self, pipeline_inputs):
         rng = random.Random(1)
-        for family in pipeline_inputs["families"]:
-            check_against_references(family, rng)
+        for family, antichain in pipeline_inputs["families"]:
+            check_against_references(family, rng, antichain)
+
+    def test_pipeline_trusts_only_sorted_antichains(self, pipeline_inputs):
+        trusted = [f for f, antichain in pipeline_inputs["families"] if antichain]
+        assert trusted
+        for family in trusted:
+            assert all(isinstance(s, tuple) and list(s) == sorted(set(s)) for s in family)
+            assert sorted(family) == list(reference_maximal(family))
 
     def test_empty_complex(self):
         k = SimplicialComplex([(), []])
@@ -260,3 +267,40 @@ class TestIncidenceIndexMatchesReferences:
         assert not k.has_face((0,))
         assert k.components() == []
         assert not k.is_connected()
+
+
+def random_antichain(seed):
+    """Seeded antichain of sorted tuples in shuffled order: the maximal
+    simplices of a random generating family."""
+    rng = random.Random(seed)
+    family = list(reference_maximal(random_family(seed)))
+    rng.shuffle(family)
+    return family
+
+
+class TestTrustedAntichain:
+    FAMILIES = [[], [(0,)], [(3, 5, 7), (0, 1), (1, 5), (2,)]] + [
+        random_antichain(seed) for seed in range(300)
+    ]
+
+    def test_sample_covers_the_edge_cases(self):
+        dims = [{len(s) for s in f} for f in self.FAMILIES]
+        assert any(not d for d in dims)
+        assert any(f == [(0,)] for f in self.FAMILIES)
+        assert any(len(d) > 1 for d in dims)
+        assert any(list(f) != sorted(f) for f in self.FAMILIES)
+
+    def test_matches_the_filtering_constructor(self):
+        for i, family in enumerate(self.FAMILIES):
+            trusted = SimplicialComplex(family, antichain=True)
+            k = SimplicialComplex(family)
+            assert trusted == k and hash(trusted) == hash(k), i
+            assert trusted.maximal_simplices == k.maximal_simplices, i
+            assert trusted.dim() == k.dim(), i
+            assert trusted.vertices() == k.vertices(), i
+            for d in range(-1, k.dim() + 2):
+                assert trusted.faces(d) == k.faces(d), (i, d)
+                assert trusted.cofaces(d) == k.cofaces(d), (i, d)
+            assert trusted.components() == k.components(), i
+            for v in k.vertices():
+                assert set(trusted.star(v)) == set(k.star(v)), (i, v)

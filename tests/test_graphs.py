@@ -145,11 +145,10 @@ class TestFolds:
 
 def brute_force_find_fold(g):
     """Reference fold search: every ordered pair, lexicographically."""
-    n = g.num_vertices
-    for u in range(n):
-        nu = set(g.neighborhood(u))
-        for v in range(n):
-            if v != u and nu <= set(g.neighborhood(v)):
+    nbrs = [set(g.neighborhood(v)) for v in g.vertices()]
+    for u, nu in enumerate(nbrs):
+        for v, nv in enumerate(nbrs):
+            if v != u and nu <= nv:
                 return (u, v)
     return None
 
@@ -188,6 +187,33 @@ def reference_fold_reduce(g):
     return g
 
 
+def reference_fold_order(g):
+    """Vertices that reference_fold_reduce deletes, in order, by their
+    labels in g."""
+    nbrs = {v: set(g.neighborhood(v)) for v in g.vertices()}
+    order = []
+    while True:
+        u = next(
+            (u for u in nbrs if any(v != u and nbrs[u] <= nbrs[v] for v in nbrs)), None
+        )
+        if u is None:
+            return order
+        for w in nbrs.pop(u):
+            nbrs[w].discard(u)
+        order.append(u)
+
+
+def steps_back(g):
+    order = reference_fold_order(g)
+    return any(b < a for a, b in zip(order, order[1:]))
+
+
+def random_graphs():
+    return [random_fold_graph(seed) for seed in range(300)] + [
+        random_sparse_graph(seed) for seed in range(40)
+    ]
+
+
 class TestFindFoldMatchesBruteForce:
     def test_random_graphs(self):
         for seed in range(300):
@@ -207,10 +233,61 @@ class TestFindFoldMatchesBruteForce:
         )
 
     def test_fold_reduce_matches_rebuild_loop(self):
-        graphs = [random_fold_graph(seed) for seed in range(300)]
-        graphs += [random_sparse_graph(seed) for seed in range(40)]
-        for i, g in enumerate(graphs):
+        for i, g in enumerate(random_graphs()):
             assert fold_reduce(g) == reference_fold_reduce(g), i
+
+    def test_generator_steps_back_below_a_deleted_vertex(self):
+        # Deleting u makes a smaller neighbor foldable: the fold order
+        # descends, so the worklist has to go back below u.
+        assert any(steps_back(g) for g in random_graphs())
+
+    def test_fold_reduce_matches_on_the_benchmark_pools(self, run):
+        for seed in range(3):
+            for i, g in enumerate(run.graph_pool(run.FULL, seed)):
+                assert fold_reduce(g) == reference_fold_reduce(g), (seed, i)
+
+    def test_deletion_reenables_a_smaller_neighbor(self):
+        # The path 2 - 0 - 1 - 3 - 4: vertex 0 has no fold until the leaf 2
+        # folds onto 1, after which N(0) = {1} lies in N(3).  A search that
+        # never went back below 2 would fold 4 next and stop at a path.
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (3, 4)])
+        assert find_fold(g) == (2, 1)
+        assert reference_fold_order(g) == [2, 0, 1]
+        assert fold_reduce(g) == reference_fold_reduce(g) == Graph(2, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(5),
+            Graph(6, [(2, 4)]),
+            Graph(7, [(1, 3), (3, 5), (5, 1)]),
+            Graph(6, [(4, 5), (0, 5)]),
+        ],
+    )
+    def test_isolated_vertices(self, g):
+        assert fold_reduce(g) == reference_fold_reduce(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            circulant(6, (1, 3)),
+            Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+            Graph(6, [(0, 5), (1, 5), (2, 5), (3, 4)]),
+        ],
+    )
+    def test_twins(self, g):
+        assert fold_reduce(g) == reference_fold_reduce(g)
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_long_path(self, relabel):
+        # Each deletion turns the next vertex into a foldable leaf.
+        m = 60
+        label = list(range(m))
+        if relabel:
+            random.Random(m).shuffle(label)
+        g = Graph(m, [(label[i], label[i + 1]) for i in range(m - 1)])
+        assert len(reference_fold_order(g)) == m - 2
+        assert fold_reduce(g) == reference_fold_reduce(g) == Graph(2, [(0, 1)])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_edgeless(self, n):

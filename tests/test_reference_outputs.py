@@ -8,20 +8,10 @@ from these references, and this check shows it in the test suite first.
 
 import pathlib
 
-import pytest
-
 from nctopo.classify import analyze_graph
 from nctopo.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture
-def run(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import run
-
-    return run
 
 
 def test_sweep_csv_matches_the_reference(tmp_path):
