@@ -233,7 +233,7 @@ def _check_component(shape, comp, h, sr):
             "component is neither a circle core nor a homology 3-sphere profile",
         ),
         "S3": (b == (1, 0, 0, 1), f"betti {b} differs from (1, 0, 0, 1)"),
-        "S2vS2": (d == 2 and b == (1, 0, 2), f"betti {b} differs from (1, 0, 2)"),
+        "S2vS2": (b == (1, 0, 2), f"betti {b} differs from (1, 0, 2)"),
         "tetra-sphere": (
             b == (1, 0, 1) and sr.classification == "sphere" and _is_tetrahedron_boundary(comp),
             "component is not a tetrahedron boundary sphere",
@@ -317,6 +317,26 @@ def _is_excluded(g):
     )
 
 
+# Cap on the face count bound of a neighborhood complex.  Every 4-regular
+# circulant on at most MAX_VERTEX_LABEL + 1 vertices stays below it
+# (15 * 100001 faces); the complete graph K_17 is admitted and K_18 not.
+MAX_COMPLEX_FACES = 1 << 21
+
+
+def _check_face_bound(g):
+    """Raise ValueError when N(g) may have more than MAX_COMPLEX_FACES faces.
+
+    Every face of N(g) lies in some N(v), which has 2^deg(v) - 1 nonempty
+    subsets, so their sum bounds the face count.
+    """
+    bound = sum((1 << g.degree(v)) - 1 for v in g.vertices())
+    if bound > MAX_COMPLEX_FACES:
+        raise ValueError(
+            f"the neighborhood complex may have {bound} faces, "
+            f"above the cap of {MAX_COMPLEX_FACES}"
+        )
+
+
 def reduce_to_core(g, params=None):
     """Fold, build and collapse g; returns (graph, complex, trace).
 
@@ -326,11 +346,15 @@ def reduce_to_core(g, params=None):
     folds relabel vertices, after which the closed-form schedules no
     longer address the right simplices.  Either way the graph whose
     complex is built is fold-free, so its neighborhoods are built unfiltered.
+    Before the complex is built, a graph whose face count bound exceeds
+    MAX_COMPLEX_FACES is rejected with ValueError.
     """
     if params is not None and find_fold(g) is None:
+        _check_face_bound(g)
         k = neighborhood_complex(g, fold_free=True)
         return g, k, collapse_core(k, strategy="circulant", circulant=params)
     g = fold_reduce(g)
+    _check_face_bound(g)
     k = neighborhood_complex(g, fold_free=True)
     return g, k, collapse_core(k, strategy="generic")
 

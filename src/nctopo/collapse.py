@@ -7,7 +7,14 @@ simplices are exactly the sets tau minus one vertex of sigma; a candidate
 that is contained in another maximal simplex is absorbed instead.
 
 The generic strategy takes free faces from a lazily validated heap over a
-face -> cofaces map, never from a rescan of every face.  The circulant
+face -> cofaces map, never from a rescan of every face.  One collapse
+walks the proper faces of tau once and swaps tau, in each face's coface
+set, for the kept candidates that strictly contain the face; a candidate
+is kept iff tau is its only maximal coface.  The heap starts with one
+entry per maximal simplex, its smallest free face: a face free in tau
+stays free while tau is maximal, because every simplex added later lies
+in the simplex just removed, so a smaller free face can only appear by a
+push.  The circulant
 strategy first tries the closed-form pair schedules that exist for
 two-generator circulant graphs (an edge schedule in two mirrored forms,
 plus a free-triangle schedule for two special parameter families).  A
@@ -43,70 +50,81 @@ class CongruenceError(CollapseError):
         )
 
 
-def _proper_faces(simplex):
-    for r in range(1, len(simplex)):
-        yield from combinations(simplex, r)
-
-
 class _Engine:
     """Mutable maximal-simplex set with a face -> cofaces map for collapsing.
 
-    Free faces wait in a heap of (-len(tau), sigma, tau) entries, built on
-    the first find_free_generic call and pushed to whenever a face is left
-    with a single coface; an entry whose face lost that coface is dropped
-    when it reaches the top (Benedetti and Lutz's free-face list).
+    Free faces wait in a heap of (-len(tau), sigma, tau) entries, so the
+    top valid entry is the pair the generic strategy takes next (Benedetti
+    and Lutz's free-face list); an entry whose tau is no longer maximal is
+    dropped when it reaches the top.  The heap starts with one entry per
+    maximal simplex, its lexicographically smallest free face.  That is
+    enough: a face that is free in tau stays free while tau is maximal,
+    since every simplex added later lies in the simplex just removed, so a
+    simplex's smallest free face only goes down, and only by a push.
+
+    collapse(sigma, tau) walks the proper faces of tau once.  A candidate
+    tau - x (x in sigma) is kept iff tau is its only maximal coface, and in
+    each face's coface set tau is swapped for the kept candidates that
+    strictly contain the face.  Every proper face of a kept candidate is a
+    proper face of tau, so no face is new, and a face is pushed when its
+    final coface set has a single element.
     """
 
     def __init__(self, maximal):
         self.maximal = set(maximal)
-        self.cofaces = {}
-        self.heap = None
+        self.cofaces = cofaces = {}
         for m in self.maximal:
-            self._register(m)
-
-    def _register(self, m):
-        for f in _proper_faces(m):
-            cfs = self.cofaces.get(f)
-            if cfs is None:
-                self.cofaces[f] = {m}
-                if self.heap is not None:
-                    heappush(self.heap, (-len(m), f, m))
-            else:
-                cfs.add(m)
+            for r in range(1, len(m)):
+                for f in combinations(m, r):
+                    cfs = cofaces.get(f)
+                    if cfs is None:
+                        cofaces[f] = {m}
+                    else:
+                        cfs.add(m)
+        smallest = {}
+        for f, cfs in cofaces.items():
+            if len(cfs) == 1:
+                (m,) = cfs
+                g = smallest.get(m)
+                if g is None or f < g:
+                    smallest[m] = f
+        self.heap = [(-len(m), f, m) for m, f in smallest.items()]
+        heapify(self.heap)
 
     def collapse(self, sigma, tau):
-        self.maximal.remove(tau)
         cofaces, heap = self.cofaces, self.heap
-        for f in _proper_faces(tau):
-            cfs = cofaces[f]
-            cfs.discard(tau)
-            if not cfs:
-                del cofaces[f]
-            elif heap is not None and len(cfs) == 1:
-                (m,) = cfs
-                heappush(heap, (-len(m), f, m))
+        self.maximal.remove(tau)
+        kept = []
         for x in sigma:
-            cand = tuple(v for v in tau if v != x)
+            i = tau.index(x)
+            cand = tau[:i] + tau[i + 1 :]
             # A candidate contained in another maximal simplex is absorbed.
-            if cand and cand not in self.cofaces:
+            if len(cofaces[cand]) == 1:
                 self.maximal.add(cand)
-                self._register(cand)
-
-    def _build_heap(self):
-        self.heap = [
-            (-len(m), f, m) for f, cfs in self.cofaces.items() if len(cfs) == 1 for m in cfs
-        ]
-        heapify(self.heap)
+                kept.append((x, cand))
+        # A face of tau smaller than a ridge lies in tau - x iff x is not
+        # in it, and then strictly; a ridge lies strictly in no candidate.
+        top = len(tau) - 1
+        for r in range(1, len(tau)):
+            for f in combinations(tau, r):
+                cfs = cofaces[f]
+                cfs.remove(tau)
+                if r < top:
+                    for x, cand in kept:
+                        if x not in f:
+                            cfs.add(cand)
+                if len(cfs) == 1:
+                    (m,) = cfs
+                    heappush(heap, (-len(m), f, m))
+                elif not cfs:
+                    del cofaces[f]
 
     def find_free_generic(self):
         """Free pair with highest-dimension coface, ties by smallest face."""
-        if self.heap is None:
-            self._build_heap()
-        heap = self.heap
+        heap, maximal = self.heap, self.maximal
         while heap:
             _, sigma, tau = heap[0]
-            cfs = self.cofaces.get(sigma)
-            if cfs is not None and len(cfs) == 1 and tau in cfs:
+            if tau in maximal:
                 return sigma, tau
             heappop(heap)
         return None

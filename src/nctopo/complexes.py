@@ -15,20 +15,23 @@ from itertools import combinations
 class SimplicialComplex:
     """Immutable simplicial complex given by maximal simplices.
 
-    It keeps three indices, each built once:
+    It keeps four indices, each built once:
 
     - ``star(v)``, the maximal simplices through vertex v, built by the
       constructor; containment, link and connectivity queries read it
       instead of scanning every maximal simplex;
     - ``faces(d)``, the sorted d-faces;
     - ``cofaces(d)``, each (d-1)-face of a d-face -> the sorted d-faces
-      through it, read by surface recognition and garland piece detection.
+      through it, read by surface recognition and garland piece detection;
+    - the component root of each vertex, read by ``components()`` and
+      ``is_connected()``.
 
-    The last two are built on first use per dimension; each cache write is
-    a single dict assignment, so concurrent readers are safe under the GIL.
+    The last three are built on first use (faces and cofaces per
+    dimension); each cache write is a single assignment, so concurrent
+    readers are safe under the GIL.
     """
 
-    __slots__ = ("_maximal", "_dim", "_faces", "_cofaces", "_star")
+    __slots__ = ("_maximal", "_dim", "_faces", "_cofaces", "_star", "_roots")
 
     def __init__(self, simplices, antichain=False):
         """Complex generated by simplices.
@@ -64,6 +67,7 @@ class SimplicialComplex:
         self._dim = max(map(len, kept), default=0) - 1
         self._faces = {}
         self._cofaces = {}
+        self._roots = None
 
     @property
     def maximal_simplices(self):
@@ -139,7 +143,12 @@ class SimplicialComplex:
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
 
     def _component_roots(self):
-        """Map each vertex to the smallest vertex of its connected component."""
+        """Map each vertex to the smallest vertex of its connected component.
+
+        Built on first use and kept, as the complex is immutable.
+        """
+        if self._roots is not None:
+            return self._roots
         root = {}
         for v in sorted(self._star):
             if v in root:
@@ -152,6 +161,7 @@ class SimplicialComplex:
                         if w not in root:
                             root[w] = v
                             stack.append(w)
+        self._roots = root
         return root
 
     def is_connected(self):

@@ -18,6 +18,7 @@ from nctopo.classify import (
 )
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import (
+    MAX_VERTEX_LABEL,
     Graph,
     circulant,
     complete_graph,
@@ -376,6 +377,54 @@ class TestReduceToCore:
         assert len(fold_searches) == 1
 
 
+class TestFaceBound:
+    """reduce_to_core refuses a graph whose complex may exceed the face cap."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Stop reduce_to_core where it would build the complex."""
+
+        class Built(Exception):
+            pass
+
+        def stop(g, fold_free=False):
+            raise Built
+
+        monkeypatch.setattr(classify, "neighborhood_complex", stop)
+        return Built
+
+    def test_complete_graphs_on_both_sides_of_the_cap(self, built):
+        assert 17 * (2**16 - 1) <= classify.MAX_COMPLEX_FACES < 18 * (2**17 - 1)
+        with pytest.raises(built):
+            reduce_to_core(complete_graph(17))
+        with pytest.raises(ValueError, match="above the cap of 2097152"):
+            reduce_to_core(complete_graph(18))
+
+    def test_circulant_branch_is_checked(self, built):
+        # K_18 is the circulant on every generator, and it has no fold.
+        g = circulant(18, range(1, 10))
+        assert g == complete_graph(18) and find_fold(g) is None
+        with pytest.raises(ValueError, match="above the cap"):
+            reduce_to_core(g, (18, 1, 2))
+
+    def test_largest_circulant_is_admitted(self):
+        n = MAX_VERTEX_LABEL + 1
+        classify._check_face_bound(circulant(n, (1, 2)))
+        assert 15 * n <= classify.MAX_COMPLEX_FACES
+
+    def test_cap_applies_after_folds(self):
+        # A star with 22 leaves: its centre's neighborhood alone has 2^22 - 1
+        # subsets, but the leaves fold onto one and leave a single edge,
+        # whose complex is two points.
+        star = Graph(23, [(0, leaf) for leaf in range(1, 23)])
+        with pytest.raises(ValueError, match="above the cap"):
+            classify._check_face_bound(star)
+        graph, _, trace = reduce_to_core(star)
+        assert graph.num_vertices == 2
+        assert trace.core.maximal_simplices == ((0,), (1,))
+        assert analyze_graph(star)["verdict"] is None
+
+
 def _genus2_surface():
     """Connected sum of two 7-vertex tori: both lose triangle (0, 1, 3)
     and are glued along its boundary; 11 vertices, chi = -2."""
@@ -445,6 +494,18 @@ class TestRefusals:
     def test_tetra_sphere(self, solid_triangle, tetra_boundary):
         assert _graded(tetra_boundary, "tetra-sphere") == ("pass", "")
         assert _graded(solid_triangle, "tetra-sphere") == (
+            "fail",
+            "component is not a tetrahedron boundary sphere",
+        )
+
+    def test_octahedron_is_not_a_tetra_sphere(self):
+        """A 2-sphere with the right Betti numbers and surface report that
+        is not the boundary of a tetrahedron."""
+        octahedron = SimplicialComplex(
+            [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+        )
+        assert classify_surface(octahedron).classification == "sphere"
+        assert _graded(octahedron, "tetra-sphere") == (
             "fail",
             "component is not a tetrahedron boundary sphere",
         )

@@ -403,6 +403,18 @@ class TestCirculantSizeBound:
             _parse_range(f"5..{MAX_VERTEX_LABEL + 2}")
 
 
+class TestFaceBound:
+    def test_complete_graph_above_the_cap_rejected(self, capsys, tmp_path):
+        path = tmp_path / "k18.edges"
+        path.write_text("".join(f"{u} {v}\n" for u in range(18) for v in range(u + 1, 18)))
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "analyze", "--graph", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert f"above the cap of {classify.MAX_COMPLEX_FACES}" in err
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         import importlib

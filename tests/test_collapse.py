@@ -458,6 +458,75 @@ class TestEngineMatchesReference:
         assert pairs > 500
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perfbench_graph_pools(self, run, monkeypatch, seed):
+        calls = []
+
+        def recording(k, strategy="generic", circulant=None):
+            calls.append((k, strategy, circulant))
+            return collapse_core(k, strategy, circulant)
+
+        monkeypatch.setattr(classify, "collapse_core", recording)
+        pool = run.graph_pool(run.FULL, seed)
+        for g in pool:
+            classify.analyze_graph(g)
+        assert len(calls) == len(pool)
+        pairs = sum(len(assert_matches_reference(*call).pairs) for call in calls)
+        assert pairs > 1000
+
+
+def assert_engine_matches_fresh(eng):
+    """The engine's maximal set, face map and next pair are those of an
+    engine built from scratch on the complex it now holds."""
+    fresh = ReferenceEngine(SimplicialComplex(eng.maximal))
+    assert eng.maximal == fresh.maximal
+    assert eng.cofaces == fresh.cofaces
+    assert eng.find_free_generic() == fresh.find_free_generic()
+
+
+class TestEngineSwap:
+    """One collapse swaps tau for its kept candidates in each face's
+    coface set; the state must equal a fresh engine's on the result."""
+
+    def collapsed(self, maximal, sigma, tau):
+        k = SimplicialComplex(maximal)
+        assert verify_collapsible_pair(k, sigma, tau)
+        eng = _Engine(k.maximal_simplices)
+        eng.collapse(sigma, tau)
+        assert SimplicialComplex(eng.maximal) == collapse_step(k, (sigma, tau))
+        assert_engine_matches_fresh(eng)
+        return eng
+
+    def test_edge_in_tetrahedron_one_candidate_absorbed(self):
+        # tau - 0 = (1, 2, 3) lies in (1, 2, 3, 4) and is absorbed;
+        # tau - 1 = (0, 2, 3) is kept.
+        eng = self.collapsed([(0, 1, 2, 3), (1, 2, 3, 4)], (0, 1), (0, 1, 2, 3))
+        assert eng.maximal == {(0, 2, 3), (1, 2, 3, 4)}
+        assert eng.cofaces[(2, 3)] == {(0, 2, 3), (1, 2, 3, 4)}
+        assert (0, 2, 3) not in eng.cofaces
+
+    def test_vertex_sigma_keeps_its_one_candidate(self):
+        eng = self.collapsed([(0, 1, 2, 3)], (0,), (0, 1, 2, 3))
+        assert eng.maximal == {(1, 2, 3)}
+        assert set(eng.cofaces) == {(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)}
+
+    def test_candidate_absorbed_below_the_top_dimension(self):
+        # The triangles are maximal below the tetrahedron's dimension;
+        # collapsing (4,) out of (4, 5, 6) leaves (5, 6), which lies in the
+        # triangle (5, 6, 7), so nothing is kept and tau is only removed.
+        eng = self.collapsed([(0, 1, 2, 3), (4, 5, 6), (5, 6, 7)], (4,), (4, 5, 6))
+        assert eng.maximal == {(0, 1, 2, 3), (5, 6, 7)}
+        assert eng.cofaces[(5, 6)] == {(5, 6, 7)}
+        assert (4,) not in eng.cofaces
+
+    def test_whole_runs_match_fresh_engines(self):
+        for seed in range(60):
+            eng = _Engine(SimplicialComplex(random_family(seed)).maximal_simplices)
+            while (pair := eng.find_free_generic()) is not None:
+                eng.collapse(*pair)
+                assert_engine_matches_fresh(eng)
+
+
 class TestEngineBuilds:
     @pytest.fixture
     def builds(self, monkeypatch):
