@@ -1,31 +1,23 @@
-"""Time the collapse, complex, surface, fold, Smith and homology stages on
-the inputs the pipeline sees.
+"""Time the pipeline's stages on the inputs the pipeline hands them.
 
-Inputs are recorded by wrapping ``collapse_core`` and ``fold_reduce`` in
-``nctopo.classify``, ``nctopo._kernels.snf_diagonal`` and
-``SimplicialComplex.__init__`` while the pipeline runs: the
-``(complex, strategy, circulant)`` arguments of every collapse, the
-collapsed cores, the graphs handed to fold reduction, the core boundary
-matrices handed to the Smith kernel and the positional and keyword
-arguments of every complex built, for the torus case
-I4C at n = 80, 160 and 320 (``verify(n, 1, 4)``), for all 571 instances
-of the n = 5..25 sweep, and for ``analyze_graph`` on the benchmark's
-graph pool at seed 0 (generated by ``perfbench/run.py``, imported and not
-modified).  For each workload the script times one pass, best of three,
-of
+``record(run)`` wraps the stage entries while ``run()`` runs and returns
+what each was given; the test fixture ``pipeline_inputs`` records with it
+too.  Recorded here: the torus case I4C at n = 80, 160 and 320
+(``verify(n, 1, 4)``), all 571 instances of the n = 5..25 sweep, and
+``analyze_graph`` on the benchmark's graph pool at seed 0 (generated by
+``perfbench/run.py``, imported and not modified).
 
-- ``collapse_core`` on every recorded argument triple;
-- construction: every recorded ``SimplicialComplex(...)`` call replayed
-  with its own arguments, so each checkout times the calls its own
-  pipeline makes;
-- normalization: ``SimplicialComplex(core.maximal_simplices)``;
-- ``core.components()``, on a fresh copy of each core per pass, since a
-  complex keeps its component map once it is built;
-- ``classify_surface`` on every component of every core;
-- ``fold_reduce`` on every recorded graph;
-- ``_kernels.snf_diagonal`` on every recorded matrix;
-- ``homology`` on every core: boundary build, Smith kernel and GF(2)
-  ranks together.
+Each stage in ``STAGES`` is timed as one pass over its recorded inputs,
+best of three.  ``collapse_core``, ``fold_reduce`` and ``snf``
+(``_kernels.snf_diagonal``) get their recorded arguments; ``construct``
+replays every recorded ``SimplicialComplex(...)`` call, so each checkout
+times the calls its own pipeline makes.  The other three run as the
+pipeline runs them: each pass first rebuilds every collapsed core outside
+the clock, then times ``components`` on the fresh cores and ``homology``
+and ``classify_surface`` on their components, in that order.  So no pass
+reads a cache an earlier pass filled: ``homology`` pays for enumerating
+faces, and ``classify_surface`` reads the faces ``homology`` enumerated,
+as in ``classify._measure``.
 
 Each run is appended under ``--label`` in ``BENCH_stages.json``, next to
 the entries of other checkouts, with machine and Python metadata, and the
@@ -56,13 +48,10 @@ from nctopo import SimplicialComplex, _kernels, classify, homology
 from nctopo.cli import admissible_triples
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from run import FULL, graph_pool  # noqa: E402
 
 STAGES = (
     "collapse_core",
     "construct",
-    "normalize",
     "components",
     "classify_surface",
     "fold_reduce",
@@ -75,82 +64,116 @@ ABOUT = (
     "every run made under it in its runs list, and its stages are the "
     "per-stage medians over them; each checkout gets a label of its own, "
     "and checkouts are alternated run by run so that machine drift falls "
-    "on both alike. Older labels hold one run each; those ending in /pure "
-    "or /compiled name the kernel backend of the time. The gate entries "
-    "are end-to-end sweep and torus seconds, pure against the compiled "
-    "kernel backend that has since been removed, best of the alternating "
-    "rounds, with every round's sweep seconds; the script no longer "
-    "writes them"
+    "on both alike. Labels up to 5306d6c-warm-caches timed homology and "
+    "classify_surface on cores whose face caches an earlier pass had filled "
+    "and had a normalize stage, so their homology figures are not comparable "
+    "with later labels. Older labels hold one run each; those ending in "
+    "/pure or /compiled name the kernel backend of the time. The gate "
+    "entries are end-to-end sweep and torus seconds, pure against the "
+    "compiled kernel backend that has since been removed, best of the "
+    "alternating rounds, with every round's sweep seconds; the script no "
+    "longer writes them"
 )
 
 
-def _record(run):
-    """Collapse arguments, cores, fold inputs, Smith inputs and complex
-    constructor arguments that the pipeline produces while run() runs."""
-    calls, cores, graphs, mats, builds = [], [], [], [], []
-    collapse, fold, snf = classify.collapse_core, classify.fold_reduce, _kernels.snf_diagonal
-    init = SimplicialComplex.__init__
+def record(run):
+    """Call run() and return what the pipeline handed its stages meanwhile.
 
-    def record_collapse(k, strategy="generic", circulant=None):
-        calls.append((k, strategy, circulant))
-        trace = collapse(k, strategy=strategy, circulant=circulant)
-        cores.append(trace.core)
-        return trace
-
-    def record_fold(g):
-        graphs.append(g)
-        return fold(g)
-
-    def record_snf(mat):
-        mats.append(mat)
-        return snf(mat)
+    The dict holds, in call order: ``builds``, the ``(args, kwargs)`` of
+    every ``SimplicialComplex(...)`` call, with the generating family
+    materialised as a list; ``collapses``, the ``((complex, strategy,
+    circulant), trace)`` of every ``collapse_core`` call; ``folds``, the
+    graphs handed to ``fold_reduce``; ``snf``, the matrices handed to
+    ``_kernels.snf_diagonal``; and ``surfaces``, the complexes handed to
+    ``classify_surface``.  Every wrapped name is restored when run returns
+    or raises.
+    """
+    rec = {key: [] for key in ("builds", "collapses", "folds", "snf", "surfaces")}
+    init, collapse = SimplicialComplex.__init__, classify.collapse_core
 
     def record_init(self, simplices, *args, **kwargs):
         simplices = list(simplices)
-        builds.append(((simplices, *args), kwargs))
+        rec["builds"].append(((simplices, *args), kwargs))
         init(self, simplices, *args, **kwargs)
 
-    classify.collapse_core, classify.fold_reduce = record_collapse, record_fold
-    _kernels.snf_diagonal = record_snf
-    SimplicialComplex.__init__ = record_init
+    def record_collapse(k, strategy="generic", circulant=None):
+        trace = collapse(k, strategy=strategy, circulant=circulant)
+        rec["collapses"].append(((k, strategy, circulant), trace))
+        return trace
+
+    def record_argument(fn, key):
+        def wrapper(arg):
+            rec[key].append(arg)
+            return fn(arg)
+
+        return wrapper
+
+    patches = [
+        (SimplicialComplex, "__init__", record_init),
+        (classify, "collapse_core", record_collapse),
+        (classify, "fold_reduce", record_argument(classify.fold_reduce, "folds")),
+        (_kernels, "snf_diagonal", record_argument(_kernels.snf_diagonal, "snf")),
+        (classify, "classify_surface", record_argument(classify.classify_surface, "surfaces")),
+    ]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
+        for owner, name, wrapper in patches:
+            setattr(owner, name, wrapper)
         run()
     finally:
-        classify.collapse_core, classify.fold_reduce = collapse, fold
-        _kernels.snf_diagonal = snf
-        SimplicialComplex.__init__ = init
-    return calls, cores, graphs, mats, builds
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+    return rec
 
 
-def _best_of(fn, items, repeats=3, fresh=None):
-    """Best of three passes over items; None when there is nothing to time.
-
-    With fresh, each pass runs on fresh(item) for every item, made before
-    the clock starts.
-    """
+def _best_of(fn, items):
+    """Best of three passes over items; None when there is nothing to time."""
     if not items:
         return None
     best = None
-    for _ in range(repeats):
-        batch = items if fresh is None else [fresh(item) for item in items]
+    for _ in range(3):
         t0 = time.perf_counter()
-        for item in batch:
+        for item in items:
             fn(item)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
 
 
+def _core_stages(cores):
+    """Best of three passes of components, homology and classify_surface,
+    each pass on fresh copies of the cores, in pipeline order."""
+    best = dict.fromkeys(("components", "homology", "classify_surface"))
+    for _ in range(3):
+        fresh = [SimplicialComplex(c.maximal_simplices, antichain=True) for c in cores]
+        t0 = time.perf_counter()
+        comps = [comp for core in fresh for comp in core.components()]
+        t1 = time.perf_counter()
+        for comp in comps:
+            homology(comp)
+        t2 = time.perf_counter()
+        for comp in comps:
+            nctopo.classify_surface(comp)
+        t3 = time.perf_counter()
+        for stage, dt in zip(best, (t1 - t0, t2 - t1, t3 - t2)):
+            best[stage] = dt if best[stage] is None else min(best[stage], dt)
+        del fresh, comps  # freed here, not on the next pass's clock
+    return best
+
+
 def workloads():
+    """Recorded inputs per workload; perfbench/ must be on the path."""
+    from run import FULL, graph_pool
+
     out = {}
     for n in FULL.torus_sizes:
-        out[f"torus n={n}"] = _record(lambda n=n: classify.verify(n, 1, 4))
+        out[f"torus n={n}"] = record(lambda n=n: classify.verify(n, 1, 4))
     triples = admissible_triples(*FULL.sweep_range)
-    out[f"sweep n=5..25 ({len(triples)} instances)"] = _record(
+    out[f"sweep n=5..25 ({len(triples)} instances)"] = record(
         lambda: [classify.verify(*t) for t in triples]
     )
     pool = graph_pool(FULL, 0)
-    out[f"graphs seed 0 ({len(pool)} graphs)"] = _record(
+    out[f"graphs seed 0 ({len(pool)} graphs)"] = record(
         lambda: [classify.analyze_graph(g) for g in pool]
     )
     return out
@@ -158,27 +181,20 @@ def workloads():
 
 def measure():
     rows = {}
-    for name, (calls, cores, graphs, mats, builds) in workloads().items():
-        comps = [c for core in cores for c in core.components()]
+    for name, rec in workloads().items():
+        cores = [trace.core for _, trace in rec["collapses"]]
         rows[name] = {
             "cores": len(cores),
             "core_facets": sum(len(c.maximal_simplices) for c in cores),
-            "components": len(comps),
-            "graphs": len(graphs),
-            "snf_matrices": len(mats),
-            "constructions": len(builds),
-            "collapse_core_s": _best_of(lambda call: nctopo.collapse_core(*call), calls),
-            "construct_s": _best_of(lambda b: SimplicialComplex(*b[0], **b[1]), builds),
-            "normalize_s": _best_of(lambda c: SimplicialComplex(c.maximal_simplices), cores),
-            "components_s": _best_of(
-                SimplicialComplex.components,
-                cores,
-                fresh=lambda c: SimplicialComplex(c.maximal_simplices, antichain=True),
-            ),
-            "classify_surface_s": _best_of(nctopo.classify_surface, comps),
-            "fold_reduce_s": _best_of(nctopo.fold_reduce, graphs),
-            "snf_s": _best_of(_kernels.snf_diagonal, mats),
-            "homology_s": _best_of(homology, cores),
+            "components": len(rec["surfaces"]),
+            "graphs": len(rec["folds"]),
+            "snf_matrices": len(rec["snf"]),
+            "constructions": len(rec["builds"]),
+            "collapse_core_s": _best_of(lambda c: nctopo.collapse_core(*c[0]), rec["collapses"]),
+            "construct_s": _best_of(lambda b: SimplicialComplex(*b[0], **b[1]), rec["builds"]),
+            "fold_reduce_s": _best_of(nctopo.fold_reduce, rec["folds"]),
+            "snf_s": _best_of(_kernels.snf_diagonal, rec["snf"]),
+            **{stage + "_s": dt for stage, dt in _core_stages(cores).items()},
         }
     return rows
 
@@ -200,22 +216,14 @@ def _seconds(value):
     return "-" if value is None else f"{value:.4f}s"
 
 
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="entry name, e.g. parent")
     ap.add_argument("--out", default=str(ROOT / "BENCH_stages.json"))
     args = ap.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import cpu_model
+
     meta = {
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -184,8 +184,8 @@ def _cmd_sweep(args):
         raise ValueError(f"--workers must be 0 (one per CPU) or positive, got {args.workers}")
     lo, hi = _parse_range(args.range)
     tasks = admissible_triples(lo, hi)
-    workers = args.workers if args.workers else os.cpu_count() or 1
-    workers = max(1, min(workers, len(tasks) or 1))
+    cpus = os.cpu_count() or 1
+    workers = max(1, min(args.workers or cpus, cpus, len(tasks)))
 
     if workers == 1:
         reports = [verify(*nst) for nst in tasks]

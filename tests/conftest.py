@@ -1,6 +1,7 @@
 """Shared fixtures: standard complexes with known topology, seeded
 generating families, the inputs verify produces, and reference helpers."""
 
+import inspect
 import pathlib
 import random
 
@@ -10,6 +11,8 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from nctopo import SimplicialComplex
 from nctopo.graphs import Graph
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def oracle_invariant_factors(mat):
@@ -175,61 +178,48 @@ def reference_component_vertex_sets(maximal):
 @pytest.fixture
 def run(monkeypatch):
     """The benchmark's perfbench/run.py, imported and never modified."""
-    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import run
 
     return run
 
 
 @pytest.fixture(scope="session")
-def pipeline_inputs():
+def bench_stages():
+    """benchmarks/bench_stages.py, whose record() the stage benchmark and
+    pipeline_inputs share."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "benchmarks"))
+        import bench_stages
+
+    return bench_stages
+
+
+@pytest.fixture(scope="session")
+def pipeline_inputs(bench_stages):
     """What verify hands to the complex, collapse and surface layers.
 
-    Recorded on the torus case at n = 80 and 160 and on the n = 5..25
-    sweep instances with n + s + t divisible by 5, about a fifth of them,
-    chosen by a rule on the triple so that the sample does not move with
-    the sweep's loop order: the generating family of every
-    SimplicialComplex built, every (complex, collapse trace) pair, every
-    (complex, strategy, circulant) call of collapse_core, and every
-    component passed to classify_surface.
+    Recorded by bench_stages.record on the torus case at n = 80 and 160
+    and on the n = 5..25 sweep instances with n + s + t divisible by 5,
+    about a fifth of them, chosen by a rule on the triple so that the
+    sample does not move with the sweep's loop order: the generating
+    family of every SimplicialComplex built with its antichain flag, every
+    (complex, collapse trace) pair, every (complex, strategy, circulant)
+    call of collapse_core, and every component passed to classify_surface.
     """
     from nctopo import classify
     from nctopo.cli import admissible_triples
 
-    families, traces, calls, surfaces = [], [], [], []
-    init = SimplicialComplex.__init__
-    collapse = classify.collapse_core
-    surface = classify.classify_surface
-
-    def record_init(self, simplices, **kwargs):
-        simplices = list(simplices)
-        families.append((simplices, kwargs.get("antichain", False)))
-        init(self, simplices, **kwargs)
-
-    def record_collapse(k, strategy="generic", circulant=None):
-        trace = collapse(k, strategy=strategy, circulant=circulant)
-        traces.append((k, trace))
-        calls.append((k, strategy, circulant))
-        return trace
-
-    def record_surface(k):
-        surfaces.append(k)
-        return surface(k)
-
-    SimplicialComplex.__init__ = record_init
-    classify.collapse_core = record_collapse
-    classify.classify_surface = record_surface
-    try:
-        sample = [nst for nst in admissible_triples(5, 25) if sum(nst) % 5 == 0]
-        for n, s, t in [(80, 1, 4), (160, 1, 4)] + sample:
-            classify.verify(n, s, t)
-    finally:
-        SimplicialComplex.__init__ = init
-        classify.collapse_core = collapse
-        classify.classify_surface = surface
+    sample = [(80, 1, 4), (160, 1, 4)]
+    sample += [nst for nst in admissible_triples(5, 25) if sum(nst) % 5 == 0]
+    rec = bench_stages.record(lambda: [classify.verify(*nst) for nst in sample])
+    signature = inspect.signature(SimplicialComplex)
     return {
-        "families": families,
-        "traces": traces,
-        "collapse_calls": calls,
-        "surfaces": surfaces,
+        "families": [
+            (args[0], signature.bind(*args, **kwargs).arguments.get("antichain", False))
+            for args, kwargs in rec["builds"]
+        ],
+        "traces": [(call[0], trace) for call, trace in rec["collapses"]],
+        "collapse_calls": [call for call, _ in rec["collapses"]],
+        "surfaces": rec["surfaces"],
     }

@@ -1,0 +1,51 @@
+"""The stage benchmark's recorder must still wrap names the program has.
+
+benchmarks/bench_stages.py records the pipeline's stage inputs by
+wrapping SimplicialComplex.__init__ and names in nctopo.classify and
+nctopo._kernels.  benchmarks/ is not on the test path, so without this
+check a rename surfaces only when the benchmark runs.
+"""
+
+import pytest
+
+from nctopo import SimplicialComplex, _kernels, classify
+from nctopo.graphs import Graph
+
+WRAPPED = [
+    (SimplicialComplex, "__init__"),
+    (classify, "collapse_core"),
+    (classify, "fold_reduce"),
+    (_kernels, "snf_diagonal"),
+    (classify, "classify_surface"),
+]
+
+
+def current():
+    return [getattr(owner, name) for owner, name in WRAPPED]
+
+
+def run_pipeline():
+    """One circulant instance and one graph that folds: a path."""
+    return classify.verify(12, 1, 3), classify.analyze_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+
+
+def test_record_fills_every_list(bench_stages):
+    before = current()
+    recorded = []
+    rec = bench_stages.record(lambda: recorded.append(run_pipeline()))
+    assert set(rec) == {"builds", "collapses", "folds", "snf", "surfaces"}
+    assert all(rec.values())
+    assert all(now is then for now, then in zip(current(), before))
+    assert recorded == [run_pipeline()]
+
+
+def test_names_restored_when_run_raises(bench_stages):
+    before = current()
+
+    def failing():
+        run_pipeline()
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        bench_stages.record(failing)
+    assert all(now is then for now, then in zip(current(), before))

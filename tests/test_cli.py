@@ -288,6 +288,32 @@ class TestSweep:
         assert rc1 == rc3 == 0
         assert one.read_bytes() == many.read_bytes()
 
+    @pytest.mark.parametrize("workers, asked", [("3000", 2), ("0", 2), ("2", 2), ("1", None)])
+    def test_workers_bounded_by_cpu_count(self, capsys, monkeypatch, workers, asked):
+        """A fake pool records the count it is asked for and runs the
+        tasks in this process, so no worker is ever started."""
+        pools = []
+
+        class FakePool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks, chunksize=1):
+                return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "multiprocessing", type("mp", (), {"Pool": FakePool}))
+        rc, out, _ = run(capsys, "sweep", "--n", "5..8", "--workers", workers)
+        assert rc == 0
+        assert out.strip().splitlines()[-1] == "instances=13 pass=13 fail=0 notable=0"
+        assert pools == ([] if asked is None else [asked])
+
     @pytest.mark.parametrize("workers", ["-3", "-1"])
     def test_negative_workers_rejected(self, capsys, workers):
         rc, out, err = run(capsys, "sweep", "--n", "5..6", "--workers", workers)
