@@ -25,15 +25,12 @@ boundary is such a matrix, and so is the top boundary of a closed
 pseudomanifold, where each ridge lies in two facets: the dual graph of a
 non-orientable surface is unbalanced.
 
-Any other matrix takes the general reduction, in two stages.  A sparse
-stage eliminates unit pivots (entries of absolute value 1), cheapest
-Markowitz cost first; each contributes one invariant factor 1 and removes
-its row and column.  The rows left over hold no unit entry, and a dense
-stage, the classic minimal-pivot reduction, takes that residual block.
-Boundary matrices of collapsed cores are very sparse and nearly all of
-their pivots are units, so the dense stage usually sees an empty or tiny
-block.  See Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal form computations", J. Symb. Comput. 32 (2001).
+Any other matrix takes the general reduction, one sparse elimination.
+It takes unit pivots (entries of absolute value 1), cheapest Markowitz
+cost first, and an entry of least absolute value when no unit is left.
+Boundary matrices of collapsed cores reduce by unit pivots alone.  See
+Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
+normal form computations", J. Symb. Comput. 32 (2001).
 
 The GF(2) route shares none of this: ``gf2_rank`` eliminates bitmasks on
 its own, so the Smith and GF(2) ranks stay independent cross-checks.
@@ -43,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
-from math import prod
+from math import gcd, prod
 
 BACKEND = "pure"
 
@@ -213,8 +210,18 @@ def _signed_graph_factors(rows):
 def _general_snf(rows):
     """Smith diagonal of any nonempty sequence of ``SparseRow`` of one width.
 
-    The sparse stage eliminates unit pivots on a copy of the entries;
-    ``_dense_snf`` reduces the block without unit entries that is left.
+    One sparse elimination on a copy of the entries.  Unit pivots come from
+    a heap, cheapest Markowitz cost first; every unit that fill-in or a
+    remainder creates is pushed on it.  When it runs dry, the pivot p is an
+    entry of least absolute value, ties broken by (row, column).  Row
+    operations replace every other entry of the pivot column by its
+    remainder modulo p; once the column holds only p, column operations do
+    the same to the pivot row, touching no other row.  If the row is then
+    clear too, |p| is a diagonal entry and its row and column are dropped.
+    Otherwise a remainder smaller than |p| is left, so the least absolute
+    value in the matrix strictly falls before the next drop, and the loop
+    ends.  A last pass replaces pairs of diagonal entries above 1 by their
+    gcd and lcm, so that each divides the next; the ones go first.
     """
     cols = [set() for _ in range(rows[0].ncols)]
     rows = [dict(row.entries) for row in rows]
@@ -228,27 +235,34 @@ def _general_snf(rows):
                 heap.append(((len(row) - 1) * (len(cols[j]) - 1), i, j))
     heapify(heap)
 
-    units = 0
-    while heap:
-        cost, i, j = heappop(heap)
-        row = rows[i]
-        p = row.get(j)
-        if p != 1 and p != -1:
-            continue
-        col = cols[j]
-        now = (len(row) - 1) * (len(col) - 1)
-        if now > cost:
-            # Fill-in made this pivot dearer since it was queued.
-            heappush(heap, (now, i, j))
-            continue
-        # Clear column j with row operations.  Row i then meets no other
-        # row in column j, so column operations clear the rest of row i
-        # without touching the remaining block: drop row i and column j.
+    diagonal = []
+    while True:
+        if heap:
+            cost, i, j = heappop(heap)
+            row = rows[i]
+            p = row.get(j)
+            if p != 1 and p != -1:
+                continue
+            col = cols[j]
+            now = (len(row) - 1) * (len(col) - 1)
+            if now > cost:
+                # Fill-in made this pivot dearer since it was queued.
+                heappush(heap, (now, i, j))
+                continue
+        elif any(rows):
+            _, i, j = min((abs(v), i, j) for i, row in enumerate(rows) for j, v in row.items())
+            row = rows[i]
+            p = row[j]
+            col = cols[j]
+        else:
+            break
+        # Column step: row i meets no other row in column j afterwards,
+        # unless a remainder is left.
         for k in [k for k in col if k != i]:
             other = rows[k]
-            f = other[j] * p
+            q = other[j] // p
             for c, v in row.items():
-                w = other.get(c, 0) - f * v
+                w = other.get(c, 0) - q * v
                 if w:
                     if c not in other:
                         cols[c].add(k)
@@ -258,94 +272,30 @@ def _general_snf(rows):
                 else:
                     del other[c]
                     cols[c].discard(k)
+        if len(col) > 1:
+            continue
+        # Row step: column j holds p alone, so column operations change
+        # row i only.  A unit divides every entry, which leaves none.
+        if p != 1 and p != -1:
+            for c in [c for c in row if c != j]:
+                w = row[c] % p
+                if w:
+                    row[c] = w
+                    if w == 1 or w == -1:
+                        heappush(heap, ((len(row) - 1) * (len(cols[c]) - 1), i, c))
+                else:
+                    del row[c]
+                    cols[c].discard(i)
+            if len(row) > 1:
+                continue
         for c in row:
             cols[c].discard(i)
         row.clear()
-        units += 1
+        diagonal.append(abs(p))
 
-    left = [row for row in rows if row]
-    keep = sorted({c for row in left for c in row})
-    return [1] * units + _dense_snf([[row.get(c, 0) for c in keep] for row in left])
-
-
-def _dense_snf(mat):
-    """Smith diagonal of a rectangular dense integer matrix.
-
-    Pivoting picks a nonzero entry of minimal absolute value, which keeps
-    the intermediate entries small in practice.
-    """
-    A = [list(row) for row in mat]
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    out = []
-    t = 0
-    while True:
-        # Find a pivot of minimal |value| in the trailing block.
-        bi = bj = -1
-        bv = 0
-        for i in range(t, nr):
-            Ai = A[i]
-            for j in range(t, nc):
-                v = Ai[j]
-                if v and (bv == 0 or abs(v) < bv):
-                    bv = abs(v)
-                    bi, bj = i, j
-                    if bv == 1:
-                        break
-            if bv == 1:
-                break
-        if bi < 0:
-            break
-        if bi != t:
-            A[t], A[bi] = A[bi], A[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-        if A[t][t] < 0:
-            A[t] = [-v for v in A[t]]
-
-        p = A[t][t]
-        dirty = False
-        for i in range(t + 1, nr):
-            v = A[i][t]
-            if v:
-                q = v // p
-                if q:
-                    Ai = A[i]
-                    At = A[t]
-                    for j in range(t, nc):
-                        Ai[j] -= q * At[j]
-                if A[i][t]:
-                    dirty = True
-        for j in range(t + 1, nc):
-            v = A[t][j]
-            if v:
-                q = v // p
-                if q:
-                    for row in A:
-                        row[j] -= q * row[t]
-                if A[t][j]:
-                    dirty = True
-        if dirty:
-            # Residues smaller than |p| remain; repeat with a better pivot.
-            continue
-
-        # Row and column are clear.  Enforce divisibility of the rest.
-        offender = None
-        for i in range(t + 1, nr):
-            Ai = A[i]
-            for j in range(t + 1, nc):
-                if Ai[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            At = A[t]
-            Ao = A[offender]
-            for j in range(t, nc):
-                At[j] += Ao[j]
-            continue
-        out.append(p)
-        t += 1
-    return out
+    big = [d for d in diagonal if d > 1]
+    for a in range(len(big)):
+        for b in range(a + 1, len(big)):
+            g = gcd(big[a], big[b])
+            big[a], big[b] = g, big[a] * big[b] // g
+    return [1] * (len(diagonal) - len(big)) + big

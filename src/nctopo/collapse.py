@@ -333,9 +333,6 @@ def collapse_core(k, strategy="generic", circulant=None):
         if circulant is None:
             raise ValueError("strategy 'circulant' needs circulant=(n, s, t)")
         for label, sched in _schedule_candidates(*circulant):
-            sigma0, tau0 = sched[0]
-            if k.maximal_cofaces(sigma0) != [tau0]:
-                continue
             live = _apply_schedule(k, sched)
             if live is not None:
                 maximal, star = live

@@ -7,7 +7,7 @@ builds; ``smith_normal_form``, the entry for matrices from outside,
 converts dense rows to sparse ones first.  Every edge boundary, and the
 top boundary of a closed pseudomanifold core (a surface or a 3-sphere),
 is a signed-graph incidence matrix, which the Smith entry answers by
-parity union-find; the rest take its sparse-then-dense reduction.  The
+parity union-find; the rest take its general sparse reduction.  The
 mod-2 route does bit-packed Gaussian elimination on incidence masks built
 directly from face containment.  It reads the face positions that
 ``chain_complex`` indexed, but shares no elimination code with the SNF

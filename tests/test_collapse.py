@@ -443,35 +443,19 @@ class TestEngineMatchesReference:
             schedules.add(assert_matches_reference(k, strategy, circ).schedule)
         assert schedules == {None, "edges(s)", "edges(t)", "triangles"}
 
-    def test_analyze_graph_inputs(self, monkeypatch):
-        calls = []
-
-        def recording(k, strategy="generic", circulant=None):
-            calls.append((k, strategy, circulant))
-            return collapse_core(k, strategy, circulant)
-
-        monkeypatch.setattr(classify, "collapse_core", recording)
-        for seed in range(40):
-            classify.analyze_graph(random_sparse_graph(seed))
-        assert len(calls) == 40
-        pairs = sum(len(assert_matches_reference(*call).pairs) for call in calls)
+    def test_analyze_graph_inputs(self, bench_stages):
+        graphs = [random_sparse_graph(seed) for seed in range(40)]
+        rec = bench_stages.record(lambda: [classify.analyze_graph(g) for g in graphs])
+        assert len(rec["collapses"]) == 40
+        pairs = sum(len(assert_matches_reference(*call).pairs) for call, _ in rec["collapses"])
         assert pairs > 500
 
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_perfbench_graph_pools(self, run, monkeypatch, seed):
-        calls = []
-
-        def recording(k, strategy="generic", circulant=None):
-            calls.append((k, strategy, circulant))
-            return collapse_core(k, strategy, circulant)
-
-        monkeypatch.setattr(classify, "collapse_core", recording)
+    def test_perfbench_graph_pools(self, run, bench_stages, seed):
         pool = run.graph_pool(run.FULL, seed)
-        for g in pool:
-            classify.analyze_graph(g)
-        assert len(calls) == len(pool)
-        pairs = sum(len(assert_matches_reference(*call).pairs) for call in calls)
+        rec = bench_stages.record(lambda: [classify.analyze_graph(g) for g in pool])
+        assert len(rec["collapses"]) == len(pool)
+        pairs = sum(len(assert_matches_reference(*call).pairs) for call, _ in rec["collapses"])
         assert pairs > 1000
 
 

@@ -2,11 +2,13 @@
 
 The GF(2) rank is checked against plain list elimination, on masks of one
 and of several machine words.  The Smith entry takes sparse rows; its
-general reduction eliminates unit pivots sparsely and hands the rest to a
-dense stage, and both stages are checked here against sympy and against
-the dense stage run on the whole matrix.  The entry answers signed-graph
-incidence matrices by parity union-find; that shortcut is checked against
-the same two oracles, in both orientations, and matrices that only look
+general reduction is one sparse elimination that takes unit pivots first
+and an entry of least absolute value when none is left.  It is checked
+against sympy, against literal diagonals that need a remainder or the
+last gcd/lcm pass, and against the signed-graph shortcut on the boundary
+matrices of a torus core.  The entry answers signed-graph incidence
+matrices by parity union-find; that shortcut is checked against sympy and
+the general reduction, in both orientations, and matrices that only look
 like such incidence matrices must reach the general reduction.
 """
 
@@ -211,7 +213,7 @@ class TestPureSnf:
         assert snf([[big]]) == [big]
         # A unit pivot mixes the huge entries: 1 - big**2 must stay exact.
         mat = [[1, big], [big, 1]]
-        assert snf(mat) == _kernels._dense_snf(mat) == [1, big**2 - 1]
+        assert snf(mat) == [1, big**2 - 1]
 
     def test_empty(self):
         assert _kernels.snf_diagonal([]) == []
@@ -230,21 +232,7 @@ class TestPureSnf:
         # d2 of RP^2 is 15x10 with factors 1 (nine times) and 2; the
         # entry answers it by the shortcut, so the reduction runs directly.
         d2 = chain_complex(rp2).boundaries[2]
-        assert _kernels._general_snf(d2) == _kernels._dense_snf(d2) == [1] * 9 + [2]
-
-
-@pytest.fixture
-def dense_inputs(monkeypatch):
-    """Record every residual block the sparse stage hands to the dense one."""
-    seen = []
-    dense = _kernels._dense_snf
-
-    def record(mat):
-        seen.append(mat)
-        return dense(mat)
-
-    monkeypatch.setattr(_kernels, "_dense_snf", record)
-    return seen
+        assert _kernels._general_snf(d2) == [1] * 9 + [2]
 
 
 class TestSparseStage:
@@ -254,31 +242,33 @@ class TestSparseStage:
         for name, mat in cases:
             got = _kernels._general_snf(sparse_rows(mat))
             assert got == oracle_invariant_factors(mat), name
-            assert got == _kernels._dense_snf(mat), name
-
-    def test_residual_has_no_unit_entry(self, dense_inputs):
-        for seed in range(150):
-            _kernels._general_snf(sparse_rows(sparse_matrix(seed)))
-        assert sum(map(len, dense_inputs)) > 0
-        assert all(abs(v) != 1 for mat in dense_inputs for row in mat for v in row)
 
     def test_random_inputs_have_torsion(self):
-        # Without factors above 1 the dense stage would go untested.
+        # Without factors above 1 the non-unit pivots would go untested.
         tops = [max(snf(sparse_matrix(seed)), default=1) for seed in range(150)]
         assert sum(top > 1 for top in tops) >= 30
 
-    def test_no_unit_entry_goes_to_dense_stage(self, dense_inputs):
+    def test_no_unit_entry_against_sympy(self):
         for seed in range(60):
             mat = sparse_matrix(seed, values=(2, -2, 3, 6, -9))
-            dense_inputs.clear()
-            got = snf(mat)
+            got = _kernels._general_snf(sparse_rows(mat))
             assert got == oracle_invariant_factors(mat), seed
-            # The residual is the whole matrix minus its zero rows and columns.
-            nonzero_cols = [j for j in range(len(mat[0])) if any(row[j] for row in mat)]
-            residual = [[row[j] for j in nonzero_cols] for row in mat if any(row)]
-            assert dense_inputs == [residual], seed
 
-    def test_core_boundaries_match_dense(self, monkeypatch):
+    def test_remainder_left_in_column_and_row(self):
+        # The least entry 2 leaves the remainder 1 in its column, or in its
+        # row, and that 1 is the next pivot.
+        for mat, factors in (([[2], [3]], [1]), ([[2, 3]], [1]), ([[2, 4], [6, 9]], [1, 6])):
+            assert _kernels._general_snf(sparse_rows(mat)) == factors, mat
+
+    def test_last_pass_orders_the_diagonal(self):
+        def diag(*d):
+            return [SparseRow(len(d), {i: v}) for i, v in enumerate(d)]
+
+        assert _kernels._general_snf(diag(4, 6)) == [2, 12]
+        assert _kernels._general_snf(diag(6, 4, 10)) == [2, 2, 60]
+        assert _kernels._general_snf(diag(*[2] * 5)) == [2] * 5
+
+    def test_core_boundaries_match_the_shortcut(self, monkeypatch):
         mats = []
         dispatch = _kernels.snf_diagonal
 
@@ -290,7 +280,8 @@ class TestSparseStage:
         assert verify(80, 1, 4).verdict == "pass"
         assert [(len(m), len(m[0])) for m in mats] == [(80, 240), (240, 160)]
         for mat in mats:
-            assert _kernels._general_snf(mat) == _kernels._dense_snf(mat)
+            assert _kernels._signed_graph_factors(mat) is not None
+            assert _kernels._general_snf(mat) == dispatch(mat)
 
 
 class TestSparseRow:
@@ -343,7 +334,7 @@ class TestIncidenceShortcut:
             rows = [SparseRow(ncols, e) for e in entries]
             dense = [list(r) for r in rows]
             got = _kernels.snf_diagonal(rows)
-            assert got == oracle_invariant_factors(dense) == _kernels._dense_snf(dense), seed
+            assert got == oracle_invariant_factors(dense), seed
             assert got == _kernels._general_snf(rows), seed
             assert _kernels._signed_graph_factors(rows) == got == [1] * len(got), seed
             cols = [tuple(sorted(r for r, e in enumerate(entries) if j in e)) for j in range(ncols)]
@@ -358,7 +349,7 @@ class TestIncidenceShortcut:
             for rows in (edge_rows(edges, nv), node_rows(edges, nv)):
                 dense = [list(r) for r in rows]
                 got = _kernels._signed_graph_factors(rows)
-                assert got == oracle_invariant_factors(dense) == _kernels._dense_snf(dense), seed
+                assert got == oracle_invariant_factors(dense), seed
                 assert _kernels.snf_diagonal(rows) == _kernels._general_snf(rows) == got, seed
             unbalanced = got.count(2)
             shapes.append((unbalanced, nv - len(got)))
