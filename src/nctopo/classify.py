@@ -350,13 +350,13 @@ def reduce_to_core(g, params=None):
     MAX_COMPLEX_FACES is rejected with ValueError.
     """
     if params is not None and find_fold(g) is None:
-        _check_face_bound(g)
-        k = neighborhood_complex(g, fold_free=True)
-        return g, k, collapse_core(k, strategy="circulant", circulant=params)
-    g = fold_reduce(g)
+        strategy = {"strategy": "circulant", "circulant": params}
+    else:
+        g = fold_reduce(g)
+        strategy = {"strategy": "generic"}
     _check_face_bound(g)
     k = neighborhood_complex(g, fold_free=True)
-    return g, k, collapse_core(k, strategy="generic")
+    return g, k, collapse_core(k, **strategy)
 
 
 def _measure(comps, shape, certificate=None):

@@ -14,16 +14,16 @@ is kept iff tau is its only maximal coface.  The heap starts with one
 entry per maximal simplex, its smallest free face: a face free in tau
 stays free while tau is maximal, because every simplex added later lies
 in the simplex just removed, so a smaller free face can only appear by a
-push.  The circulant
-strategy first tries the closed-form pair schedules that exist for
-two-generator circulant graphs (an edge schedule in two mirrored forms,
-plus a free-triangle schedule for two special parameter families).  A
-schedule runs on a live maximal set and vertex -> star index, with every
-pair verified as it is applied, and needs no face map.  After it a ridge
-screen decides whether anything is still free: the face map is built,
-and the generic strategy run to a fixed point, only when some ridge lies
-in a single maximal simplex.  When no schedule applies the generic
-strategy runs on the whole complex.  Everything is deterministic.
+push.  The circulant strategy first tries the closed-form pair schedules
+that exist for two-generator circulant graphs (an edge schedule in two
+mirrored forms, plus a free-triangle schedule for two special parameter
+families).  A schedule runs on a live maximal set and vertex -> star
+index, with every pair verified as it is applied, and needs no face map.
+After it a ridge screen decides whether anything is still free: the face
+map is built, and the generic strategy run to a fixed point, only when
+some ridge lies in a single maximal simplex.  When no schedule applies
+the generic strategy runs on the whole complex.  Everything is
+deterministic.
 """
 
 from __future__ import annotations

@@ -46,6 +46,20 @@ def _prefix_intersections(prefix_sets, current):
     return [a for a in raw if not any(a < b for b in raw)]
 
 
+def _attachment(prefix_sets, current, d):
+    """The pieces where current attaches to the prefix, None if it does not.
+
+    The first facet attaches with no pieces; a later one when its maximal
+    vertex intersections with the prefix are nonempty and all of size d.
+    """
+    if not prefix_sets:
+        return []
+    pieces = _prefix_intersections(prefix_sets, current)
+    if pieces and all(len(a) == d for a in pieces):
+        return pieces
+    return None
+
+
 def verify_shelling(k, order):
     """Check a proposed shelling order of the maximal simplices of k.
 
@@ -62,22 +76,17 @@ def verify_shelling(k, order):
     d = k.dim()
     spanning = []
     prefix_sets = []
-    valid = True
-    for j, cur in enumerate(order):
+    for cur in order:
         cur_set = set(cur)
-        if j > 0:
-            pieces = _prefix_intersections(prefix_sets, cur_set)
-            if not pieces or any(len(a) != d for a in pieces):
-                valid = False
-                break
-            # Spanning: all d+1 facets of cur lie in earlier simplices.
-            # Each valid piece has size d, hence is a facet of cur, so all
-            # facets are covered exactly when there are d+1 pieces.
-            if len(pieces) == len(cur):
-                spanning.append(cur)
+        pieces = _attachment(prefix_sets, cur_set, d)
+        if pieces is None:
+            return ShellingReport(order=order, valid=False, spanning=(), sphere_dims=())
+        # Spanning: all d+1 facets of cur lie in earlier simplices.  Each
+        # piece has size d, hence is a facet of cur, so all facets are
+        # covered exactly when there are d+1 pieces.
+        if len(pieces) == len(cur):
+            spanning.append(cur)
         prefix_sets.append(cur_set)
-    if not valid:
-        return ShellingReport(order=order, valid=False, spanning=(), sphere_dims=())
     return ShellingReport(
         order=order,
         valid=True,
@@ -91,62 +100,37 @@ def find_shelling(k, limit=64):
 
     Exhaustive backtracking over orderings, so the answer None is a proof
     of non-shellability.  Complexes with more than limit maximal simplices
-    raise SearchLimitExceeded instead of attempting the search.  Connected
-    1-dimensional complexes use a direct greedy construction.
+    raise SearchLimitExceeded instead of attempting the search.  A
+    disconnected complex gets None without a search: for d >= 1 each
+    facet of a shelling meets the union of its predecessors in a nonempty
+    (d-1)-complex, so every prefix is connected, and for d = 0 the
+    attachment rule refuses a second point anyway.
     """
     if not k.is_pure():
         raise ValueError("shelling is defined for pure complexes only")
-    maximal = list(k.maximal_simplices)
+    maximal = k.maximal_simplices
     if len(maximal) > limit:
         raise SearchLimitExceeded(
             f"{len(maximal)} maximal simplices exceed the search limit {limit}"
         )
-    if len(maximal) <= 1:
-        return list(maximal)
+    if maximal and not k.is_connected():
+        return None
     d = k.dim()
-
-    if d == 1:
-        # Any edge order that grows a connected subgraph is a shelling.
-        remaining = set(maximal)
-        first = maximal[0]
-        order = [first]
-        seen = set(first)
-        remaining.remove(first)
-        while remaining:
-            nxt = min((e for e in remaining if seen & set(e)), default=None)
-            if nxt is None:
-                return None  # disconnected, hence not shellable
-            order.append(nxt)
-            seen |= set(nxt)
-            remaining.remove(nxt)
-        return order
-
     sets = [set(m) for m in maximal]
-    order_idx = []
-    used = [False] * len(maximal)
 
-    def ok_next(i):
-        if not order_idx:
-            return True
-        pieces = _prefix_intersections([sets[j] for j in order_idx], sets[i])
-        return bool(pieces) and all(len(a) == d for a in pieces)
-
-    def extend():
+    def extend(order_idx):
         if len(order_idx) == len(maximal):
-            return True
+            return order_idx
+        prefix = [sets[j] for j in order_idx]
         for i in range(len(maximal)):
-            if not used[i] and ok_next(i):
-                used[i] = True
-                order_idx.append(i)
-                if extend():
-                    return True
-                order_idx.pop()
-                used[i] = False
-        return False
+            if i not in order_idx and _attachment(prefix, sets[i], d) is not None:
+                found = extend(order_idx + [i])
+                if found is not None:
+                    return found
+        return None
 
-    if extend():
-        return [maximal[i] for i in order_idx]
-    return None
+    found = extend([])
+    return None if found is None else [maximal[i] for i in found]
 
 
 def wedge_shelling_orders(n, s, t):
