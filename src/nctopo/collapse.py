@@ -180,10 +180,7 @@ def collapse_step(k, pair):
     if not verify_collapsible_pair(k, sigma, tau):
         raise CollapseError(f"({sigma}, {tau}) is not a collapsible pair")
     new_maximal = [m for m in k.maximal_simplices if m != tau]
-    for x in sigma:
-        cand = tuple(v for v in tau if v != x)
-        if cand:
-            new_maximal.append(cand)
+    new_maximal.extend(tuple(v for v in tau if v != x) for x in sigma)
     return SimplicialComplex(new_maximal)
 
 
@@ -201,21 +198,19 @@ def _neighborhood_tuple(n, s, t, k):
     return tuple(sorted({(s + k) % n, (t + k) % n, (n - s + k) % n, (n - t + k) % n}))
 
 
-def circulant_collapse_pairs(n, s, t, check=True):
+def circulant_collapse_pairs(n, s, t):
     """Edge pairs ({s+k, n-s+k}, N(k)) for all k in Z_n, for C_n(s, t).
 
     The schedule is valid when none of 2s, 2(s+t), 3s+t, 3s-t, 4s vanishes
-    mod n.  The first generator plays the edge role; call with (n, t, s)
-    for the mirrored family.  With check=True a violated congruence raises
-    CongruenceError naming the violation; check=False skips the guard so
-    tests can build counterexample pairs.
+    mod n; a violated congruence raises CongruenceError naming it.  The
+    first generator plays the edge role; call with (n, t, s) for the
+    mirrored family.
     """
     if n < 2 or s % n == 0 or t % n == 0:
         raise ValueError("generators must be nonzero mod n")
-    if check:
-        for name, value in _edge_congruences(n, s, t):
-            if value == 0:
-                raise CongruenceError(name, n, s, t)
+    for name, value in _edge_congruences(n, s, t):
+        if value == 0:
+            raise CongruenceError(name, n, s, t)
     return [
         (
             tuple(sorted({(s + k) % n, (n - s + k) % n})),

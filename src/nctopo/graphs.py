@@ -307,8 +307,6 @@ def is_isomorphic_small(g, h):
         raise ValueError("is_isomorphic_small handles at most 12 vertices")
     if sorted(g.degree(v) for v in g.vertices()) != sorted(h.degree(v) for v in h.vertices()):
         return False
-    if g.num_edges() != h.num_edges():
-        return False
 
     # Assign high-degree vertices first to prune early.
     order = sorted(g.vertices(), key=lambda v: -g.degree(v))

@@ -67,8 +67,6 @@ def chain_complex(k):
             for col, row in enumerate(map(index.__getitem__, _faces_dropping(bases[d], i))):
                 rows[row][col] = sign
         boundaries[d] = list(map(_kernels.SparseRow, repeat(len(bases[d])), rows))
-    if top >= 0:
-        boundaries[0] = []
     return ChainComplex([tuple(b) for b in bases], boundaries, indices)
 
 
@@ -98,14 +96,12 @@ def smith_normal_form(mat):
 
 
 def _rank_gf2(cc, d):
-    """Rank of the d-th boundary map over GF(2).
+    """Rank of the d-th boundary map over GF(2), for 1 <= d <= cc.dim().
 
     Builds incidence bitmasks straight from face containment, one mask per
     d-simplex over the (d-1)-simplex positions in ``cc.indices``; no sign
     bookkeeping and no shared code with the Smith route.
     """
-    if d <= 0 or d > cc.dim():
-        return 0
     lower = cc.indices[d - 1]
     masks = []
     for s in cc.bases[d]:
@@ -135,9 +131,6 @@ def homology(k):
     """Homology profile of a simplicial complex (unreduced)."""
     cc = chain_complex(k)
     top = cc.dim()
-    if top < 0:
-        return HomologyProfile(betti_z=(), torsion=(), betti_z2=(), euler=0)
-
     snf = [()] * (top + 2)  # snf[d] for boundary map d, 1..top
     for d in range(1, top + 1):
         snf[d] = tuple(_kernels.snf_diagonal(cc.boundaries[d]))

@@ -98,13 +98,13 @@ def verify_shelling(k, order):
 def find_shelling(k, limit=64):
     """Search for a shelling order; None certifies there is none.
 
-    Exhaustive backtracking over orderings, so the answer None is a proof
-    of non-shellability.  Complexes with more than limit maximal simplices
-    raise SearchLimitExceeded instead of attempting the search.  A
-    disconnected complex gets None without a search: for d >= 1 each
-    facet of a shelling meets the union of its predecessors in a nonempty
-    (d-1)-complex, so every prefix is connected, and for d = 0 the
-    attachment rule refuses a second point anyway.
+    Exhaustive backtracking over orderings, skipping any set of placed
+    facets already seen to have no completion, so None proves that there
+    is no shelling.  More than limit maximal simplices raise
+    SearchLimitExceeded instead.  A disconnected complex gets None without
+    a search: for d >= 1 each facet of a shelling meets the union of its
+    predecessors in a nonempty (d-1)-complex, so every prefix is
+    connected, and for d = 0 the attachment rule refuses a second point.
     """
     if not k.is_pure():
         raise ValueError("shelling is defined for pure complexes only")
@@ -117,20 +117,22 @@ def find_shelling(k, limit=64):
         return None
     d = k.dim()
     sets = [set(m) for m in maximal]
+    dead = set()  # placed sets with no completion; attaching reads only the set
 
-    def extend(order_idx):
+    def extend(order_idx, placed):
         if len(order_idx) == len(maximal):
-            return order_idx
+            return [maximal[i] for i in order_idx]
         prefix = [sets[j] for j in order_idx]
         for i in range(len(maximal)):
-            if i not in order_idx and _attachment(prefix, sets[i], d) is not None:
-                found = extend(order_idx + [i])
+            nxt = placed | {i}
+            if i not in placed and nxt not in dead and _attachment(prefix, sets[i], d) is not None:
+                found = extend(order_idx + [i], nxt)
                 if found is not None:
                     return found
+        dead.add(placed)
         return None
 
-    found = extend([])
-    return None if found is None else [maximal[i] for i in found]
+    return extend([], frozenset())
 
 
 def wedge_shelling_orders(n, s, t):

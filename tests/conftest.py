@@ -154,6 +154,20 @@ def random_sparse_graph(seed):
     return Graph(n, sorted(edges))
 
 
+def paper_edge_pairs(n, s, t):
+    """The paper's edge pairs ({s+k, n-s+k}, N(k)) for k in Z_n, with
+    N(k) = {s+k, t+k, n-s+k, n-t+k}, as sorted tuples.  No congruence is
+    checked, so violated hypotheses give their counterexample pairs too.
+    Shares no package code."""
+    return [
+        (
+            tuple(sorted({(s + k) % n, (n - s + k) % n})),
+            tuple(sorted({(s + k) % n, (t + k) % n, (n - s + k) % n, (n - t + k) % n})),
+        )
+        for k in range(n)
+    ]
+
+
 def reference_component_vertex_sets(maximal):
     """Vertex sets of the connected components by union-find, ordered by
     minimum vertex; shares no code with SimplicialComplex."""

@@ -28,7 +28,7 @@ from nctopo.homology import homology, uct_check
 from nctopo.shelling import verify_shelling, wedge_shelling_orders
 from nctopo.surfaces import tetrahedron_boundary_pieces
 
-from conftest import RP2_TRIANGLES, TORUS_TRIANGLES
+from conftest import RP2_TRIANGLES, TORUS_TRIANGLES, paper_edge_pairs
 
 
 def announce(num, detail):
@@ -288,7 +288,7 @@ def test_criterion_10c_lemma_pairs():
         with pytest.raises(CongruenceError) as exc:
             circulant_collapse_pairs(n, s, t)
         assert exc.value.congruence == name
-        pairs = circulant_collapse_pairs(n, s, t, check=False)
+        pairs = paper_edge_pairs(n, s, t)
         cur = neighborhood_complex(circulant(n, (s, t)))
         with pytest.raises(CollapseError):
             for pair in pairs:

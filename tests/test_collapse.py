@@ -4,9 +4,10 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import random_family, random_sparse_graph
+from conftest import paper_edge_pairs, random_family, random_sparse_graph
 
 from nctopo import classify, collapse
+from nctopo.cli import admissible_triples
 from nctopo.collapse import (
     CollapseError,
     CongruenceError,
@@ -21,7 +22,7 @@ from nctopo.collapse import (
     verify_collapsible_pair,
 )
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
-from nctopo.graphs import circulant
+from nctopo.graphs import circulant, find_fold
 from nctopo.homology import homology
 
 
@@ -173,7 +174,7 @@ class TestEdgeSchedule:
     def test_violations_break_statically(self, n, s, t):
         # Each of these congruence failures gives the free edge a second
         # maximal coface, so every pair is already invalid in the full complex.
-        pairs = circulant_collapse_pairs(n, s, t, check=False)
+        pairs = paper_edge_pairs(n, s, t)
         k = nbhd(n, s, t)
         assert not any(verify_collapsible_pair(k, sg, tu) for sg, tu in pairs)
 
@@ -182,7 +183,7 @@ class TestEdgeSchedule:
         # then verifies against the full complex, but the schedule revisits
         # each coface once, so the replay must fail halfway through.
         n, s, t = 12, 1, 5
-        pairs = circulant_collapse_pairs(n, s, t, check=False)
+        pairs = paper_edge_pairs(n, s, t)
         k = nbhd(n, s, t)
         assert all(verify_collapsible_pair(k, sg, tu) for sg, tu in pairs)
         cur = k
@@ -194,6 +195,31 @@ class TestEdgeSchedule:
         else:
             pytest.fail("schedule replay should have failed")
         assert i == n // 2
+
+    def test_guard_matches_schedule_on_every_fold_free_instance(self):
+        # The edge-schedule lemma, exhaustively for n = 5..40 in both
+        # generator orders: the guard refuses exactly the schedules that
+        # stop at a pair that is not free, and otherwise returns the
+        # paper's pairs, each with tau = N(k) in the circulant.
+        held = refused = 0
+        for n, s, t in admissible_triples(5, 40):
+            g = circulant(n, (s, t))
+            if find_fold(g) is not None:
+                continue
+            k = neighborhood_complex(g)
+            for a, b in ((s, t), (t, s)):
+                expect = paper_edge_pairs(n, a, b)
+                assert [tau for _, tau in expect] == [g.neighborhood(v) for v in range(n)]
+                applies = _apply_schedule(k, expect) is not None
+                try:
+                    pairs = circulant_collapse_pairs(n, a, b)
+                except CongruenceError:
+                    assert not applies, (n, a, b)
+                    refused += 1
+                    continue
+                assert applies and pairs == expect, (n, a, b)
+                held += 1
+        assert (held, refused) == (4123, 623)
 
     def test_valid_schedule_applies_fully(self):
         n, s, t = 13, 2, 3
@@ -208,6 +234,13 @@ class TestTriangleSchedule:
     def test_families_only(self):
         with pytest.raises(CollapseError):
             triangle_collapse_pairs(13, 2, 3)
+
+    def test_zero_generator_rejected(self):
+        # A plain ValueError, not the CollapseError of a parameter outside
+        # both families.
+        with pytest.raises(ValueError) as exc:
+            triangle_collapse_pairs(12, 0, 3)
+        assert not isinstance(exc.value, CollapseError)
 
     def test_tripled_generator_family(self):
         pairs = triangle_collapse_pairs(12, 1, 3)

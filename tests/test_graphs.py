@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from conftest import random_sparse_graph
@@ -45,6 +46,20 @@ class TestGraph:
             Graph(3, [(0, 0)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(-1),
+            lambda: circulant(1, [1]),
+            lambda: normalize_circulant_pair(1, 1, 1),
+            lambda: cycle_graph(2),
+        ],
+        ids=["graph", "circulant", "normalize", "cycle"],
+    )
+    def test_degenerate_sizes_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2)])
@@ -364,6 +379,16 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("0 1\nnot an edge\n")
         with pytest.raises(ValueError, match=r":2:"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [("3 -1", "negative vertex label"), ("2 2", "self-loop at vertex 2")],
+    )
+    def test_bad_label_reports_location(self, tmp_path, line, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             read_edge_list(path)
 
     def test_label_bound(self, tmp_path):

@@ -15,6 +15,7 @@ import pytest
 from sympy import Matrix
 
 from nctopo import (
+    HomologyProfile,
     SimplicialComplex,
     boundary_of_simplex,
     chain_complex,
@@ -126,6 +127,9 @@ class TestHomologyProfiles:
         assert h.betti_z == (1,)
         assert h.torsion == ((),)
         assert h.betti_z2 == (1,)
+
+    def test_empty_complex(self):
+        assert homology(SimplicialComplex([])) == HomologyProfile((), (), (), 0)
 
     def test_two_points(self):
         h = homology(SimplicialComplex([(0,), (5,)]))

@@ -98,6 +98,10 @@ class TestVerifyShelling:
         assert not rep.valid
         assert rep.spanning == ()
 
+    def test_invalid_order_describes_itself(self):
+        k = SimplicialComplex([(0, 1, 2), (2, 3, 4)])
+        assert verify_shelling(k, k.maximal_simplices).describe() == "not a shelling"
+
     def test_circle_has_one_spanning_edge(self):
         k = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
         rep = verify_shelling(k, [(0, 1), (1, 2), (0, 2)])
@@ -206,6 +210,19 @@ class TestFindShelling:
         order = find_shelling(k)
         assert verify_shelling(k, order).valid
         assert len(search_calls) < 1000
+
+    def test_dead_prefix_sets_are_searched_once(self, search_calls):
+        # Connected and not shellable; backtracking over orderings alone
+        # runs past the fixture's 10 000 attachment tests here, because it
+        # re-explores each dead set of placed facets once per ordering.
+        k = SimplicialComplex(
+            [
+                (0, 1, 3), (0, 1, 5), (0, 3, 4), (0, 3, 5), (0, 4, 5),
+                (1, 2, 3), (1, 3, 5), (1, 4, 5), (2, 4, 5),
+            ]
+        )
+        assert find_shelling(k) is None
+        assert len(search_calls) < 5000
 
     def test_graphs_match_greedy_reference(self):
         rng = random.Random(0)
