@@ -452,10 +452,11 @@ def analyze_graph(g, name=""):
     reduced, _, trace = reduce_to_core(g)
     comps = trace.core.components()
 
+    max_degree = g.max_degree()
     applicable = (
         g.num_vertices >= 1
         and is_connected(g)
-        and g.max_degree() <= 3
+        and max_degree <= 3
         and not _is_excluded(reduced)
     )
     case = "degenerate-3-regular" if applicable else None
@@ -465,7 +466,7 @@ def analyze_graph(g, name=""):
     return {
         "graph": name,
         "num_vertices": g.num_vertices,
-        "max_degree": g.max_degree(),
+        "max_degree": max_degree,
         "case": case,
         "prediction": prediction,
         "components": components,

@@ -19,19 +19,20 @@ that exist for two-generator circulant graphs (an edge schedule in two
 mirrored forms, plus a free-triangle schedule for two special parameter
 families).  A schedule runs on a live maximal set and vertex -> star
 index, with every pair verified as it is applied, and needs no face map.
-After it a ridge screen decides whether anything is still free: the face
-map is built, and the generic strategy run to a fixed point, only when
-some ridge lies in a single maximal simplex.  When no schedule applies
-the generic strategy runs on the whole complex.  Everything is
-deterministic.
+After it the core is built, and a free-face screen asks the core's own
+coface index whether anything is still free: the face map of the generic
+strategy is built, and that strategy run to a fixed point, only when some
+(d-1)-face lies in a single d-face, d the dimension of a maximal simplex.
+The coface index the screen builds is the one homology and surface
+recognition read next.  When no schedule applies the generic strategy
+runs on the whole complex.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import combinations
 
 from .complexes import SimplicialComplex
 
@@ -265,8 +266,8 @@ def _apply_schedule(k, sched):
     Each pair (sigma, tau) must be free when it is reached: tau is
     maximal, sigma is a proper subset of tau, and no other maximal simplex
     contains sigma, that is the stars of sigma's vertices meet in tau
-    alone.  Returns the maximal set and the star index after the last
-    pair, or None when some pair is not free.
+    alone.  Returns the maximal set after the last pair, or None when some
+    pair is not free.
     """
     maximal = set(k.maximal_simplices)
     star = {v: set(k.star(v)) for v in k.vertices()}
@@ -288,22 +289,24 @@ def _apply_schedule(k, sched):
                 maximal.add(cand)
                 for v in cand:
                     star[v].add(cand)
-    return maximal, star
+    return maximal
 
 
-def _has_free_face(maximal, star):
-    """True iff some ridge of a maximal simplex lies in no other one.
+def _has_free_face(k):
+    """True iff the complex k has a free face.
 
-    Every proper face of tau lies in a ridge of tau, so this holds iff the
-    complex has a free face.  A ridge of two maximal simplices of the same
-    dimension is not free; any other is checked against the star of its
-    first vertex, where star[v] holds the maximal simplices through v.
+    k has one iff a ridge of some maximal simplex tau lies in no other
+    maximal simplex, since every proper face of tau lies in a ridge of
+    tau.  With d = dim tau that is a (d-1)-face in exactly one d-face,
+    read off ``k.cofaces(d)`` (empty for d = 0: a vertex simplex has no
+    proper face).  Conversely a (d-1)-face r in exactly one d-face F is
+    such a ridge of F: were F a face of a larger simplex, r plus a vertex
+    of it outside F would be a second d-face, and a maximal simplex
+    through r other than F would likewise hold a second d-face through r.
     """
-    ridges = Counter(chain.from_iterable(combinations(m, len(m) - 1) for m in maximal))
-    ridges.pop((), None)  # a vertex simplex has no proper face
-    return any(
-        c == 1 and sum(map(set(r).issubset, star[r[0]])) == 1 for r, c in ridges.items()
-    )
+    # Top first: the index of a lower dimension is built from those above.
+    dims = sorted({len(m) - 1 for m in k.maximal_simplices}, reverse=True)
+    return any(len(holders) == 1 for d in dims for holders in k.cofaces(d).values())
 
 
 def collapse_core(k, strategy="generic", circulant=None):
@@ -314,33 +317,36 @@ def collapse_core(k, strategy="generic", circulant=None):
     strategy "circulant" expects circulant=(n, s, t) and first applies the
     closed-form pair schedule for those parameters when one exists,
     verifying each pair against a live star index, then finishes
-    generically; after a schedule the face map of the generic strategy is
-    built only when the ridge screen finds a free face.  Both strategies are
-    deterministic; the core is a fixed point of collapsing but is not
-    guaranteed to have minimal size.
+    generically; after a schedule the core is built first and the face map
+    of the generic strategy only when the core's coface index shows a free
+    face (``_has_free_face``).  Both strategies are deterministic; the core
+    is a fixed point of collapsing but is not guaranteed to have minimal
+    size.
     """
     if strategy not in ("generic", "circulant"):
         raise ValueError(f"unknown strategy {strategy!r}")
     pairs_applied = []
     schedule_used = None
     maximal = k.maximal_simplices
+    core = None
     if strategy == "circulant":
         if circulant is None:
             raise ValueError("strategy 'circulant' needs circulant=(n, s, t)")
         for label, sched in _schedule_candidates(*circulant):
             live = _apply_schedule(k, sched)
             if live is not None:
-                maximal, star = live
+                maximal = live
                 pairs_applied.extend(sched)
                 schedule_used = label
+                # Both the schedule and the engine add a candidate only when
+                # no maximal simplex contains it, so the maximal set stays
+                # an antichain.
+                core = SimplicialComplex(maximal, antichain=True)
                 break
-    if schedule_used is None or _has_free_face(maximal, star):
+    if core is None or _has_free_face(core):
         eng = _Engine(maximal)
         while (nxt := eng.find_free_generic()) is not None:
             eng.collapse(*nxt)
             pairs_applied.append(nxt)
-        maximal = eng.maximal
-    # Both the schedule and the engine add a candidate only when no maximal
-    # simplex contains it, so the maximal set stays an antichain.
-    core = SimplicialComplex(maximal, antichain=True)
+        core = SimplicialComplex(eng.maximal, antichain=True)
     return CollapseTrace(pairs=pairs_applied, core=core, strategy=strategy, schedule=schedule_used)

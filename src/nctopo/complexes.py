@@ -20,9 +20,14 @@ class SimplicialComplex:
     - ``star(v)``, the maximal simplices through vertex v, built by the
       constructor; containment, link and connectivity queries read it
       instead of scanning every maximal simplex;
-    - ``faces(d)``, the sorted d-faces;
+    - ``faces(d)``, the sorted d-faces, read off the other indices: the
+      vertices are the keys of the star index, the top faces are the
+      top-dimensional maximal simplices, and the d-faces in between are
+      the keys of ``cofaces(d + 1)`` together with the maximal
+      d-simplices, so no face is enumerated twice;
     - ``cofaces(d)``, each (d-1)-face of a d-face -> the sorted d-faces
-      through it, read by surface recognition and garland piece detection;
+      through it, read by the collapse screen, homology, surface
+      recognition and garland piece detection;
     - the component root of each vertex, read by ``components()`` and
       ``is_connected()``.
 
@@ -85,16 +90,21 @@ class SimplicialComplex:
         return len(dims) <= 1
 
     def faces(self, d):
-        """Sorted tuple of all d-dimensional faces."""
-        if d < 0:
+        """Sorted tuple of all d-dimensional faces; empty unless 0 <= d <= dim.
+
+        A d-face below the top is a maximal d-simplex or a key of
+        ``cofaces(d + 1)``, never both, since a key lies in a (d+1)-face.
+        """
+        if not 0 <= d <= self._dim:
             return ()
         cached = self._faces.get(d)
         if cached is None:
-            out = set()
-            for m in self._maximal:
-                if len(m) >= d + 1:
-                    out.update(combinations(m, d + 1))
-            cached = tuple(sorted(out))
+            if d == 0:
+                cached = tuple((v,) for v in sorted(self._star))
+            else:
+                # The maximal simplices are sorted, so their d-simplices are.
+                own = tuple(m for m in self._maximal if len(m) == d + 1)
+                cached = own if d == self._dim else tuple(sorted([*self.cofaces(d + 1), *own]))
             self._faces[d] = cached
         return cached
 

@@ -611,11 +611,8 @@ class TestStarSchedule:
         k = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
         pair = ((0,), (0, 1, 2))
         assert verify_collapsible_pair(k, *pair)
-        maximal, star = _apply_schedule(k, [pair])
-        after = collapse_step(k, pair)
-        assert SimplicialComplex(maximal) == after
-        for v in after.vertices():
-            assert star[v] == set(after.star(v))
+        maximal = _apply_schedule(k, [pair])
+        assert SimplicialComplex(maximal) == collapse_step(k, pair)
 
     def test_agrees_with_verify_pair_on_random_pairs(self):
         rng = random.Random(3)
@@ -638,33 +635,51 @@ def engine_finds_free_face(maximal):
     return _Engine(maximal).find_free_generic() is not None
 
 
-def star_index(k):
-    return {v: k.star(v) for v in k.vertices()}
+def screen_finds_free_face(maximal):
+    return _has_free_face(SimplicialComplex(maximal, antichain=True))
 
 
 class TestRidgeScreen:
+    SPHERE = list(combinations(range(4), 3))
+
+    @pytest.mark.parametrize(
+        "extra,free",
+        [
+            ([], False),
+            ([(3, 4)], True),  # a hanging edge: its end 4 is free
+            ([(3, 4), (4, 5), (3, 5)], False),  # a hollow triangle at vertex 3
+            ([(3, 4), (4, 5), (3, 5), (6,)], False),  # and an isolated point
+        ],
+    )
+    def test_free_face_below_the_top(self, extra, free):
+        """A 2-sphere has no free face; only the lower-dimensional maximal
+        simplices attached to it can supply one."""
+        k = SimplicialComplex(self.SPHERE + extra)
+        assert engine_finds_free_face(k.maximal_simplices) == free
+        assert screen_finds_free_face(k.maximal_simplices) == free
+
     def test_random_complexes(self):
         seen = set()
         for seed in range(400):
             k = SimplicialComplex(random_family(seed))
             for c in (k, collapse_core(k).core):
                 free = engine_finds_free_face(c.maximal_simplices)
-                assert _has_free_face(c.maximal_simplices, star_index(c)) == free
+                assert screen_finds_free_face(c.maximal_simplices) == free
                 seen.add(free)
         assert seen == {True, False}
 
     def test_pipeline_inputs(self, pipeline_inputs):
         seen = set()
         for k, strategy, circ in pipeline_inputs["collapse_calls"]:
-            live = [(k.maximal_simplices, star_index(k))]
+            live = [k.maximal_simplices]
             if strategy == "circulant":
                 for _, sched in _schedule_candidates(*circ):
                     applied = _apply_schedule(k, sched)
                     if applied is not None:
                         live.append(applied)
-            for maximal, star in live:
+            for maximal in live:
                 free = engine_finds_free_face(maximal)
-                assert _has_free_face(maximal, star) == free
+                assert screen_finds_free_face(maximal) == free
                 seen.add(free)
         assert seen == {True, False}
 

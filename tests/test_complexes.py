@@ -189,6 +189,11 @@ def probes(family, rng):
     return out
 
 
+def reference_faces(maximal, d):
+    """Sorted d-faces: every (d+1)-subset of every maximal simplex."""
+    return tuple(sorted({f for m in maximal for f in combinations(m, d + 1)})) if d >= 0 else ()
+
+
 def reference_cofaces(maximal, d):
     """(d-1)-face -> sorted d-faces through it, found by trying every
     vertex as the missing one."""
@@ -210,8 +215,10 @@ def check_against_references(family, rng, antichain=False):
     top = max((len(m) for m in maximal), default=0) - 1
     assert k.dim() == top
     for d in range(-1, top + 2):
+        assert k.faces(d) == reference_faces(maximal, d), d
         assert k.cofaces(d) == reference_cofaces(maximal, d), d
         assert k.cofaces(d) is k.cofaces(d)
+    assert k.f_vector() == tuple(len(reference_faces(maximal, d)) for d in range(top + 1))
     assert k.vertices() == tuple(sorted({v for m in maximal for v in m}))
     for p in probes(family, rng):
         holders = [m for m in maximal if p and set(p) <= set(m)]
