@@ -6,10 +6,9 @@ reduction exact however large its intermediate entries grow.
 benchmark and trace metadata.
 
 ``snf_diagonal`` takes the ``SparseRow`` rows that
-``homology.chain_complex`` builds; ``homology.smith_normal_form`` converts
-any other rows first.  The entry checks once that all rows have one
-width, then recognizes a matrix with entries +1 and -1 only, in which
-every row, or every column, holds exactly two of them.  That is the
+``homology.chain_complex`` builds.  The entry checks once that all rows
+have one width, then recognizes a matrix with entries +1 and -1 only, in
+which every row, or every column, holds exactly two of them.  That is the
 incidence matrix of a signed graph (Zaslavsky, "Signed graphs", Discrete
 Appl. Math. 4, 1982): the other index is its nodes.  A connected
 component is balanced when some choice of node signs makes every edge a
@@ -68,13 +67,6 @@ class SparseRow(Sequence):
         if not 0 <= j < self.ncols:
             raise IndexError("row index out of range")
         return self.entries.get(j, 0)
-
-    def __iter__(self):
-        # Filling a zero list costs per nonzero, not a lookup per cell.
-        dense = [0] * self.ncols
-        for j, v in self.entries.items():
-            dense[j] = v
-        return iter(dense)
 
     def count(self, value):
         if value == 0:

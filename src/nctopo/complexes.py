@@ -217,14 +217,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({list(self._maximal)!r})"
 
 
-def boundary_of_simplex(vertices):
-    """Boundary complex of the full simplex on the given vertices."""
-    vs = tuple(sorted(set(vertices)))
-    if len(vs) < 2:
-        raise ValueError("boundary needs a simplex of dimension at least 1")
-    return SimplicialComplex(combinations(vs, len(vs) - 1))
-
-
 def neighborhood_complex(g, fold_free=False):
     """Complex whose maximal simplices are the maximal open neighborhoods.
 

@@ -15,7 +15,6 @@ neighbor of a deleted vertex, not a rescan of the graph per fold.
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 from itertools import chain, combinations
 
@@ -58,9 +57,6 @@ class Graph:
     def edges(self):
         """Sorted list of edges as (u, v) with u < v."""
         return [(u, v) for u in self.vertices() for v in self._adj[u] if u < v]
-
-    def num_edges(self):
-        return sum(len(ns) for ns in self._adj) // 2
 
     def has_edge(self, u, v):
         return v in self._adj[u]
@@ -236,12 +232,22 @@ def read_edge_list(path):
     Lines give two vertex labels; '#' starts a comment; blank lines are
     skipped.  Labels must be integers in 0..MAX_VERTEX_LABEL; vertex count
     is one more than the largest label seen, so the bound caps what a
-    file can make the graph allocate.
+    file can make the graph allocate.  The file is read as bytes and each
+    line decoded on its own, so a line that is not UTF-8 is reported with
+    its number, which a text-mode reader, decoding ahead in chunks, does
+    not know.  A line ends at LF, CR or CR LF, as in text mode.
     """
     edges = []
     top = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, data in enumerate(lines, start=1):
+            try:
+                raw = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start + 1}"
+                ) from exc
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -267,12 +273,6 @@ def read_edge_list(path):
 
 def complete_graph(m):
     return Graph(m, list(combinations(range(m), 2)))
-
-
-def cycle_graph(m):
-    if m < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def k44_minus_matching():
@@ -335,15 +335,3 @@ def is_isomorphic_small(g, h):
         return False
 
     return extend(0)
-
-
-def circulant_component_count(n, generators):
-    """Number of connected components of circulant(n, generators).
-
-    Equals gcd(n, g1, ..., gk); kept as an arithmetic cross-check for
-    ``connected_components``.
-    """
-    d = n
-    for a in generators:
-        d = math.gcd(d, a % n)
-    return d

@@ -3,15 +3,14 @@
 Unreduced homology throughout: a point has betti_z == (1,).  The integer
 route goes through Smith normal form of the boundary matrices, which
 reach ``_kernels.snf_diagonal`` as the sparse rows ``chain_complex``
-builds; ``smith_normal_form``, the entry for matrices from outside,
-converts dense rows to sparse ones first.  Every edge boundary, and the
-top boundary of a closed pseudomanifold core (a surface or a 3-sphere),
-is a signed-graph incidence matrix, which the Smith entry answers by
-parity union-find; the rest take its general sparse reduction.  The
-mod-2 route does bit-packed Gaussian elimination on incidence masks built
-directly from face containment.  It reads the face positions that
-``chain_complex`` indexed, but shares no elimination code with the SNF
-path.  The universal-coefficient relation between the two is a checkable
+builds.  Every edge boundary, and the top boundary of a closed
+pseudomanifold core (a surface or a 3-sphere), is a signed-graph
+incidence matrix, which the Smith entry answers by parity union-find;
+the rest take its general sparse reduction.  The mod-2 route does
+bit-packed Gaussian elimination on incidence masks built directly from
+face containment.  It reads the face positions that ``chain_complex``
+indexed, but shares no elimination code with the SNF path.  The
+universal-coefficient relation between the two is a checkable
 consequence, not an assumption.
 """
 
@@ -75,24 +74,6 @@ def _faces_dropping(simplices, i):
     i-th vertex, in order."""
     keep = [j for j in range(len(simplices[0])) if j != i]
     return zip(*[map(itemgetter(j), simplices) for j in keep])
-
-
-def smith_normal_form(mat):
-    """Invariant factors (d1 | d2 | ...) and rank of an integer matrix.
-
-    mat is a sequence of equal-length rows, each a ``_kernels.SparseRow``
-    or a dense sequence of integers; a ragged matrix raises ValueError.
-    Returns (factors, rank) where factors is the full positive diagonal of
-    the Smith normal form, ones included, so rank == len(factors).
-    """
-    rows = [
-        row
-        if isinstance(row, _kernels.SparseRow)
-        else _kernels.SparseRow(len(row), {j: v for j, v in enumerate(row) if v})
-        for row in mat
-    ]
-    factors = tuple(_kernels.snf_diagonal(rows))
-    return factors, len(factors)
 
 
 def _rank_gf2(cc, d):

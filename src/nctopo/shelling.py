@@ -15,14 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class SearchLimitExceeded(RuntimeError):
-    """Raised when find_shelling would exceed its size limit.
-
-    Distinct from a negative answer: exceeding the limit is inconclusive,
-    not a certificate of non-shellability.
-    """
-
-
 @dataclass(frozen=True)
 class ShellingReport:
     order: tuple
@@ -30,34 +22,12 @@ class ShellingReport:
     spanning: tuple      # spanning simplices, in order of appearance
     sphere_dims: tuple   # one entry d per spanning simplex; empty = contractible
 
-    def describe(self):
-        if not self.valid:
-            return "not a shelling"
-        if not self.sphere_dims:
-            return "contractible"
-        d = self.sphere_dims[0]
-        return f"wedge of {len(self.sphere_dims)} sphere(s) of dimension {d}"
-
 
 def _prefix_intersections(prefix_sets, current):
     """Maximal nonempty vertex intersections of current with the prefix."""
     raw = {frozenset(p & current) for p in prefix_sets}
     raw.discard(frozenset())
     return [a for a in raw if not any(a < b for b in raw)]
-
-
-def _attachment(prefix_sets, current, d):
-    """The pieces where current attaches to the prefix, None if it does not.
-
-    The first facet attaches with no pieces; a later one when its maximal
-    vertex intersections with the prefix are nonempty and all of size d.
-    """
-    if not prefix_sets:
-        return []
-    pieces = _prefix_intersections(prefix_sets, current)
-    if pieces and all(len(a) == d for a in pieces):
-        return pieces
-    return None
 
 
 def verify_shelling(k, order):
@@ -78,8 +48,11 @@ def verify_shelling(k, order):
     prefix_sets = []
     for cur in order:
         cur_set = set(cur)
-        pieces = _attachment(prefix_sets, cur_set, d)
-        if pieces is None:
+        pieces = _prefix_intersections(prefix_sets, cur_set)
+        # The first facet attaches with no pieces; a later one when its
+        # maximal vertex intersections with the prefix are nonempty and
+        # all of size d.
+        if prefix_sets and not (pieces and all(len(a) == d for a in pieces)):
             return ShellingReport(order=order, valid=False, spanning=(), sphere_dims=())
         # Spanning: all d+1 facets of cur lie in earlier simplices.  Each
         # piece has size d, hence is a facet of cur, so all facets are
@@ -93,46 +66,6 @@ def verify_shelling(k, order):
         spanning=tuple(spanning),
         sphere_dims=tuple(d for _ in spanning),
     )
-
-
-def find_shelling(k, limit=64):
-    """Search for a shelling order; None certifies there is none.
-
-    Exhaustive backtracking over orderings, skipping any set of placed
-    facets already seen to have no completion, so None proves that there
-    is no shelling.  More than limit maximal simplices raise
-    SearchLimitExceeded instead.  A disconnected complex gets None without
-    a search: for d >= 1 each facet of a shelling meets the union of its
-    predecessors in a nonempty (d-1)-complex, so every prefix is
-    connected, and for d = 0 the attachment rule refuses a second point.
-    """
-    if not k.is_pure():
-        raise ValueError("shelling is defined for pure complexes only")
-    maximal = k.maximal_simplices
-    if len(maximal) > limit:
-        raise SearchLimitExceeded(
-            f"{len(maximal)} maximal simplices exceed the search limit {limit}"
-        )
-    if maximal and not k.is_connected():
-        return None
-    d = k.dim()
-    sets = [set(m) for m in maximal]
-    dead = set()  # placed sets with no completion; attaching reads only the set
-
-    def extend(order_idx, placed):
-        if len(order_idx) == len(maximal):
-            return [maximal[i] for i in order_idx]
-        prefix = [sets[j] for j in order_idx]
-        for i in range(len(maximal)):
-            nxt = placed | {i}
-            if i not in placed and nxt not in dead and _attachment(prefix, sets[i], d) is not None:
-                found = extend(order_idx + [i], nxt)
-                if found is not None:
-                    return found
-        dead.add(placed)
-        return None
-
-    return extend([], frozenset())
 
 
 def wedge_shelling_orders(n, s, t):

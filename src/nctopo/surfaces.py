@@ -14,26 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex
 
-
-def is_pseudomanifold(k, d=None):
-    """Pure d-dimensional and non-branching: every (d-1)-face lies in
-    exactly two maximal simplices.  d defaults to dim(k); requires d >= 1.
-    """
-    if d is None:
-        d = k.dim()
-    if d < 1 or k.dim() != d or not k.is_pure():
-        return False
-    return all(len(fs) == 2 for fs in k.cofaces(d).values())
-
-
-def vertex_link(k, v):
-    """Link of vertex v: all faces gamma with gamma + {v} a face, v not in gamma."""
-    star = k.star(v)
-    if not star:
-        raise ValueError(f"{v} is not a vertex of the complex")
-    return SimplicialComplex(rest for m in star if (rest := tuple(x for x in m if x != v)))
+def is_pseudomanifold(k):
+    """Pure of dimension d >= 1 and non-branching: every (d-1)-face lies in
+    exactly two maximal simplices."""
+    d = k.dim()
+    return d >= 1 and k.is_pure() and all(len(fs) == 2 for fs in k.cofaces(d).values())
 
 
 def _links_are_cycles(k):
@@ -62,12 +48,14 @@ def _links_are_cycles(k):
     return True
 
 
-def is_closed_surface(k):
-    """Every vertex link a single cycle; implies a closed 2-manifold."""
-    return is_pseudomanifold(k, 2) and _links_are_cycles(k)
-
-
 def _orient(k):
+    """Compatible orientation signs for a pure-2 pseudomanifold, or None.
+
+    Returns {triangle: +1 or -1}, the triangle taken with or against the
+    orientation of its sorted vertex order.  Signs are propagated across
+    shared edges, which adjacent triangles must induce with opposite
+    signs; a conflict means the complex is non-orientable.
+    """
     # The sign of edge e in the boundary of the sorted triangle t is
     # (-1)**i for the dropped vertex t[i]: -1 exactly when t[1] is dropped.
     ridges = k.cofaces(2)
@@ -94,20 +82,6 @@ def _orient(k):
     return signs
 
 
-def orient(k):
-    """Compatible orientation signs for a pure-2 pseudomanifold, or None.
-
-    Returns {triangle: +1 or -1} meaning the triangle is taken with or
-    against the orientation induced by its sorted vertex order.  Signs are
-    propagated across shared edges; adjacent triangles must induce the
-    shared edge with opposite signs.  A propagation conflict means the
-    complex is non-orientable, reported as None.
-    """
-    if not is_pseudomanifold(k, 2):
-        raise ValueError("orientation is defined here for pure-2 pseudomanifolds")
-    return _orient(k)
-
-
 @dataclass(frozen=True)
 class SurfaceReport:
     pure2: bool
@@ -127,7 +101,7 @@ def classify_surface(k):
     disconnected or lower-dimensional input).
     """
     pure2 = k.dim() == 2 and k.is_pure()
-    pm = is_pseudomanifold(k, 2)
+    pm = k.dim() == 2 and is_pseudomanifold(k)
     closed = pm and _links_are_cycles(k)
     connected = k.is_connected()
     orientable = None

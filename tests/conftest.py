@@ -2,14 +2,16 @@
 generating families, the inputs verify produces, and reference helpers."""
 
 import inspect
+import math
 import pathlib
 import random
+from itertools import combinations
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from nctopo import SimplicialComplex
+from nctopo import SimplicialComplex, _kernels
 from nctopo.graphs import Graph
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -19,6 +21,17 @@ def oracle_invariant_factors(mat):
     """Nonzero Smith invariant factors by sympy, sorted; shares no package code."""
     d = smith_normal_form(Matrix(mat))
     return sorted(abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
+
+
+def sparse_rows(dense):
+    """The rows of a dense integer matrix as the ``SparseRow`` rows that
+    ``_kernels.snf_diagonal`` takes."""
+    return [_kernels.SparseRow(len(row), {j: v for j, v in enumerate(row) if v}) for row in dense]
+
+
+def snf(dense):
+    """Smith diagonal of a dense integer matrix, through the one Smith entry."""
+    return _kernels.snf_diagonal(sparse_rows(dense))
 
 
 def oracle_gf2_rank(mat):
@@ -113,6 +126,32 @@ def tetra_boundary():
 @pytest.fixture
 def solid_triangle():
     return SimplicialComplex([(0, 1, 2)])
+
+
+def boundary_of_simplex(vertices):
+    """Boundary complex of the full simplex on the given vertices."""
+    vs = tuple(sorted(set(vertices)))
+    if len(vs) < 2:
+        raise ValueError("boundary needs a simplex of dimension at least 1")
+    return SimplicialComplex(combinations(vs, len(vs) - 1))
+
+
+def cycle_graph(m):
+    if m < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def circulant_component_count(n, generators):
+    """Number of connected components of circulant(n, generators).
+
+    Equals gcd(n, g1, ..., gk); an arithmetic cross-check for
+    ``connected_components``.
+    """
+    d = n
+    for a in generators:
+        d = math.gcd(d, a % n)
+    return d
 
 
 def random_family(seed):
@@ -233,7 +272,7 @@ def pipeline_inputs(bench_stages):
             (args[0], signature.bind(*args, **kwargs).arguments.get("antichain", False))
             for args, kwargs in rec["builds"]
         ],
-        "traces": [(call[0], trace) for call, trace in rec["collapses"]],
-        "collapse_calls": [call for call, _ in rec["collapses"]],
+        "traces": [(call[0], trace) for call, trace, _ in rec["collapses"]],
+        "collapse_calls": [call for call, _, _ in rec["collapses"]],
         "surfaces": rec["surfaces"],
     }

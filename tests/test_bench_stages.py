@@ -7,6 +7,7 @@ check a rename surfaces only when the benchmark runs.
 """
 
 import pytest
+from conftest import random_sparse_graph
 
 from nctopo import SimplicialComplex, _kernels, classify
 from nctopo.graphs import Graph
@@ -49,3 +50,19 @@ def test_names_restored_when_run_raises(bench_stages):
     with pytest.raises(RuntimeError, match="stop"):
         bench_stages.record(failing)
     assert all(now is then for now, then in zip(current(), before))
+
+
+def test_cores_arrive_with_the_screens_coface_index(bench_stages):
+    """The torus core passes the free-face screen, which builds its
+    cofaces(2); a generic core is built by the engine and carries none.
+    fresh_core rebuilds exactly those indices."""
+    rec = bench_stages.record(lambda: classify.verify(80, 1, 4))
+    ((_, trace, built),) = rec["collapses"]
+    assert trace.strategy == "circulant" and trace.schedule is not None
+    assert built == (2,)
+    assert sorted(bench_stages.fresh_core(trace.core, built)._cofaces) == [2]
+
+    rec = bench_stages.record(lambda: classify.analyze_graph(random_sparse_graph(0)))
+    ((_, trace, built),) = rec["collapses"]
+    assert trace.strategy == "generic" and trace.pairs and built == ()
+    assert bench_stages.fresh_core(trace.core, built)._cofaces == {}

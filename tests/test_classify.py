@@ -22,7 +22,6 @@ from nctopo.graphs import (
     Graph,
     circulant,
     complete_graph,
-    cycle_graph,
     find_fold,
     fold_reduce,
     k44_minus_matching,
@@ -32,7 +31,7 @@ from nctopo.homology import HomologyProfile
 from nctopo.shelling import ShellingReport, wedge_shelling_orders
 from nctopo.surfaces import classify_surface
 
-from conftest import TORUS_TRIANGLES
+from conftest import TORUS_TRIANGLES, cycle_graph
 
 
 class TestCaseOf:

@@ -226,6 +226,13 @@ class TestAnalyzeGraphFile:
         assert rc == 2
         assert "bad.edges:2" in err
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+        rc, _, err = run(capsys, "analyze", "--graph", str(path))
+        assert rc == 2
+        assert "bad.txt:2:" in err
+
     def test_huge_label_rejected_before_allocation(self, capsys, tmp_path):
         # The vertex count is the largest label plus one: this file would
         # ask for four billion adjacency sets.

@@ -480,7 +480,7 @@ class TestEngineMatchesReference:
         graphs = [random_sparse_graph(seed) for seed in range(40)]
         rec = bench_stages.record(lambda: [classify.analyze_graph(g) for g in graphs])
         assert len(rec["collapses"]) == 40
-        pairs = sum(len(assert_matches_reference(*call).pairs) for call, _ in rec["collapses"])
+        pairs = sum(len(assert_matches_reference(*call).pairs) for call, *_ in rec["collapses"])
         assert pairs > 500
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -488,7 +488,7 @@ class TestEngineMatchesReference:
         pool = run.graph_pool(run.FULL, seed)
         rec = bench_stages.record(lambda: [classify.analyze_graph(g) for g in pool])
         assert len(rec["collapses"]) == len(pool)
-        pairs = sum(len(assert_matches_reference(*call).pairs) for call, _ in rec["collapses"])
+        pairs = sum(len(assert_matches_reference(*call).pairs) for call, *_ in rec["collapses"])
         assert pairs > 1000
 
 

@@ -4,9 +4,9 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import random_family, reference_component_vertex_sets
+from conftest import boundary_of_simplex, random_family, reference_component_vertex_sets
 
-from nctopo import SimplicialComplex, boundary_of_simplex, circulant, neighborhood_complex
+from nctopo import SimplicialComplex, circulant, neighborhood_complex
 from nctopo.graphs import Graph, complete_graph, k44_minus_matching
 
 

@@ -1,0 +1,25 @@
+"""The package's public names: ``from nctopo import *`` imports each of
+``nctopo.__all__``, so a name removed from its module but left in the list
+breaks it."""
+
+import inspect
+import sys
+
+import nctopo
+
+
+def test_all_names_resolve_once_and_are_nctopo_own():
+    names = nctopo.__all__
+    assert len(names) == len(set(names))
+    submodules = [m for name, m in sys.modules.items() if name.startswith("nctopo.")]
+    for name in names:
+        obj = getattr(nctopo, name)
+        assert not inspect.ismodule(obj), name
+        if callable(obj):
+            assert getattr(obj, "__module__", "").startswith("nctopo."), name
+        else:
+            # A constant is bound in the package or one of its modules.
+            assert name == "__version__" or any(vars(m).get(name) is obj for m in submodules), name
+    namespace = {}
+    exec("from nctopo import *", namespace)
+    assert set(names) <= set(namespace)

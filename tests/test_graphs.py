@@ -5,16 +5,14 @@ import random
 import re
 
 import pytest
-from conftest import random_sparse_graph
+from conftest import circulant_component_count, cycle_graph, random_sparse_graph
 
 from nctopo.graphs import (
     MAX_VERTEX_LABEL,
     Graph,
     circulant,
-    circulant_component_count,
     complete_graph,
     connected_components,
-    cycle_graph,
     excluded_max_degree_3_graphs,
     find_fold,
     fold_reduce,
@@ -39,7 +37,7 @@ class TestGraph:
 
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
-        assert g.num_edges() == 1
+        assert len(g.edges()) == 1
 
     def test_rejects_loops_and_bad_vertices(self):
         with pytest.raises(ValueError):
@@ -71,7 +69,7 @@ class TestGraph:
 class TestCirculant:
     def test_five_cycle(self):
         g = circulant(5, (1,))
-        assert g.num_edges() == 5
+        assert len(g.edges()) == 5
         assert g.neighborhood(0) == (1, 4)
 
     def test_two_generator_degree_four(self):
@@ -144,7 +142,7 @@ class TestFolds:
     def test_fold_reduce_k33_reaches_single_edge(self):
         g = fold_reduce(circulant(6, (1, 3)))
         assert g.num_vertices == 2
-        assert g.num_edges() == 1
+        assert len(g.edges()) == 1
 
     def test_fold_reduce_fixed_point(self):
         g = fold_reduce(circulant(8, (1, 3)))
@@ -321,14 +319,14 @@ class TestInducedSubgraph:
     def test_keeps_only_internal_edges(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         sub = induced_subgraph(g, [0, 1, 3])
-        assert sub.num_edges() == 1
+        assert len(sub.edges()) == 1
 
 
 class TestExcludedGraphs:
     def test_shapes(self):
         k4, t_graph = excluded_max_degree_3_graphs()
-        assert k4.num_vertices == 4 and k4.num_edges() == 6
-        assert t_graph.num_vertices == 8 and t_graph.num_edges() == 12
+        assert k4.num_vertices == 4 and len(k4.edges()) == 6
+        assert t_graph.num_vertices == 8 and len(t_graph.edges()) == 12
         assert all(t_graph.degree(v) == 3 for v in t_graph.vertices())
 
     def test_t_graph_is_k44_minus_matching(self):
@@ -373,7 +371,7 @@ class TestEdgeListIO:
         path.write_text("# comment\n0 1\n1 2\n\n2 3\n")
         g = read_edge_list(path)
         assert g.num_vertices == 4
-        assert g.num_edges() == 3
+        assert len(g.edges()) == 3
 
     def test_bad_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.edges"
@@ -390,6 +388,21 @@ class TestEdgeListIO:
         path.write_text(f"0 1\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             read_edge_list(path)
+
+    def test_undecodable_line_reports_location(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: not UTF-8")):
+            read_edge_list(path)
+
+    def test_line_endings_as_in_text_mode(self, tmp_path):
+        # \r, \r\n and \n each end a line, and count as one.
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"0 1\r1 2\r\n2 3\n\rx\n")
+        with pytest.raises(ValueError, match=r":5: expected two vertex labels"):
+            read_edge_list(path)
+        path.write_bytes(b"0 1\r1 2\r\n2 3\n")
+        assert read_edge_list(path).edges() == [(0, 1), (1, 2), (2, 3)]
 
     def test_label_bound(self, tmp_path):
         path = tmp_path / "g.edges"

@@ -15,10 +15,10 @@ like such incidence matrices must reach the general reduction.
 import random
 
 import pytest
-from conftest import RP2_TRIANGLES, oracle_gf2_rank, oracle_invariant_factors
+from conftest import RP2_TRIANGLES, oracle_gf2_rank, oracle_invariant_factors, snf, sparse_rows
 
 import nctopo
-from nctopo import SimplicialComplex, _kernels, chain_complex, smith_normal_form, verify
+from nctopo import SimplicialComplex, _kernels, chain_complex, verify
 from nctopo.classify import case_of
 from nctopo._kernels import SparseRow
 from nctopo.cli import admissible_triples
@@ -44,10 +44,6 @@ def sparse_matrix(seed, values=(1, -1, 2, -2, 3, 6)):
         [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
         for _ in range(rows)
     ]
-
-
-def sparse_rows(dense):
-    return [SparseRow(len(row), {j: v for j, v in enumerate(row) if v}) for row in dense]
 
 
 def incidence_entries(seed):
@@ -192,10 +188,6 @@ class TestPureGf2:
         assert sum(w > 64 for w in widths) >= 20 and max(widths) > 128
 
 
-def snf(dense):
-    return _kernels.snf_diagonal(sparse_rows(dense))
-
-
 class TestPureSnf:
     def test_single_entry(self):
         assert snf([[6]]) == [6]
@@ -309,9 +301,7 @@ class TestSparseRow:
     def test_sparse_and_dense_input_agree(self):
         for seed in range(150):
             mat = sparse_matrix(seed)
-            rows = sparse_rows(mat)
-            assert _kernels.snf_diagonal(rows) == _kernels._general_snf(rows), seed
-            assert smith_normal_form(mat) == smith_normal_form(rows), seed
+            assert snf(mat) == _kernels._general_snf(sparse_rows(mat)), seed
 
     def test_ragged_sparse_raises(self):
         # The first pair would pass the incidence test if widths were ignored.
@@ -319,11 +309,8 @@ class TestSparseRow:
             [SparseRow(1, {0: 1}), SparseRow(2, {0: -1})],
             [SparseRow(2, {0: 1}), SparseRow(3, {0: -1})],
         ):
-            for kernel in (_kernels.snf_diagonal, smith_normal_form):
-                with pytest.raises(ValueError, match="ragged"):
-                    kernel(ragged)
-        with pytest.raises(ValueError, match="ragged"):
-            smith_normal_form([SparseRow(2, {0: 1}), [1]])
+            with pytest.raises(ValueError, match="ragged"):
+                _kernels.snf_diagonal(ragged)
 
 
 class TestIncidenceShortcut:
@@ -374,14 +361,13 @@ class TestIncidenceShortcut:
         assert kernel_calls == []
 
     def test_dense_incidence_takes_the_shortcut(self, kernel_calls):
-        # smith_normal_form turns dense rows into sparse ones first.
+        # Dense rows converted to sparse ones take the shortcut too.
         entries, ncols = incidence_entries(1)
         edges, nv = signed_graph(1)
         mats = [[SparseRow(ncols, e) for e in entries], edge_rows(edges, nv), node_rows(edges, nv)]
         for mat in mats:
             dense = [list(r) for r in mat]
-            factors, _ = smith_normal_form(dense)
-            assert list(factors) == oracle_invariant_factors(dense)
+            assert snf(dense) == oracle_invariant_factors(dense)
         assert kernel_calls == []
 
     @pytest.mark.parametrize(

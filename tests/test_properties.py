@@ -4,6 +4,7 @@ import math
 import random
 
 from hypothesis import assume, given, settings, strategies as st
+from conftest import circulant_component_count
 
 from nctopo.classify import analyze_graph
 from nctopo.collapse import collapse_core, collapse_step
@@ -11,7 +12,6 @@ from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import (
     Graph,
     circulant,
-    circulant_component_count,
     fold_reduce,
     is_connected,
     normalize_circulant_pair,

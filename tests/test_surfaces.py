@@ -11,12 +11,10 @@ from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import circulant
 from nctopo.homology import homology
 from nctopo.surfaces import (
+    _orient,
     classify_surface,
-    is_closed_surface,
     is_pseudomanifold,
-    orient,
     tetrahedron_boundary_pieces,
-    vertex_link,
 )
 
 
@@ -58,9 +56,6 @@ class TestPseudomanifold:
     def test_path_is_not(self):
         assert not is_pseudomanifold(SimplicialComplex([(0, 1), (1, 2)]))
 
-    def test_dimension_mismatch(self, tetra_boundary):
-        assert not is_pseudomanifold(tetra_boundary, 1)
-
     def test_non_pure_rejected(self):
         assert not is_pseudomanifold(SimplicialComplex([(0, 1, 2), (3, 4)]))
 
@@ -70,47 +65,24 @@ class TestPseudomanifold:
     def test_three_sphere_and_one_facet_removed(self):
         facets = list(combinations(range(5), 4))
         assert is_pseudomanifold(SimplicialComplex(facets))
-        assert not is_pseudomanifold(SimplicialComplex(facets[1:]), 3)
-
-
-class TestVertexLink:
-    def test_link_in_tetra_boundary(self, tetra_boundary):
-        link = vertex_link(tetra_boundary, 0)
-        assert link.maximal_simplices == ((1, 2), (1, 3), (2, 3))
-
-    def test_link_in_solid_tetrahedron(self):
-        k = SimplicialComplex([(0, 1, 2, 3)])
-        assert vertex_link(k, 0).maximal_simplices == ((1, 2, 3),)
-
-    def test_link_of_pinch_vertex(self, pinched_sphere):
-        link = vertex_link(pinched_sphere, 0)
-        assert len(link.components()) == 2
-
-    def test_torus_links_are_hexagons(self, torus7):
-        for v in torus7.vertices():
-            link = vertex_link(torus7, v)
-            assert link.f_vector() == (6, 6)
-
-    def test_missing_vertex(self, tetra_boundary):
-        with pytest.raises(ValueError):
-            vertex_link(tetra_boundary, 9)
+        assert not is_pseudomanifold(SimplicialComplex(facets[1:]))
 
 
 class TestClosedSurface:
     def test_positives(self, tetra_boundary, rp2, torus7):
-        assert is_closed_surface(tetra_boundary)
-        assert is_closed_surface(rp2)
-        assert is_closed_surface(torus7)
+        assert classify_surface(tetra_boundary).closed_surface
+        assert classify_surface(rp2).closed_surface
+        assert classify_surface(torus7).closed_surface
 
     def test_pinched_sphere_fails_on_link(self, pinched_sphere):
         assert is_pseudomanifold(pinched_sphere)
-        assert not is_closed_surface(pinched_sphere)
+        assert not classify_surface(pinched_sphere).closed_surface
 
     def test_triangle_with_boundary_fails(self, solid_triangle):
-        assert not is_closed_surface(solid_triangle)
+        assert not classify_surface(solid_triangle).closed_surface
 
     def test_wrong_dimension(self):
-        assert not is_closed_surface(SimplicialComplex([(0, 1), (1, 2), (0, 2)]))
+        assert not classify_surface(SimplicialComplex([(0, 1), (1, 2), (0, 2)])).closed_surface
 
 
 def _edge_sign(triangle, edge):
@@ -131,28 +103,24 @@ class TestOrient:
         return all(v == 0 for v in total.values())
 
     def test_tetra_boundary_orientable(self, tetra_boundary):
-        signs = orient(tetra_boundary)
+        signs = _orient(tetra_boundary)
         assert signs is not None
         assert set(signs.values()) <= {1, -1}
         assert self._boundary_cancels(tetra_boundary, signs)
 
     def test_torus_orientable(self, torus7):
-        signs = orient(torus7)
+        signs = _orient(torus7)
         assert signs is not None
         assert self._boundary_cancels(torus7, signs)
 
     def test_rp2_not_orientable(self, rp2):
-        assert orient(rp2) is None
+        assert _orient(rp2) is None
 
     def test_disconnected_surface_orients_by_component(self, two_spheres):
-        signs = orient(two_spheres)
+        signs = _orient(two_spheres)
         assert signs is not None
         assert len(signs) == 8
         assert self._boundary_cancels(two_spheres, signs)
-
-    def test_requires_pseudomanifold(self, solid_triangle):
-        with pytest.raises(ValueError):
-            orient(solid_triangle)
 
 
 class TestClassifySurface:
@@ -261,9 +229,7 @@ def reference_link_is_single_cycle(link):
 
 def reference_is_closed_surface(k):
     """One link complex per vertex, each checked to be a single cycle."""
-    if k.dim() != 2 or not k.is_pure():
-        return False
-    if not is_pseudomanifold(k, 2):
+    if k.dim() != 2 or not is_pseudomanifold(k):
         return False
     return all(
         reference_link_is_single_cycle(reference_vertex_link(k, v)) for v in k.vertices()
@@ -273,7 +239,7 @@ def reference_is_closed_surface(k):
 def reference_orient(k):
     """Orientation over a private edge map, with each sign found by
     _edge_sign; raises ValueError off pure-2 pseudomanifolds."""
-    if not is_pseudomanifold(k, 2):
+    if k.dim() != 2 or not is_pseudomanifold(k):
         raise ValueError("not a pure-2 pseudomanifold")
     by_edge = {}
     for m in k.maximal_simplices:
@@ -343,16 +309,14 @@ def random_two_complex(seed):
 
 def check_surface_against_references(k):
     closed = reference_is_closed_surface(k)
-    assert is_closed_surface(k) == closed
     signs = outcome_of(reference_orient, k)
-    assert outcome_of(orient, k) == signs
     r = classify_surface(k)
     assert r.connected == (len(reference_component_vertex_sets(k.maximal_simplices)) == 1)
     assert r.pseudomanifold == (signs != "raises")
     assert r.closed_surface == closed
     assert r.orientable == (None if signs == "raises" else signs is not None)
-    for v in k.vertices():
-        assert vertex_link(k, v) == reference_vertex_link(k, v)
+    if r.pseudomanifold:
+        assert _orient(k) == signs
 
 
 class TestStarBasedRecognitionMatchesReferences:
@@ -364,7 +328,7 @@ class TestStarBasedRecognitionMatchesReferences:
         ks = [SimplicialComplex(random_two_complex(seed)) for seed in range(400)]
         closed = [reference_is_closed_surface(k) for k in ks]
         connected = [len(reference_component_vertex_sets(k.maximal_simplices)) == 1 for k in ks]
-        pm = [is_pseudomanifold(k, 2) for k in ks]
+        pm = [classify_surface(k).pseudomanifold for k in ks]
         assert any(c and conn for c, conn in zip(closed, connected))
         assert any(c and not conn for c, conn in zip(closed, connected))
         # Pseudomanifolds with a pinched vertex, whose link is two cycles.
@@ -381,8 +345,3 @@ class TestStarBasedRecognitionMatchesReferences:
         assert any(not reference_is_closed_surface(k) for k in ks)
         for k in ks:
             check_surface_against_references(k)
-
-    def test_link_of_missing_vertex_raises(self, torus7):
-        for k in (torus7, SimplicialComplex([])):
-            with pytest.raises(ValueError):
-                vertex_link(k, 7)
