@@ -37,19 +37,18 @@ its own, so the Smith and GF(2) ranks stay independent cross-checks.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
 BACKEND = "pure"
 
 
-class SparseRow(Sequence):
+class SparseRow:
     """Read-only integer row of length ``ncols`` stored as ``{column: value}``.
 
-    It behaves as the dense list it stands for: ``len``, indexing,
-    iteration and ``count`` see the zeros, and it compares equal to that
-    list.  ``entries`` holds the nonzeros only and must not be mutated.
+    ``entries`` holds the nonzeros only and must not be mutated.  ``len``
+    and ``count`` see the zeros, as the dense row's would; the benchmark
+    tracer's Smith hook reads the matrix through them.
     """
 
     __slots__ = ("ncols", "entries")
@@ -61,27 +60,13 @@ class SparseRow(Sequence):
     def __len__(self):
         return self.ncols
 
-    def __getitem__(self, j):
-        if j < 0:
-            j += self.ncols
-        if not 0 <= j < self.ncols:
-            raise IndexError("row index out of range")
-        return self.entries.get(j, 0)
-
     def count(self, value):
         if value == 0:
             return self.ncols - len(self.entries)
         return sum(1 for v in self.entries.values() if v == value)
 
-    def __eq__(self, other):
-        if isinstance(other, SparseRow):
-            return self.ncols == other.ncols and self.entries == other.entries
-        if isinstance(other, list):
-            return len(other) == self.ncols and list(self) == other
-        return NotImplemented
-
     def __repr__(self):
-        return f"SparseRow({list(self)!r})"
+        return f"SparseRow({self.ncols}, {self.entries!r})"
 
 
 def gf2_rank(rows):

@@ -25,12 +25,10 @@ from .complexes import neighborhood_complex
 from .graphs import (
     circulant,
     connected_components,
-    excluded_max_degree_3_graphs,
     find_fold,
     fold_reduce,
     induced_subgraph,
     is_connected,
-    is_isomorphic_small,
     normalize_circulant_pair,
 )
 from .homology import homology, uct_check
@@ -310,11 +308,31 @@ def _worse(*verdicts):
 
 
 def _is_excluded(g):
-    """Whether g is one of the two graphs the degree-3 guarantee excludes."""
-    return any(
-        g.num_vertices == ex.num_vertices and is_isomorphic_small(g, ex)
-        for ex in excluded_max_degree_3_graphs()
-    )
+    """Whether g is K_4 or K_{4,4} minus a perfect matching, the two graphs
+    the degree-3 guarantee excludes.
+
+    K_4 is the only 3-regular graph on 4 vertices.  A 3-regular bipartite
+    graph on 8 vertices has 4 vertices on each side, and each vertex misses
+    exactly one vertex of the other side, so it is K_{4,4} minus a perfect
+    matching.  g is bipartite iff the 2-colouring of a spanning forest
+    gives no edge one colour at both ends.
+    """
+    n = g.num_vertices
+    if n not in (4, 8) or any(g.degree(v) != 3 for v in g.vertices()):
+        return False
+    if n == 4:
+        return True
+    colour = [None] * n
+    for root in g.vertices():
+        if colour[root] is None:
+            colour[root], stack = 0, [root]
+            while stack:
+                u = stack.pop()
+                for w in g.neighborhood(u):
+                    if colour[w] is None:
+                        colour[w] = 1 - colour[u]
+                        stack.append(w)
+    return all(colour[u] != colour[v] for u, v in g.edges())
 
 
 # Cap on the face count bound of a neighborhood complex.  Every 4-regular

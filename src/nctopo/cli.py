@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -65,6 +66,13 @@ def _parse_range(text):
     if hi > MAX_VERTEX_LABEL + 1:
         raise ValueError(f"n must be at most {MAX_VERTEX_LABEL + 1}, got {hi}")
     return lo, hi
+
+
+# Cap on the instances one sweep lists and verifies, sum over n of
+# C(n // 2, 2).  The 5..40 sweep peaks at about 2.7 KB per instance, so a
+# capped sweep stays under 1 GB; the largest range from 5 it admits is
+# 5..185, with 259531 instances.
+MAX_SWEEP_INSTANCES = 1 << 18
 
 
 def admissible_triples(lo, hi):
@@ -183,6 +191,11 @@ def _cmd_sweep(args):
     if args.workers < 0:
         raise ValueError(f"--workers must be 0 (one per CPU) or positive, got {args.workers}")
     lo, hi = _parse_range(args.range)
+    count = sum(math.comb(n // 2, 2) for n in range(lo, hi + 1))
+    if count > MAX_SWEEP_INSTANCES:
+        raise ValueError(
+            f"{lo}..{hi} has {count} instances, above the cap of {MAX_SWEEP_INSTANCES}"
+        )
     tasks = admissible_triples(lo, hi)
     cpus = os.cpu_count() or 1
     workers = max(1, min(args.workers or cpus, cpus, len(tasks)))

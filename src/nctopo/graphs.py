@@ -16,7 +16,7 @@ neighbor of a deleted vertex, not a rescan of the graph per fold.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain, combinations
+from itertools import chain
 
 
 class Graph:
@@ -57,9 +57,6 @@ class Graph:
     def edges(self):
         """Sorted list of edges as (u, v) with u < v."""
         return [(u, v) for u in self.vertices() for v in self._adj[u] if u < v]
-
-    def has_edge(self, u, v):
-        return v in self._adj[u]
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self._adj == other._adj
@@ -270,68 +267,3 @@ def read_edge_list(path):
             top = max(top, u, v)
     return Graph(top + 1, edges)
 
-
-def complete_graph(m):
-    return Graph(m, list(combinations(range(m), 2)))
-
-
-def k44_minus_matching():
-    """The 3-regular bipartite graph K_{4,4} minus a perfect matching.
-
-    Together with K_4 this is one of the two exceptional graphs for which
-    the contractible-or-wedge-of-circles description of neighborhood
-    complexes of connected graphs with maximum degree 3 fails.
-    """
-    side_a = (0, 1, 2, 3)
-    side_b = (4, 5, 6, 7)
-    edges = [
-        (a, b)
-        for i, a in enumerate(side_a)
-        for j, b in enumerate(side_b)
-        if i != j
-    ]
-    return Graph(8, edges)
-
-
-def excluded_max_degree_3_graphs():
-    """The two graphs excluded from the maximum-degree-3 description."""
-    return (complete_graph(4), k44_minus_matching())
-
-
-def is_isomorphic_small(g, h):
-    """Backtracking isomorphism test for graphs with at most 12 vertices."""
-    n = g.num_vertices
-    if n != h.num_vertices:
-        return False
-    if n > 12:
-        raise ValueError("is_isomorphic_small handles at most 12 vertices")
-    if sorted(g.degree(v) for v in g.vertices()) != sorted(h.degree(v) for v in h.vertices()):
-        return False
-
-    # Assign high-degree vertices first to prune early.
-    order = sorted(g.vertices(), key=lambda v: -g.degree(v))
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(idx):
-        if idx == len(order):
-            return True
-        u = order[idx]
-        for w in h.vertices():
-            if used[w] or h.degree(w) != g.degree(u):
-                continue
-            ok = True
-            for prev in order[:idx]:
-                if g.has_edge(u, prev) != h.has_edge(w, image[prev]):
-                    ok = False
-                    break
-            if ok:
-                image[u] = w
-                used[w] = True
-                if extend(idx + 1):
-                    return True
-                image[u] = -1
-                used[w] = False
-        return False
-
-    return extend(0)

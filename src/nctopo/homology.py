@@ -29,10 +29,9 @@ class ChainComplex:
     bases[d] is the sorted tuple of d-simplices; boundaries[d] is the
     matrix of the boundary map C_d -> C_{d-1} as a list of sparse rows
     (rows indexed by (d-1)-simplices, columns by d-simplices).  Each row
-    is a ``_kernels.SparseRow`` holding its nonzero entries as
-    ``{column: +-1}``; it behaves as the dense integer sequence it stands
-    for, so ``len``, indexing, ``count`` and comparison with a list see
-    the zeros.  boundaries[0] is the empty matrix with f_0 columns.
+    is a ``_kernels.SparseRow`` of width f_d holding its nonzero entries
+    as ``{column: +-1}``.  boundaries[0] is the empty matrix with f_0
+    columns.
     indices[d] maps each d-simplex to its position in bases[d], for every
     d below the top dimension: the row index of boundaries[d + 1].
     """

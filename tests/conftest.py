@@ -5,7 +5,7 @@ import inspect
 import math
 import pathlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from sympy import Matrix
@@ -27,6 +27,11 @@ def sparse_rows(dense):
     """The rows of a dense integer matrix as the ``SparseRow`` rows that
     ``_kernels.snf_diagonal`` takes."""
     return [_kernels.SparseRow(len(row), {j: v for j, v in enumerate(row) if v}) for row in dense]
+
+
+def dense_rows(rows):
+    """The dense integer lists that ``SparseRow`` rows stand for."""
+    return [[row.entries.get(j, 0) for j in range(row.ncols)] for row in rows]
 
 
 def snf(dense):
@@ -140,6 +145,50 @@ def cycle_graph(m):
     if m < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def complete_graph(m):
+    return Graph(m, list(combinations(range(m), 2)))
+
+
+def k44_minus_matching():
+    """K_{4,4} minus a perfect matching, on the sides 0..3 and 4..7, with
+    vertex i missing i + 4.  With K_4, one of the two graphs the
+    maximum-degree-3 description of neighborhood complexes excludes."""
+    return Graph(8, [(a, b) for a in range(4) for b in range(4, 8) if b != a + 4])
+
+
+def reference_is_excluded(g):
+    """Whether g is K_4 or K_{4,4} minus a perfect matching, by trying every
+    relabelling that fixes vertex 0.  Both graphs are vertex-transitive, so
+    an isomorphism onto one of them, followed by an automorphism that takes
+    the image of 0 back to 0, fixes 0.  Shares no code with classify."""
+    edges = {frozenset(e) for e in g.edges()}
+    for h in (complete_graph(4), k44_minus_matching()):
+        target = {frozenset(e) for e in h.edges()}
+        if g.num_vertices != h.num_vertices or len(edges) != len(target):
+            continue
+        for rest in permutations(range(1, g.num_vertices)):
+            p = (0, *rest)
+            if {frozenset((p[u], p[v])) for u, v in edges} == target:
+                return True
+    return False
+
+
+def incidence_graph(k):
+    """The vertex-facet graph B(K): the vertices of K, relabelled 0..f_0 - 1
+    in order, then one vertex per maximal simplex, joined to its vertices.
+
+    N(B(K)) has two parts: the neighborhoods of the facet vertices span a
+    copy of K, and those of K's vertices span the nerve of its maximal
+    simplices, which is homotopy equivalent to K (nerve theorem).
+    """
+    label = {v: i for i, v in enumerate(k.vertices())}
+    m = len(label)
+    return Graph(
+        m + len(k.maximal_simplices),
+        [(label[v], m + j) for j, facet in enumerate(k.maximal_simplices) for v in facet],
+    )
 
 
 def circulant_component_count(n, generators):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -16,22 +18,32 @@ from nctopo.classify import (
     special_params,
     verify,
 )
+from nctopo.cli import admissible_triples
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import (
     MAX_VERTEX_LABEL,
     Graph,
     circulant,
-    complete_graph,
+    connected_components,
     find_fold,
     fold_reduce,
-    k44_minus_matching,
+    induced_subgraph,
     normalize_circulant_pair,
 )
-from nctopo.homology import HomologyProfile
+from nctopo.homology import HomologyProfile, homology
 from nctopo.shelling import ShellingReport, wedge_shelling_orders
 from nctopo.surfaces import classify_surface
 
-from conftest import TORUS_TRIANGLES, cycle_graph
+from conftest import (
+    KLEIN_TRIANGLES,
+    RP2_TRIANGLES,
+    TORUS_TRIANGLES,
+    complete_graph,
+    cycle_graph,
+    incidence_graph,
+    k44_minus_matching,
+    reference_is_excluded,
+)
 
 
 class TestCaseOf:
@@ -322,6 +334,105 @@ class TestAnalyzeGraph:
         assert out["case"] == "degenerate-3-regular"
         assert out["verdict"] == "pass"
         assert [c.betti_z for c in out["components"]] == [(1, 11)]
+
+
+def relabelled(g, seed):
+    perm = list(g.vertices())
+    random.Random(seed).shuffle(perm)
+    return Graph(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_cubic_graph(seed):
+    """Seeded 3-regular simple graph on 8 vertices: random pairings of
+    three half-edges per vertex, redrawn until no loop or double edge."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(8) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i : i + 2])) for i in range(0, 24, 2)}
+        if len(edges) == 12 and all(u != v for u, v in edges):
+            return Graph(8, sorted(edges))
+
+
+def first_component(g):
+    return induced_subgraph(g, connected_components(g)[0])
+
+
+# Each family of graphs, with the set of verdicts it must show.
+EXCLUSION_INPUTS = {
+    "relabelled": (
+        {True},
+        lambda: [
+            relabelled(h, seed)
+            for h in (complete_graph(4), k44_minus_matching())
+            for seed in range(20)
+        ],
+    ),
+    "2K4": (
+        {False},
+        lambda: [
+            circulant(8, (2, 4)),
+            Graph(8, [(u, v) for u, v in combinations(range(8), 2) if (u < 4) == (v < 4)]),
+        ],
+    ),
+    "cubic-8": ({True, False}, lambda: [random_cubic_graph(seed) for seed in range(40)]),
+    "circulant-5..40": (
+        {True, False},
+        lambda: [first_component(circulant(n, (s, t))) for n, s, t in admissible_triples(5, 40)],
+    ),
+}
+
+
+class TestIsExcluded:
+    """classify._is_excluded, by degrees and a 2-colouring, against the
+    brute-force isomorphism reference."""
+
+    @pytest.mark.parametrize("family", list(EXCLUSION_INPUTS))
+    def test_agrees_with_brute_force(self, family):
+        seen, build = EXCLUSION_INPUTS[family]
+        graphs = build()
+        verdicts = [classify._is_excluded(g) for g in graphs]
+        assert verdicts == [reference_is_excluded(g) for g in graphs]
+        assert set(verdicts) == seen
+
+
+CUBE_EDGES = [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]
+
+KNOWN_COMPLEXES = {
+    "RP2": RP2_TRIANGLES,
+    "torus7": TORUS_TRIANGLES,
+    "klein": KLEIN_TRIANGLES,
+    "tetra-boundary": tuple(combinations(range(4), 3)),
+    "4-simplex-boundary": tuple(combinations(range(5), 4)),
+    "C5": tuple((i, (i + 1) % 5) for i in range(5)),
+    "cube-1-skeleton": tuple(CUBE_EDGES),
+}
+
+
+class TestIncidenceGraphs:
+    """Known answers: N(B(K)) of the vertex-facet graph B(K) is K plus the
+    nerve of its maximal simplices, two components homotopy equivalent to K."""
+
+    @pytest.mark.parametrize("name", list(KNOWN_COMPLEXES))
+    def test_two_copies_of_k(self, name):
+        k = SimplicialComplex(KNOWN_COMPLEXES[name])
+        b = incidence_graph(k)
+        assert find_fold(b) is None
+        out = analyze_graph(b, name=name)
+        h = homology(k)
+        assert [(c.betti_z, c.torsion) for c in out["components"]] == [(h.betti_z, h.torsion)] * 2
+        if k.dim() == 2:
+            assert [c.surface for c in out["components"]] == [classify_surface(k).classification] * 2
+        if name == "tetra-boundary":
+            # B of the tetrahedron boundary is K_{4,4} minus a perfect
+            # matching: maximum degree 3, but excluded.
+            assert reference_is_excluded(b) and out["max_degree"] == 3
+            assert (out["case"], out["verdict"]) == (None, None)
+        elif name in ("C5", "cube-1-skeleton"):
+            assert out["max_degree"] <= 3
+            assert (out["case"], out["verdict"]) == ("degenerate-3-regular", "pass")
+        else:
+            assert out["max_degree"] > 3 and out["case"] is None
 
 
 class TestReduceToCore:

@@ -427,6 +427,29 @@ class TestCirculantSizeBound:
         assert out == ""
         assert f"n must be at most {MAX_VERTEX_LABEL + 1}" in err
 
+    def test_sweep_instance_cap(self, capsys, monkeypatch):
+        # 5..100001 has 41666666649999 instances; none is listed.  5..185,
+        # with 259531, is the largest range from 5 under the cap.
+        listed = []
+
+        def fake_triples(lo, hi):
+            if hi > 185:
+                raise AssertionError("admissible_triples called above the cap")
+            listed.append((lo, hi))
+            return []
+
+        monkeypatch.setattr(cli, "admissible_triples", fake_triples)
+        for hi, count in ((100001, 41666666649999), (186, 263809)):
+            rc, out, err = run(capsys, "sweep", "--n", f"5..{hi}", "--format", "csv")
+            assert (rc, out) == (2, "")
+            assert err == (
+                f"nctopo: 5..{hi} has {count} instances,"
+                f" above the cap of {cli.MAX_SWEEP_INSTANCES}\n"
+            )
+        rc, _, err = run(capsys, "sweep", "--n", "5..185", "--format", "csv", "--workers", "1")
+        assert rc == 0 and listed == [(5, 185)]
+        assert cli.MAX_SWEEP_INSTANCES == 2**18
+
     def test_bound_is_inclusive(self):
         assert _parse_triple(f"{MAX_VERTEX_LABEL + 1},1,2") == (MAX_VERTEX_LABEL + 1, 1, 2)
         with pytest.raises(ValueError):

@@ -4,10 +4,16 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import boundary_of_simplex, random_family, reference_component_vertex_sets
+from conftest import (
+    boundary_of_simplex,
+    complete_graph,
+    k44_minus_matching,
+    random_family,
+    reference_component_vertex_sets,
+)
 
 from nctopo import SimplicialComplex, circulant, neighborhood_complex
-from nctopo.graphs import Graph, complete_graph, k44_minus_matching
+from nctopo.graphs import Graph
 
 
 class TestCanonicalization:

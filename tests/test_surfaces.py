@@ -1,6 +1,7 @@
 """Surface recognition: pseudomanifolds, links, orientation, classification."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -227,9 +228,18 @@ def reference_link_is_single_cycle(link):
     return len(reference_component_vertex_sets(link.maximal_simplices)) == 1
 
 
+def reference_is_pure_2_pseudomanifold(k):
+    """Every maximal simplex a triangle and every edge of one in exactly two,
+    by counting the edges over all triangles; shares no code with surfaces."""
+    tris = k.maximal_simplices
+    if not tris or any(len(m) != 3 for m in tris):
+        return False
+    return all(c == 2 for c in Counter(e for m in tris for e in combinations(m, 2)).values())
+
+
 def reference_is_closed_surface(k):
     """One link complex per vertex, each checked to be a single cycle."""
-    if k.dim() != 2 or not is_pseudomanifold(k):
+    if not reference_is_pure_2_pseudomanifold(k):
         return False
     return all(
         reference_link_is_single_cycle(reference_vertex_link(k, v)) for v in k.vertices()
@@ -239,7 +249,7 @@ def reference_is_closed_surface(k):
 def reference_orient(k):
     """Orientation over a private edge map, with each sign found by
     _edge_sign; raises ValueError off pure-2 pseudomanifolds."""
-    if k.dim() != 2 or not is_pseudomanifold(k):
+    if not reference_is_pure_2_pseudomanifold(k):
         raise ValueError("not a pure-2 pseudomanifold")
     by_edge = {}
     for m in k.maximal_simplices:

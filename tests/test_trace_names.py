@@ -10,6 +10,7 @@ runs.
 import pathlib
 
 import pytest
+from conftest import dense_rows
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,7 +60,7 @@ def test_snf_counts_see_sparse_rows_as_dense(tracer, n, s, t):
     assert len(mats) == 2 and all(isinstance(r, SparseRow) for m in mats for r in m)
     for mat in mats:
         counts = []
-        for m in (mat, [list(r) for r in mat]):
+        for m in (mat, dense_rows(mat)):
             tr = tracer.Tracer()
             tr._before_snf((m,), {})
             counts.append((tr.counts["snf_cells"], tr.counts["snf_nnz"], tr.snf_max_side))
