@@ -14,13 +14,15 @@ replays every recorded ``SimplicialComplex(...)`` call, so each checkout
 times the calls its own pipeline makes.  The other three run as the
 pipeline runs them: each pass first rebuilds every collapsed core outside
 the clock, then times ``components`` on the fresh cores and ``homology``
-and ``classify_surface`` on their components, in that order.  So no pass
-reads a cache an earlier pass filled: ``homology`` pays for enumerating
-faces, and ``classify_surface`` reads the faces ``homology`` enumerated,
-as in ``classify._measure``.  A core arrives from ``collapse_core`` with
-the ``cofaces(d)`` indices its free-face screen built, so each rebuilt
-core gets those indices again, outside the clock, and ``homology`` is not
-charged for them twice.
+and ``classify_surface`` on the components the pipeline measured, in that
+order: the first component of each ``verify`` core, whose rotations share
+its report, and every component of each ``analyze_graph`` core.  So no
+pass reads a cache an earlier pass filled: ``homology`` pays for
+enumerating faces, and ``classify_surface`` reads the faces ``homology``
+enumerated, as in ``classify._measure``.  A core arrives from
+``collapse_core`` with the ``cofaces(d)`` indices its free-face screen
+built, so each rebuilt core gets those indices again, outside the clock,
+and ``homology`` is not charged for them twice.
 
 Each run is appended under ``--label`` in ``BENCH_stages.json``, next to
 the entries of other checkouts, with machine and Python metadata, and the
@@ -78,7 +80,11 @@ ABOUT = (
     "longer writes them. Labels up to faces-once timed homology on bare "
     "copies of the cores, so it paid again for the cofaces(d) indices that "
     "the collapse screen had built; later labels rebuild those indices on "
-    "each copy outside the clock"
+    "each copy outside the clock. Labels up to trim-reach timed homology and "
+    "classify_surface on every component of every core, and counted every "
+    "component; later labels time and count only the components the pipeline "
+    "measures, the first of each verify core and every component of each "
+    "analyze_graph core"
 )
 
 
@@ -158,14 +164,23 @@ def fresh_core(core, built):
     return fresh
 
 
-def _core_stages(collapses):
+def _core_stages(collapses, surfaces):
     """Best of three passes of components, homology and classify_surface,
-    each pass on fresh copies of the recorded cores, in pipeline order."""
+    in pipeline order: components on fresh copies of the recorded cores,
+    the other two on fresh copies of the components the pipeline measured.
+
+    A measured component that is a whole core, because the core is
+    connected, is that core's fresh copy, as ``components()`` returns a
+    connected core itself; any other is a bare copy, as ``components()``
+    builds it.
+    """
     best = dict.fromkeys(("components", "homology", "classify_surface"))
     for _ in range(3):
-        fresh = [fresh_core(trace.core, built) for _, trace, built in collapses]
+        fresh = {id(trace.core): fresh_core(trace.core, built) for _, trace, built in collapses}
+        comps = [fresh[id(k)] if id(k) in fresh else fresh_core(k, ()) for k in surfaces]
         t0 = time.perf_counter()
-        comps = [comp for core in fresh for comp in core.components()]
+        for core in fresh.values():
+            core.components()
         t1 = time.perf_counter()
         for comp in comps:
             homology(comp)
@@ -212,8 +227,9 @@ def measure():
             "construct_s": _best_of(lambda b: SimplicialComplex(*b[0], **b[1]), rec["builds"]),
             "fold_reduce_s": _best_of(nctopo.fold_reduce, rec["folds"]),
             "snf_s": _best_of(_kernels.snf_diagonal, rec["snf"]),
-            **{stage + "_s": dt for stage, dt in _core_stages(rec["collapses"]).items()},
         }
+        for stage, dt in _core_stages(rec["collapses"], rec["surfaces"]).items():
+            rows[name][stage + "_s"] = dt
     return rows
 
 

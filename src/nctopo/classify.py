@@ -3,15 +3,17 @@
 Two-generator circulant parameters (n, s, t) fall into a partition of
 cases, each carrying a predicted homotopy type for the neighborhood
 complex.  verify() and analyze_graph() share one pipeline:
-reduce_to_core() folds, builds and collapses, and _measure() measures
-every core component.  verify() grades the prediction with decidable
-checks: collapses to a vertex for points, 1-dimensional torsion-free
-cores for wedges of circles, exact Betti profiles with shelling
-certificates for the wedge of two 2-spheres, tetrahedron-boundary piece
-counts for garlands, and intrinsic closed-orientable-surface recognition
-for connected sums of tori.  Anything outside the guarantee is a fail; a
-true-but-stronger outcome (for example genus above one) is reported as
-notable, never silently passed.
+reduce_to_core() folds, builds and collapses, and _measure() measures one
+core component: each of them for analyze_graph(), and for verify() the
+first, which every other component must be a rotation of.  verify()
+grades the prediction with decidable checks: collapses to a vertex for
+points, 1-dimensional torsion-free cores for wedges of circles, exact
+Betti profiles with shelling certificates for the wedge of two
+2-spheres, tetrahedron-boundary piece counts for garlands, and intrinsic
+closed-orientable-surface recognition for connected sums of tori.
+Anything outside the guarantee is a fail; a true-but-stronger outcome
+(for example genus above one) is reported as notable, never silently
+passed.
 """
 
 from __future__ import annotations
@@ -276,30 +278,27 @@ def _check_component(shape, comp, h, sr):
 
 
 def _shelling_certificate(comps, n, s, t):
-    """Match each component against its canonical shelling order.
+    """Match the components against the canonical shelling orders; one (verdict, note).
 
-    Returns a list of (verdict, note) adjustments aligned with comps.
+    Every component must carry the maximal simplices of one canonical
+    order.  The orders are rotations of one another, as are the
+    components, so the order of the first component is checked alone.
     """
     certs = wedge_shelling_orders(n, s, t)
-    out = [("pass", "")] * len(comps)
     if len(certs) != len(comps):
-        return [("fail", f"{len(certs)} shelling orders for {len(comps)} components")] * len(comps)
+        return "fail", f"{len(certs)} shelling orders for {len(comps)} components"
     by_maximal = {tuple(sorted(set(order))): (order, spanning) for order, spanning in certs}
-    for i, comp in enumerate(comps):
-        key = comp.maximal_simplices
-        cert = by_maximal.get(key)
-        if cert is None:
-            out[i] = ("fail", "component does not match any canonical shelling order")
-            continue
-        order, spanning = cert
-        report = verify_shelling(comp, order)
-        if not report.valid:
-            out[i] = ("fail", "canonical order is not a shelling of the component")
-        elif sorted(report.spanning) != sorted(tuple(x) for x in spanning):
-            out[i] = ("fail", "spanning simplices differ from the canonical pair")
-        elif report.sphere_dims != (2, 2):
-            out[i] = ("fail", f"shelling gives spheres {report.sphere_dims}, expected (2, 2)")
-    return out
+    if set(by_maximal) != {comp.maximal_simplices for comp in comps}:
+        return "fail", "component does not match any canonical shelling order"
+    order, spanning = by_maximal[comps[0].maximal_simplices]
+    report = verify_shelling(comps[0], order)
+    if not report.valid:
+        return "fail", "canonical order is not a shelling of the component"
+    if sorted(report.spanning) != sorted(tuple(x) for x in spanning):
+        return "fail", "spanning simplices differ from the canonical pair"
+    if report.sphere_dims != (2, 2):
+        return "fail", f"shelling gives spheres {report.sphere_dims}, expected (2, 2)"
+    return "pass", ""
 
 
 def _worse(*verdicts):
@@ -377,42 +376,37 @@ def reduce_to_core(g, params=None):
     return g, k, collapse_core(k, **strategy)
 
 
-def _measure(comps, shape, certificate=None):
-    """One ComponentReport per component, graded against shape unless it is None.
+def _measure(comp, shape, certificate=None):
+    """ComponentReport of one component, graded against shape unless it is None.
 
     A certificate, such as the shelling check's, is one more (verdict,
-    note) per component: a verdict worse than pass is merged in and its
-    note appended.
+    note): a verdict worse than pass is merged in and its note appended.
     """
-    out = []
-    for comp, (cert, cert_note) in zip(comps, certificate or [("pass", "")] * len(comps)):
-        h = homology(comp)
-        sr = classify_surface(comp)
-        verdict, note = ("", "") if shape is None else _check_component(shape, comp, h, sr)
-        if cert != "pass":
-            verdict, note = _worse(verdict, cert), (note + "; " + cert_note).strip("; ")
-        out.append(
-            ComponentReport(
-                f_vector=comp.f_vector(),
-                betti_z=h.betti_z,
-                torsion=h.torsion,
-                betti_z2=h.betti_z2,
-                euler=h.euler,
-                surface=sr.classification,
-                core_dim=comp.dim(),
-                verdict=verdict,
-                note=note,
-            )
-        )
-    return out
+    h = homology(comp)
+    sr = classify_surface(comp)
+    verdict, note = ("", "") if shape is None else _check_component(shape, comp, h, sr)
+    cert, cert_note = certificate or ("pass", "")
+    if cert != "pass":
+        verdict, note = _worse(verdict, cert), (note + "; " + cert_note).strip("; ")
+    return ComponentReport(
+        f_vector=comp.f_vector(),
+        betti_z=h.betti_z,
+        torsion=h.torsion,
+        betti_z2=h.betti_z2,
+        euler=h.euler,
+        surface=sr.classification,
+        core_dim=comp.dim(),
+        verdict=verdict,
+        note=note,
+    )
 
 
 def verify(n, s, t):
     """Full verification of one parameter triple; returns a report.
 
     Pipeline: classify, build the circulant graph, reduce it to a collapsed
-    core with reduce_to_core, then measure and grade every component of
-    the core against the predicted shape.
+    core with reduce_to_core, then measure and grade its first component
+    against the predicted shape; every other one must be a rotation of it.
     """
     case = case_of(n, s, t)
     n, s, t = case.n, case.s, case.t
@@ -434,17 +428,21 @@ def verify(n, s, t):
 
     _, _, trace = reduce_to_core(g, (n, s, t))
     comps = trace.core.components()
+    first, *rest = comps
     certificate = _shelling_certificate(comps, n, s, t) if case.tag in ("I2B", "I3B") else None
-    components = _measure(comps, grading, certificate)
+    report = _measure(first, grading, certificate)
+    components = [report] * len(comps)
     notes += [c.note for c in components if c.note]
-    overall = _worse(*(c.verdict for c in components))
+    overall = report.verdict
 
-    # Components of one circulant complex are pairwise isomorphic under
-    # rotation, so their measurements must coincide.
-    profiles = {(c.f_vector, c.betti_z, c.torsion, c.betti_z2, c.surface) for c in components}
-    if len(profiles) > 1:
-        overall = "fail"
-        notes.append("components disagree, breaking the homeomorphic-components invariant")
+    # Z_n acts transitively on the components.  Each other one must be the
+    # first shifted by the difference of least vertices, an isomorphism.
+    for i, comp in enumerate(rest, start=1):
+        shift = comp.vertices()[0] - first.vertices()[0]
+        rotated = (tuple(sorted((v + shift) % n for v in m)) for m in first.maximal_simplices)
+        if tuple(sorted(rotated)) != comp.maximal_simplices:
+            overall = "fail"
+            notes.append(f"component {i} is not component 0 rotated by {shift}")
 
     return VerificationReport(
         n=n,
@@ -479,7 +477,7 @@ def analyze_graph(g, name=""):
     )
     case = "degenerate-3-regular" if applicable else None
     prediction = PREDICTIONS[case] if case else None
-    components = _measure(comps, prediction)
+    components = [_measure(comp, prediction) for comp in comps]
 
     return {
         "graph": name,

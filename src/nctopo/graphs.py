@@ -227,12 +227,12 @@ def read_edge_list(path):
     """Graph from a whitespace-separated edge list file.
 
     Lines give two vertex labels; '#' starts a comment; blank lines are
-    skipped.  Labels must be integers in 0..MAX_VERTEX_LABEL; vertex count
-    is one more than the largest label seen, so the bound caps what a
-    file can make the graph allocate.  The file is read as bytes and each
-    line decoded on its own, so a line that is not UTF-8 is reported with
-    its number, which a text-mode reader, decoding ahead in chunks, does
-    not know.  A line ends at LF, CR or CR LF, as in text mode.
+    skipped.  Labels must be ASCII decimal integers in 0..MAX_VERTEX_LABEL;
+    the vertex count is one more than the largest label seen, so the bound
+    caps what a file can make the graph allocate.  The file is read as
+    bytes and each line decoded on its own, so a line that is not UTF-8 is
+    reported with its number, which a text-mode reader, decoding ahead in
+    chunks, does not know.  A line ends at LF, CR or CR LF, as in text mode.
     """
     edges = []
     top = -1
@@ -251,10 +251,10 @@ def read_edge_list(path):
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two vertex labels, got {raw!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer vertex label in {raw!r}") from exc
+            # int() would also take "+2", "1_0" and non-ASCII digits.
+            if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+                raise ValueError(f"{path}:{lineno}: non-integer vertex label in {raw!r}")
+            u, v = int(parts[0]), int(parts[1])
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative vertex label in {raw!r}")
             if max(u, v) > MAX_VERTEX_LABEL:

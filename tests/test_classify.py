@@ -1,8 +1,8 @@
 """Case partition, predictions, per-instance verification, graph analysis."""
 
-import dataclasses
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,6 +19,7 @@ from nctopo.classify import (
     verify,
 )
 from nctopo.cli import admissible_triples
+from nctopo.collapse import collapse_core
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import (
     MAX_VERTEX_LABEL,
@@ -256,6 +257,38 @@ class TestVerify:
         profiles = {(c.f_vector, c.betti_z, c.surface) for c in r.components}
         assert len(profiles) == 1
 
+    @pytest.mark.parametrize("nst", [(12, 1, 3), (8, 2, 4)])
+    def test_one_measurement_per_instance(self, monkeypatch, nst):
+        calls = []
+        for name in ("homology", "classify_surface"):
+            real = getattr(classify, name)
+            monkeypatch.setattr(
+                classify, name, lambda k, real=real, name=name: calls.append(name) or real(k)
+            )
+        r = verify(*nst)
+        assert len(r.components) == 2 and r.verdict == "pass"
+        assert sorted(calls) == ["classify_surface", "homology"]
+
+    def test_every_component_measured_on_its_own(self):
+        """Independent of the rotation test: over n = 5..40, each component
+        of every instance with more than one core component, measured
+        directly, gives the row verify reports for it."""
+        checked = 0
+        for n, s, t in admissible_triples(5, 40):
+            _, _, trace = reduce_to_core(circulant(n, (s, t)), (n, s, t))
+            comps = trace.core.components()
+            if len(comps) == 1:
+                continue
+            r = verify(n, s, t)
+            for comp, c in zip(comps, r.components, strict=True):
+                h = homology(comp)
+                measured = (h.betti_z, h.torsion, h.betti_z2, h.euler)
+                assert (c.betti_z, c.torsion, c.betti_z2, c.euler) == measured
+                assert (c.f_vector, c.core_dim) == (comp.f_vector(), comp.dim())
+                assert c.surface == classify_surface(comp).classification
+            checked += 1
+        assert checked == 685
+
     def test_json_shape(self):
         obj = verify(10, 1, 3).to_json_obj()
         assert sorted(obj) == ["case", "components", "n", "prediction", "s", "t", "verdict"]
@@ -409,6 +442,45 @@ KNOWN_COMPLEXES = {
 }
 
 
+def dunce_hat():
+    """A triangle with its sides glued along the word a a a^-1, each side
+    cut in three at the glued vertices 0, 1, 2, with a ring of nine inner
+    vertices 3..11 and a centre 12: 27 triangles."""
+    side = [0, 1, 2, 0, 1, 2, 0, 2, 1]
+    triangles = []
+    for i in range(9):
+        j = (i + 1) % 9
+        triangles += [(side[i], side[j], 3 + i), (side[j], 3 + j, 3 + i), (3 + i, 3 + j, 12)]
+    return SimplicialComplex(triangles)
+
+
+def random_pure_2_complex(seed):
+    """Seeded connected complex of 6..20 random triangles on 6..10 vertices."""
+    rng = random.Random(seed)
+    verts = rng.randint(6, 10)
+    while True:
+        k = SimplicialComplex(
+            {tuple(sorted(rng.sample(range(verts), 3))) for _ in range(rng.randint(6, 20))}
+        )
+        if k.is_connected():
+            return k
+
+
+def assert_two_copies(k):
+    """Both components of N(B(K)) carry homology(K)'s Betti numbers and
+    torsion, padded with zeros to one length.  B(K) may fold, which keeps
+    the homotopy type."""
+    h = homology(k)
+    comps = analyze_graph(incidence_graph(k))["components"]
+    top = max(len(h.betti_z), *(len(c.betti_z) for c in comps))
+
+    def padded(p):
+        pad = top - len(p.betti_z)
+        return p.betti_z + (0,) * pad, p.torsion + ((),) * pad
+
+    assert [padded(c) for c in comps] == [padded(h)] * 2
+
+
 class TestIncidenceGraphs:
     """Known answers: N(B(K)) of the vertex-facet graph B(K) is K plus the
     nerve of its maximal simplices, two components homotopy equivalent to K."""
@@ -433,6 +505,23 @@ class TestIncidenceGraphs:
             assert (out["case"], out["verdict"]) == ("degenerate-3-regular", "pass")
         else:
             assert out["max_degree"] > 3 and out["case"] is None
+
+    def test_dunce_hat(self):
+        k = dunce_hat()
+        assert k.f_vector() == (13, 39, 27) and k.is_pure()
+        # No free edge, so nothing collapses, and yet K is acyclic.
+        edges = Counter(e for m in k.maximal_simplices for e in combinations(m, 2))
+        assert min(edges.values()) >= 2
+        assert collapse_core(k).core == k
+        h = homology(k)
+        assert (h.betti_z, h.torsion) == ((1, 0, 0), ((), (), ()))
+        assert_two_copies(k)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pure_2_complexes(self, seed):
+        k = random_pure_2_complex(seed)
+        assert k.is_pure() and k.dim() == 2 and k.is_connected()
+        assert_two_copies(k)
 
 
 class TestReduceToCore:
@@ -545,7 +634,7 @@ def _genus2_surface():
 
 
 def _graded(comp, shape):
-    (report,) = classify._measure([comp], shape)
+    report = classify._measure(comp, shape)
     return report.verdict, report.note
 
 
@@ -685,8 +774,8 @@ class TestRefusals:
 
 class TestCertificateRefusals:
     """Shelling refusals on the I2B instance (12, 1, 3), and the check that
-    the components of one instance agree, reached by replacing the
-    certificate source and the surface recognizer."""
+    every component is a rotation of the first, reached by replacing the
+    certificate source and the collapsed core."""
 
     NST = (12, 1, 3)
 
@@ -707,12 +796,7 @@ class TestCertificateRefusals:
     def test_no_matching_order(self, monkeypatch):
         certs = wedge_shelling_orders(*self.NST)
         r = self._verify_with(monkeypatch, [certs[0], certs[0]])
-        assert sorted((c.verdict, c.note) for c in r.components) == [
-            ("fail", "component does not match any canonical shelling order"),
-            ("pass", ""),
-        ]
-        assert r.notes == ("component does not match any canonical shelling order",)
-        assert r.verdict == "fail"
+        self._assert_refused(r, "component does not match any canonical shelling order")
 
     def test_order_is_not_a_shelling(self, monkeypatch):
         certs = []
@@ -740,19 +824,19 @@ class TestCertificateRefusals:
         self._assert_refused(r, "shelling gives spheres (2,), expected (2, 2)")
 
     def test_components_disagree(self, monkeypatch):
-        real = classify.classify_surface
-        seen = []
+        # 3-cycles on {0, 1, 2} and {3, 5, 7} are isomorphic, but the
+        # second is not the first shifted by 3 - 0.
+        real = classify.reduce_to_core
 
-        def second_differs(k):
-            seen.append(k)
-            report = real(k)
-            if len(seen) == 2:
-                report = dataclasses.replace(report, classification="moved")
-            return report
+        def two_triangles(g, params=None):
+            graph, k, trace = real(g, params)
+            trace.core = SimplicialComplex(
+                list(combinations((0, 1, 2), 2)) + list(combinations((3, 5, 7), 2))
+            )
+            return graph, k, trace
 
-        monkeypatch.setattr(classify, "classify_surface", second_differs)
+        monkeypatch.setattr(classify, "reduce_to_core", two_triangles)
         r = verify(10, 1, 5)
-        assert len(r.components) == 2
-        assert [c.verdict for c in r.components] == ["pass", "pass"]
+        assert [(c.betti_z, c.verdict) for c in r.components] == [((1, 1), "pass")] * 2
         assert r.verdict == "fail"
-        assert r.notes == ("components disagree, breaking the homeomorphic-components invariant",)
+        assert r.notes == ("component 1 is not component 0 rotated by 3",)

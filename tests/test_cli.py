@@ -111,6 +111,12 @@ class TestAnalyzeCirculant:
         rc, _, err = run(capsys, "analyze", "--circulant", "10,1")
         assert rc == 2 and "nctopo:" in err
 
+    @pytest.mark.parametrize("triple", ["１２,1,3", "12,1,٣"])
+    def test_only_ascii_decimal_digits(self, capsys, triple):
+        rc, out, err = run(capsys, "analyze", "--circulant", triple)
+        assert (rc, out) == (2, "")
+        assert err == f"nctopo: expected n,s,t integers, got {triple!r}\n"
+
     def test_out_of_range_parameters(self, capsys):
         rc, _, err = run(capsys, "analyze", "--circulant", "4,1,2")
         assert rc == 2
@@ -214,6 +220,14 @@ class TestAnalyzeGraphFile:
         assert lines == [expected_component_line(i, c) for i, c in enumerate(obj["components"])]
         graded = obj["verdict"] is not None
         assert all(line.endswith(f" {obj['verdict']}") == graded for line in lines)
+
+    @pytest.mark.parametrize("label", ["1_0", "+2", "０", "²", "-"])
+    def test_only_ascii_decimal_labels(self, capsys, tmp_path, label):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1\n{label} 3\n", encoding="utf-8")
+        rc, out, err = run(capsys, "analyze", "--graph", str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"nctopo: {path}:2: non-integer vertex label in {label + ' 3'!r}\n"
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "analyze", "--graph", str(tmp_path / "absent.edges"))
@@ -327,6 +341,12 @@ class TestSweep:
         assert rc == 2
         assert out == ""
         assert err == f"nctopo: --workers must be 0 (one per CPU) or positive, got {workers}\n"
+
+    @pytest.mark.parametrize("bad", ["５..6", "5..６"])
+    def test_only_ascii_decimal_digits(self, capsys, bad):
+        rc, out, err = run(capsys, "sweep", "--n", bad, "--workers", "1")
+        assert (rc, out) == (2, "")
+        assert err == f"nctopo: expected a range A..B, got {bad!r}\n"
 
     @pytest.mark.parametrize("bad", ["9..5", "abc", "4..6", "5"])
     def test_bad_ranges(self, capsys, bad):
