@@ -471,8 +471,8 @@ def analyze_graph(g, name=""):
     max_degree = g.max_degree()
     applicable = (
         g.num_vertices >= 1
-        and is_connected(g)
         and max_degree <= 3
+        and is_connected(g)
         and not _is_excluded(reduced)
     )
     case = "degenerate-3-regular" if applicable else None

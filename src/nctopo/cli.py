@@ -47,7 +47,7 @@ _CSV_FIELDS = (
 
 
 def _parse_triple(text):
-    m = re.fullmatch(r"\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*", text)
+    m = re.fullmatch(r"\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*", text, re.ASCII)
     if not m:
         raise ValueError(f"expected n,s,t integers, got {text!r}")
     n, s, t = (int(x) for x in m.groups())
@@ -57,7 +57,7 @@ def _parse_triple(text):
 
 
 def _parse_range(text):
-    m = re.fullmatch(r"\s*([0-9]+)\.\.([0-9]+)\s*", text)
+    m = re.fullmatch(r"\s*([0-9]+)\.\.([0-9]+)\s*", text, re.ASCII)
     if not m:
         raise ValueError(f"expected a range A..B, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))

@@ -6,26 +6,29 @@ sigma <= gamma <= tau.  After the removal the candidates for new maximal
 simplices are exactly the sets tau minus one vertex of sigma; a candidate
 that is contained in another maximal simplex is absorbed instead.
 
-The generic strategy takes free faces from a lazily validated heap over a
-face -> cofaces map, never from a rescan of every face.  One collapse
-walks the proper faces of tau once and swaps tau, in each face's coface
-set, for the kept candidates that strictly contain the face; a candidate
-is kept iff tau is its only maximal coface.  The heap starts with one
-entry per maximal simplex, its smallest free face: a face free in tau
-stays free while tau is maximal, because every simplex added later lies
-in the simplex just removed, so a smaller free face can only appear by a
-push.  The circulant strategy first tries the closed-form pair schedules
-that exist for two-generator circulant graphs (an edge schedule in two
+The generic strategy takes free faces from a lazily validated heap over
+a face -> cofaces map, never from a rescan of every face.  The map reads
+each vertex's maximal cofaces off the complex's star index and registers
+only the faces of two or more vertices itself.  One collapse walks the
+proper faces of tau once and swaps tau, in each face's coface set, for
+the kept candidates that strictly contain the face; a candidate is kept
+iff tau is its only maximal coface.  The heap starts with one entry per
+maximal simplex, its smallest free face: a face free in tau stays free
+while tau is maximal, because every simplex added later lies in the
+simplex just removed, so a smaller free face can only appear by a push.
+The circulant strategy first tries the closed-form pair schedules that
+exist for two-generator circulant graphs (an edge schedule in two
 mirrored forms, plus a free-triangle schedule for two special parameter
 families).  A schedule runs on a live maximal set and vertex -> star
 index, with every pair verified as it is applied, and needs no face map.
 After it the core is built, and a free-face screen asks the core's own
 coface index whether anything is still free: the face map of the generic
-strategy is built, and that strategy run to a fixed point, only when some
-(d-1)-face lies in a single d-face, d the dimension of a maximal simplex.
-The coface index the screen builds is the one homology and surface
-recognition read next.  When no schedule applies the generic strategy
-runs on the whole complex.  Everything is deterministic.
+strategy is built from that core, and that strategy run to a fixed
+point, only when some (d-1)-face lies in a single d-face, d the
+dimension of a maximal simplex.  The coface index the screen builds is
+the one homology and surface recognition read next.  When no schedule
+applies the generic strategy runs on the whole complex.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ class CongruenceError(CollapseError):
 class _Engine:
     """Mutable maximal-simplex set with a face -> cofaces map for collapsing.
 
+    Built from a complex k: a vertex's entry is its star in k, unless the
+    vertex is itself maximal and so no proper face, and the faces of two
+    or more vertices are registered from the maximal simplices.
+
     Free faces wait in a heap of (-len(tau), sigma, tau) entries, so the
     top valid entry is the pair the generic strategy takes next (Benedetti
     and Lutz's free-face list); an entry whose tau is no longer maximal is
@@ -71,11 +78,16 @@ class _Engine:
     final coface set has a single element.
     """
 
-    def __init__(self, maximal):
-        self.maximal = set(maximal)
+    def __init__(self, k):
+        self.maximal = set(k.maximal_simplices)
+        # A vertex that is itself maximal lies in no other simplex: star [(v,)].
         self.cofaces = cofaces = {}
+        for v in k.vertices():
+            star = k.star(v)
+            if len(star[0]) > 1:
+                cofaces[(v,)] = set(star)
         for m in self.maximal:
-            for r in range(1, len(m)):
+            for r in range(2, len(m)):
                 for f in combinations(m, r):
                     cfs = cofaces.get(f)
                     if cfs is None:
@@ -317,34 +329,32 @@ def collapse_core(k, strategy="generic", circulant=None):
     strategy "circulant" expects circulant=(n, s, t) and first applies the
     closed-form pair schedule for those parameters when one exists,
     verifying each pair against a live star index, then finishes
-    generically; after a schedule the core is built first and the face map
-    of the generic strategy only when the core's coface index shows a free
-    face (``_has_free_face``).  Both strategies are deterministic; the core
-    is a fixed point of collapsing but is not guaranteed to have minimal
-    size.
+    generically; after a schedule the core is built first, and the face map
+    of the generic strategy is built from it only when the core's coface
+    index shows a free face (``_has_free_face``).  Both strategies are
+    deterministic; the core is a fixed point of collapsing but is not
+    guaranteed to have minimal size.
     """
     if strategy not in ("generic", "circulant"):
         raise ValueError(f"unknown strategy {strategy!r}")
     pairs_applied = []
     schedule_used = None
-    maximal = k.maximal_simplices
-    core = None
+    core = k
     if strategy == "circulant":
         if circulant is None:
             raise ValueError("strategy 'circulant' needs circulant=(n, s, t)")
         for label, sched in _schedule_candidates(*circulant):
             live = _apply_schedule(k, sched)
             if live is not None:
-                maximal = live
                 pairs_applied.extend(sched)
                 schedule_used = label
                 # Both the schedule and the engine add a candidate only when
                 # no maximal simplex contains it, so the maximal set stays
                 # an antichain.
-                core = SimplicialComplex(maximal, antichain=True)
+                core = SimplicialComplex(live, antichain=True)
                 break
-    if core is None or _has_free_face(core):
-        eng = _Engine(maximal)
+    if schedule_used is None or _has_free_face(core):
+        eng = _Engine(core)
         while (nxt := eng.find_free_generic()) is not None:
             eng.collapse(*nxt)
             pairs_applied.append(nxt)

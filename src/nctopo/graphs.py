@@ -37,6 +37,14 @@ class Graph:
             nbrs[v].add(u)
         self._adj = tuple(tuple(sorted(ns)) for ns in nbrs)
 
+    @classmethod
+    def _from_adjacency(cls, adj):
+        """Graph whose N(v) is adj[v]: a tuple of sorted tuples, trusted to
+        be symmetric, loop-free and in range, as fold_reduce builds it."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        return g
+
     @property
     def num_vertices(self):
         return len(self._adj)
@@ -201,7 +209,8 @@ def fold_reduce(g):
     queued is pushed back.  Only a neighbor of a deleted vertex can gain a
     fold, so every live vertex off the heap has none, and the popped
     vertex is the smallest that folds.  A neighbor smaller than u goes
-    back below it.
+    back below it.  The result is read off the live neighbor sets,
+    relabeled in sorted order as by ``induced_subgraph``.
     """
     adj = [set(ns) for ns in g._adj]
     heap = list(range(len(adj)))  # sorted, so already a heap
@@ -217,7 +226,11 @@ def fold_reduce(g):
                 queued[w] = True
                 heappush(heap, w)
         adj[u] = None
-    return induced_subgraph(g, [v for v, nv in enumerate(adj) if nv is not None])
+    keep = [v for v, nv in enumerate(adj) if nv is not None]
+    label = dict(zip(keep, range(len(keep))))
+    return Graph._from_adjacency(
+        tuple(tuple(sorted(map(label.__getitem__, adj[v]))) for v in keep)
+    )
 
 
 MAX_VERTEX_LABEL = 100_000
@@ -233,6 +246,7 @@ def read_edge_list(path):
     bytes and each line decoded on its own, so a line that is not UTF-8 is
     reported with its number, which a text-mode reader, decoding ahead in
     chunks, does not know.  A line ends at LF, CR or CR LF, as in text mode.
+    Labels are split on ASCII whitespace only, read off the line's bytes.
     """
     edges = []
     top = -1
@@ -245,14 +259,13 @@ def read_edge_list(path):
                 raise ValueError(
                     f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start + 1}"
                 ) from exc
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = data.split(b"#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two vertex labels, got {raw!r}")
-            # int() would also take "+2", "1_0" and non-ASCII digits.
-            if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+            # int() would also take "+2" and "1_0"; bytes digits are ASCII.
+            if not all(p.removeprefix(b"-").isdigit() for p in parts):
                 raise ValueError(f"{path}:{lineno}: non-integer vertex label in {raw!r}")
             u, v = int(parts[0]), int(parts[1])
             if u < 0 or v < 0:

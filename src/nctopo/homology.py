@@ -9,16 +9,16 @@ incidence matrix, which the Smith entry answers by parity union-find;
 the rest take its general sparse reduction.  The mod-2 route does
 bit-packed Gaussian elimination on incidence masks built directly from
 face containment.  It reads the face positions that ``chain_complex``
-indexed, but shares no elimination code with the SNF path.  The
-universal-coefficient relation between the two is a checkable
+recorded for the Smith rows, but shares no elimination code with the SNF
+path.  The universal-coefficient relation between the two is a checkable
 consequence, not an assumption.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, lshift, or_
 
 from . import _kernels
 
@@ -32,16 +32,17 @@ class ChainComplex:
     is a ``_kernels.SparseRow`` of width f_d holding its nonzero entries
     as ``{column: +-1}``.  boundaries[0] is the empty matrix with f_0
     columns.
-    indices[d] maps each d-simplex to its position in bases[d], for every
-    d below the top dimension: the row index of boundaries[d + 1].
+    positions[d][i][j], for 1 <= d <= dim, is the position in bases[d - 1]
+    of the face of bases[d][j] that drops its i-th vertex: the row of the
+    entry (-1)**i in column j of boundaries[d].  positions[0] is empty.
     """
 
-    __slots__ = ("bases", "boundaries", "indices")
+    __slots__ = ("bases", "boundaries", "positions")
 
-    def __init__(self, bases, boundaries, indices):
+    def __init__(self, bases, boundaries, positions):
         self.bases = bases
         self.boundaries = boundaries
-        self.indices = indices
+        self.positions = positions
 
     def dim(self):
         return len(self.bases) - 1
@@ -56,16 +57,19 @@ def chain_complex(k):
     top = k.dim()
     bases = [k.faces(d) for d in range(top + 1)]
     boundaries = [[] for _ in range(top + 1)]
-    indices = [dict(zip(bases[d], range(len(bases[d])))) for d in range(top)]
+    positions = [()] * (top + 1)
     for d in range(1, top + 1):
-        index = indices[d - 1]
+        index = dict(zip(bases[d - 1], range(len(bases[d - 1]))))
+        positions[d] = [
+            list(map(index.__getitem__, _faces_dropping(bases[d], i))) for i in range(d + 1)
+        ]
         rows = [{} for _ in bases[d - 1]]
-        for i in range(d + 1):
+        for i, faces in enumerate(positions[d]):
             sign = -1 if i % 2 else 1
-            for col, row in enumerate(map(index.__getitem__, _faces_dropping(bases[d], i))):
+            for col, row in enumerate(faces):
                 rows[row][col] = sign
         boundaries[d] = list(map(_kernels.SparseRow, repeat(len(bases[d])), rows))
-    return ChainComplex([tuple(b) for b in bases], boundaries, indices)
+    return ChainComplex([tuple(b) for b in bases], boundaries, positions)
 
 
 def _faces_dropping(simplices, i):
@@ -79,16 +83,13 @@ def _rank_gf2(cc, d):
     """Rank of the d-th boundary map over GF(2), for 1 <= d <= cc.dim().
 
     Builds incidence bitmasks straight from face containment, one mask per
-    d-simplex over the (d-1)-simplex positions in ``cc.indices``; no sign
-    bookkeeping and no shared code with the Smith route.
+    d-simplex with a bit at the position of each of its faces, ORed in from
+    ``cc.positions[d]`` one dropped vertex at a time; no sign bookkeeping
+    and no shared code with the Smith route.
     """
-    lower = cc.indices[d - 1]
-    masks = []
-    for s in cc.bases[d]:
-        m = 0
-        for face in combinations(s, d):
-            m |= 1 << lower[face]
-        masks.append(m)
+    masks = [0] * len(cc.bases[d])
+    for faces in cc.positions[d]:
+        masks = list(map(or_, masks, map(lshift, repeat(1), faces)))
     return _kernels.gf2_rank(masks)
 
 

@@ -188,13 +188,11 @@ def test_criterion_09_full_sweep():
             continue
         if any(tor for c in r.components for tor in c.torsion):
             failures.append(((n, s, t), "torsion"))
-        profiles = {(c.f_vector, c.betti_z, c.torsion, c.betti_z2) for c in r.components}
-        if len(profiles) != 1:
-            failures.append(((n, s, t), "profiles differ"))
     assert failures == []
     elapsed = done()
-    announce(9, f"all admissible instances for n in [5,40] pass with zero torsion and "
-                f"identical per-instance profiles ({elapsed:.1f}s)")
+    announce(9, f"all admissible instances for n in [5,40] pass with zero torsion; "
+                f"verify's rotation test checks that their components are identical "
+                f"({elapsed:.1f}s)")
 
 
 @lru_cache(maxsize=1)

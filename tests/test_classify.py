@@ -252,11 +252,6 @@ class TestVerify:
         assert (a.n, a.s, a.t) == (b.n, b.s, b.t) == (10, 1, 3)
         assert a.components == b.components
 
-    def test_components_share_one_profile(self):
-        r = verify(20, 2, 6)
-        profiles = {(c.f_vector, c.betti_z, c.surface) for c in r.components}
-        assert len(profiles) == 1
-
     @pytest.mark.parametrize("nst", [(12, 1, 3), (8, 2, 4)])
     def test_one_measurement_per_instance(self, monkeypatch, nst):
         calls = []

@@ -117,6 +117,12 @@ class TestAnalyzeCirculant:
         assert (rc, out) == (2, "")
         assert err == f"nctopo: expected n,s,t integers, got {triple!r}\n"
 
+    @pytest.mark.parametrize("triple", ["\u300012,1,3", "12,\u00a01,3", "12,1,3\u2003"])
+    def test_only_ascii_whitespace(self, capsys, triple):
+        rc, out, err = run(capsys, "analyze", "--circulant", triple)
+        assert (rc, out) == (2, "")
+        assert err == f"nctopo: expected n,s,t integers, got {triple!r}\n"
+
     def test_out_of_range_parameters(self, capsys):
         rc, _, err = run(capsys, "analyze", "--circulant", "4,1,2")
         assert rc == 2
@@ -228,6 +234,21 @@ class TestAnalyzeGraphFile:
         rc, out, err = run(capsys, "analyze", "--graph", str(path))
         assert (rc, out) == (2, "")
         assert err == f"nctopo: {path}:2: non-integer vertex label in {label + ' 3'!r}\n"
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("0\u30001", "expected two vertex labels, got"),
+            ("0\u00a01", "expected two vertex labels, got"),
+            ("\u30000 1", "non-integer vertex label in"),
+        ],
+    )
+    def test_only_ascii_whitespace(self, capsys, tmp_path, line, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"1 2\n{line}\n", encoding="utf-8")
+        rc, out, err = run(capsys, "analyze", "--graph", str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"nctopo: {path}:2: {message} {line!r}\n"
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "analyze", "--graph", str(tmp_path / "absent.edges"))
@@ -344,6 +365,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("bad", ["５..6", "5..６"])
     def test_only_ascii_decimal_digits(self, capsys, bad):
+        rc, out, err = run(capsys, "sweep", "--n", bad, "--workers", "1")
+        assert (rc, out) == (2, "")
+        assert err == f"nctopo: expected a range A..B, got {bad!r}\n"
+
+    @pytest.mark.parametrize("bad", ["\u30005..6", "5..6\u00a0"])
+    def test_only_ascii_whitespace(self, capsys, bad):
         rc, out, err = run(capsys, "sweep", "--n", bad, "--workers", "1")
         assert (rc, out) == (2, "")
         assert err == f"nctopo: expected a range A..B, got {bad!r}\n"

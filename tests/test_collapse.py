@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import paper_edge_pairs, random_family, random_sparse_graph
+from conftest import complete_graph, paper_edge_pairs, random_family, random_sparse_graph
 
 from nctopo import classify, collapse
 from nctopo.cli import admissible_triples
@@ -508,7 +508,7 @@ class TestEngineSwap:
     def collapsed(self, maximal, sigma, tau):
         k = SimplicialComplex(maximal)
         assert verify_collapsible_pair(k, sigma, tau)
-        eng = _Engine(k.maximal_simplices)
+        eng = _Engine(k)
         eng.collapse(sigma, tau)
         assert SimplicialComplex(eng.maximal) == collapse_step(k, (sigma, tau))
         assert_engine_matches_fresh(eng)
@@ -538,10 +538,55 @@ class TestEngineSwap:
 
     def test_whole_runs_match_fresh_engines(self):
         for seed in range(60):
-            eng = _Engine(SimplicialComplex(random_family(seed)).maximal_simplices)
+            eng = _Engine(SimplicialComplex(random_family(seed)))
             while (pair := eng.find_free_generic()) is not None:
                 eng.collapse(*pair)
                 assert_engine_matches_fresh(eng)
+
+
+def engine_starts(collapse_calls):
+    """Each complex collapse_core was called on, and the core that each
+    schedule applicable to it leaves: what an engine can start from."""
+    for k, strategy, circ in collapse_calls:
+        yield k
+        if strategy == "circulant":
+            for _, sched in _schedule_candidates(*circ):
+                applied = _apply_schedule(k, sched)
+                if applied is not None:
+                    yield SimplicialComplex(applied, antichain=True)
+
+
+class TestEngineStart:
+    """The engine reads each vertex's cofaces off the star index and
+    registers only larger faces; it must start where a reference engine
+    that registers every proper face of every maximal simplex starts."""
+
+    def assert_starts_like_reference(self, k):
+        eng, ref = _Engine(k), ReferenceEngine(k)
+        assert eng.maximal == ref.maximal
+        assert eng.cofaces == ref.cofaces
+        assert eng.find_free_generic() == ref.find_free_generic()
+        return eng
+
+    def test_pipeline_start_complexes(self, pipeline_inputs):
+        calls = pipeline_inputs["collapse_calls"]
+        starts = list(engine_starts(calls))
+        for k in starts:
+            self.assert_starts_like_reference(k)
+        assert len(starts) > len(calls)
+
+    def test_isolated_vertex_has_no_entry(self):
+        eng = self.assert_starts_like_reference(SimplicialComplex([(0,), (1, 2, 3)]))
+        assert (0,) not in eng.cofaces
+        assert eng.cofaces[(1,)] == {(1, 2, 3)}
+        assert eng.find_free_generic() == ((1,), (1, 2, 3))
+
+    def test_two_points_have_no_proper_face(self):
+        k = neighborhood_complex(complete_graph(2))
+        assert k.maximal_simplices == ((0,), (1,))
+        eng = self.assert_starts_like_reference(k)
+        assert eng.cofaces == {}
+        assert eng.find_free_generic() is None
 
 
 class TestEngineBuilds:
@@ -550,9 +595,9 @@ class TestEngineBuilds:
         count = [0]
         init = collapse._Engine.__init__
 
-        def counting(self, maximal):
+        def counting(self, k):
             count[0] += 1
-            init(self, maximal)
+            init(self, k)
 
         monkeypatch.setattr(collapse._Engine, "__init__", counting)
         return count
@@ -631,12 +676,12 @@ class TestStarSchedule:
         assert seen == {True, False}
 
 
-def engine_finds_free_face(maximal):
-    return _Engine(maximal).find_free_generic() is not None
+def engine_finds_free_face(k):
+    return _Engine(k).find_free_generic() is not None
 
 
-def screen_finds_free_face(maximal):
-    return _has_free_face(SimplicialComplex(maximal, antichain=True))
+def screen_finds_free_face(k):
+    return _has_free_face(SimplicialComplex(k.maximal_simplices, antichain=True))
 
 
 class TestRidgeScreen:
@@ -655,32 +700,25 @@ class TestRidgeScreen:
         """A 2-sphere has no free face; only the lower-dimensional maximal
         simplices attached to it can supply one."""
         k = SimplicialComplex(self.SPHERE + extra)
-        assert engine_finds_free_face(k.maximal_simplices) == free
-        assert screen_finds_free_face(k.maximal_simplices) == free
+        assert engine_finds_free_face(k) == free
+        assert screen_finds_free_face(k) == free
 
     def test_random_complexes(self):
         seen = set()
         for seed in range(400):
             k = SimplicialComplex(random_family(seed))
             for c in (k, collapse_core(k).core):
-                free = engine_finds_free_face(c.maximal_simplices)
-                assert screen_finds_free_face(c.maximal_simplices) == free
+                free = engine_finds_free_face(c)
+                assert screen_finds_free_face(c) == free
                 seen.add(free)
         assert seen == {True, False}
 
     def test_pipeline_inputs(self, pipeline_inputs):
         seen = set()
-        for k, strategy, circ in pipeline_inputs["collapse_calls"]:
-            live = [k.maximal_simplices]
-            if strategy == "circulant":
-                for _, sched in _schedule_candidates(*circ):
-                    applied = _apply_schedule(k, sched)
-                    if applied is not None:
-                        live.append(applied)
-            for maximal in live:
-                free = engine_finds_free_face(maximal)
-                assert screen_finds_free_face(maximal) == free
-                seen.add(free)
+        for c in engine_starts(pipeline_inputs["collapse_calls"]):
+            free = engine_finds_free_face(c)
+            assert screen_finds_free_face(c) == free
+            seen.add(free)
         assert seen == {True, False}
 
 

@@ -20,6 +20,7 @@ from nctopo import (
     _kernels,
     chain_complex,
     circulant,
+    collapse_core,
     homology,
     neighborhood_complex,
     uct_check,
@@ -108,6 +109,40 @@ class TestChainComplex:
         k = boundary_of_simplex((0, 1, 2, 3))
         cc = chain_complex(k)
         assert [len(b) for b in cc.bases] == [4, 6, 4]
+
+
+def assert_positions_match_boundaries(cc):
+    """positions[d][i][j] is the row of the (-1)**i entry in column j of
+    boundaries[d], and the face of bases[d][j] dropping vertex i is that
+    row's simplex; no other entry is nonzero."""
+    assert cc.positions[0] == ()
+    for d in range(1, cc.dim() + 1):
+        assert len(cc.positions[d]) == d + 1
+        from_positions = {}
+        for i, rows in enumerate(cc.positions[d]):
+            assert len(rows) == len(cc.bases[d])
+            for j, row in enumerate(rows):
+                s = cc.bases[d][j]
+                assert cc.bases[d - 1][row] == s[:i] + s[i + 1 :]
+                from_positions[row, j] = -1 if i % 2 else 1
+        from_rows = {
+            (r, j): v for r, row in enumerate(cc.boundaries[d]) for j, v in row.entries.items()
+        }
+        assert from_positions == from_rows
+
+
+class TestFacePositions:
+    def test_torus(self, torus7):
+        assert_positions_match_boundaries(chain_complex(torus7))
+
+    def test_rp2(self, rp2):
+        assert_positions_match_boundaries(chain_complex(rp2))
+
+    def test_three_dimensional_core(self):
+        # C_10(1, 3) collapses to two boundaries of a 4-simplex.
+        core = collapse_core(neighborhood_complex(circulant(10, (1, 3)))).core
+        assert core.f_vector() == (10, 20, 20, 10)
+        assert_positions_match_boundaries(chain_complex(core))
 
 
 class TestHomologyProfiles:
