@@ -14,11 +14,11 @@ worker counts; the text format is human-oriented and may change.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import sys
@@ -69,9 +69,10 @@ def _parse_range(text):
 
 
 # Cap on the instances one sweep lists and verifies, sum over n of
-# C(n // 2, 2).  The 5..40 sweep peaks at about 2.7 KB per instance, so a
-# capped sweep stays under 1 GB; the largest range from 5 it admits is
-# 5..185, with 259531 instances.
+# C(n // 2, 2).  A sweep writes each instance as it is verified, so what it
+# holds in proportion to its length is the list of triples, about 73 bytes
+# each (18 MB at the cap); the largest range from 5 it admits is 5..185,
+# with 259531 instances.
 MAX_SWEEP_INSTANCES = 1 << 18
 
 
@@ -137,12 +138,19 @@ def _component_lines(components):
     ]
 
 
-def _emit(text, out_path):
+@contextlib.contextmanager
+def _output(out_path):
+    """The file at out_path opened for writing, or stdout when there is none."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, out_path):
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _cmd_analyze(args):
@@ -187,6 +195,17 @@ def _cmd_analyze(args):
     return 0 if verdict != "fail" else 1
 
 
+def _verify_triple(nst):
+    # Looks up the module-level verify at call time, so that a caller may
+    # replace cli.verify (to clock or trace each instance) before a sweep.
+    return verify(*nst)
+
+
+def _nested(obj, depth):
+    """json.dumps(obj, indent=2) as it reads depth levels deep in a larger dump."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def _cmd_sweep(args):
     if args.workers < 0:
         raise ValueError(f"--workers must be 0 (one per CPU) or positive, got {args.workers}")
@@ -200,43 +219,48 @@ def _cmd_sweep(args):
     cpus = os.cpu_count() or 1
     workers = max(1, min(args.workers or cpus, cpus, len(tasks)))
 
-    if workers == 1:
-        reports = [verify(*nst) for nst in tasks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            reports = pool.starmap(verify, tasks, chunksize=8)
-
+    # Each instance is written as soon as its report arrives, so a sweep
+    # holds one report at a time and only the verdict counts outlive it.
     counts = {"pass": 0, "fail": 0, "notable": 0}
-    for r in reports:
-        counts[r.verdict] += 1
-    summary = (
-        f"instances={len(reports)} pass={counts['pass']}"
-        f" fail={counts['fail']} notable={counts['notable']}"
-    )
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(_output(args.out))
+        if workers == 1:
+            reports = map(_verify_triple, tasks)
+        else:
+            import multiprocessing
 
-    if args.format == "json":
-        obj = {
-            "range": [lo, hi],
-            "instances": [r.to_json_obj() for r in reports],
-            "summary": counts,
-        }
-        text = json.dumps(obj, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = [_component_rows(_circulant_head(r), r.components, r.verdict) for r in reports]
-        text = _render_csv([row for instance in rows for row in instance])
-    else:
-        lines = []
-        for r in reports:
-            worst = "" if r.verdict == "pass" else f"  <- {r.verdict}"
-            comps = r.components
-            lines.append(
-                f"C_{r.n}({r.s},{r.t})  {r.case.tag:4s} {r.prediction:24s}"
-                f" components={len(comps)} betti_z=({_ints(comps[0].betti_z)})"
-                f" {r.verdict}{worst}"
-            )
-        lines.append(summary)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            reports = pool.imap(_verify_triple, tasks, chunksize=8)
+
+        if args.format == "csv":
+            writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS, lineterminator="\n")
+            writer.writeheader()
+        elif args.format == "json":
+            out.write('{\n  "range": ' + _nested([lo, hi], 1) + ',\n  "instances": [')
+        for i, r in enumerate(reports):
+            counts[r.verdict] += 1
+            if args.format == "csv":
+                writer.writerows(_component_rows(_circulant_head(r), r.components, r.verdict))
+            elif args.format == "json":
+                out.write(("," if i else "") + "\n    " + _nested(r.to_json_obj(), 2))
+            else:
+                worst = "" if r.verdict == "pass" else f"  <- {r.verdict}"
+                comps = r.components
+                out.write(
+                    f"C_{r.n}({r.s},{r.t})  {r.case.tag:4s} {r.prediction:24s}"
+                    f" components={len(comps)} betti_z=({_ints(comps[0].betti_z)})"
+                    f" {r.verdict}{worst}\n"
+                )
+
+        summary = (
+            f"instances={sum(counts.values())} pass={counts['pass']}"
+            f" fail={counts['fail']} notable={counts['notable']}"
+        )
+        if args.format == "json":
+            closing = "\n  ]" if tasks else "]"
+            out.write(closing + ',\n  "summary": ' + _nested(counts, 1) + "\n}\n")
+        elif args.format == "text":
+            out.write(summary + "\n")
     if args.format != "text":
         print(summary, file=sys.stderr)
     return 0 if counts["fail"] == 0 else 1

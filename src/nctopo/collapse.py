@@ -193,7 +193,7 @@ def collapse_step(k, pair):
     if not verify_collapsible_pair(k, sigma, tau):
         raise CollapseError(f"({sigma}, {tau}) is not a collapsible pair")
     new_maximal = [m for m in k.maximal_simplices if m != tau]
-    new_maximal.extend(tuple(v for v in tau if v != x) for x in sigma)
+    new_maximal.extend(tuple([v for v in tau if v != x]) for x in sigma)
     return SimplicialComplex(new_maximal)
 
 

@@ -100,10 +100,11 @@ class SimplicialComplex:
         cached = self._faces.get(d)
         if cached is None:
             if d == 0:
-                cached = tuple((v,) for v in sorted(self._star))
+                # From a list: tuple() of a generator leaves shrunk tuples in free lists.
+                cached = tuple([(v,) for v in sorted(self._star)])
             else:
                 # The maximal simplices are sorted, so their d-simplices are.
-                own = tuple(m for m in self._maximal if len(m) == d + 1)
+                own = tuple([m for m in self._maximal if len(m) == d + 1])
                 cached = own if d == self._dim else tuple(sorted([*self.cofaces(d + 1), *own]))
             self._faces[d] = cached
         return cached
@@ -147,7 +148,7 @@ class SimplicialComplex:
         return bool(self.maximal_cofaces(simplex))
 
     def f_vector(self):
-        return tuple(len(self.faces(d)) for d in range(self.dim() + 1))
+        return tuple([len(self.faces(d)) for d in range(self.dim() + 1)])
 
     def euler_characteristic(self):
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))

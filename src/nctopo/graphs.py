@@ -35,7 +35,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        self._adj = tuple(tuple(sorted(ns)) for ns in nbrs)
+        # From a list: tuple() of a generator leaves shrunk tuples in free lists.
+        self._adj = tuple([tuple(sorted(ns)) for ns in nbrs])
 
     @classmethod
     def _from_adjacency(cls, adj):
@@ -229,7 +230,7 @@ def fold_reduce(g):
     keep = [v for v, nv in enumerate(adj) if nv is not None]
     label = dict(zip(keep, range(len(keep))))
     return Graph._from_adjacency(
-        tuple(tuple(sorted(map(label.__getitem__, adj[v]))) for v in keep)
+        tuple([tuple(sorted(map(label.__getitem__, adj[v]))) for v in keep])
     )
 
 

@@ -121,12 +121,13 @@ def homology(k):
         rank_2[d] = _rank_gf2(cc, d)
 
     f = [len(b) for b in cc.bases]
-    betti_z = tuple(f[d] - rank_z[d] - rank_z[d + 1] for d in range(top + 1))
-    torsion = tuple(
+    # From a list: tuple() of a generator leaves shrunk tuples in free lists.
+    betti_z = tuple([f[d] - rank_z[d] - rank_z[d + 1] for d in range(top + 1)])
+    torsion = tuple([
         tuple(sorted(v for v in snf[d + 1] if v > 1)) if d + 1 <= top else ()
         for d in range(top + 1)
-    )
-    betti_z2 = tuple(f[d] - rank_2[d] - rank_2[d + 1] for d in range(top + 1))
+    ])
+    betti_z2 = tuple([f[d] - rank_2[d] - rank_2[d + 1] for d in range(top + 1)])
 
     euler = sum((-1) ** d * f[d] for d in range(top + 1))
     alt = sum((-1) ** d * betti_z[d] for d in range(top + 1))

@@ -40,7 +40,8 @@ def verify_shelling(k, order):
     """
     if not k.is_pure():
         raise ValueError("shelling is defined for pure complexes only")
-    order = tuple(tuple(sorted(set(s))) for s in order)
+    # From a list: tuple() of a generator leaves shrunk tuples in free lists.
+    order = tuple([tuple(sorted(set(s))) for s in order])
     if sorted(order) != list(k.maximal_simplices):
         raise ValueError("order is not a permutation of the maximal simplices")
     d = k.dim()
@@ -64,7 +65,7 @@ def verify_shelling(k, order):
         order=order,
         valid=True,
         spanning=tuple(spanning),
-        sphere_dims=tuple(d for _ in spanning),
+        sphere_dims=(d,) * len(spanning),
     )
 
 
