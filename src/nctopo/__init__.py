@@ -50,12 +50,10 @@ from .homology import (
     uct_check,
 )
 from .shelling import (
-    ShellingReport,
     verify_shelling,
     wedge_shelling_orders,
 )
 from .surfaces import (
-    SurfaceReport,
     classify_surface,
     is_pseudomanifold,
 )
@@ -73,9 +71,7 @@ __all__ = [
     "CongruenceError",
     "Graph",
     "HomologyProfile",
-    "ShellingReport",
     "SimplicialComplex",
-    "SurfaceReport",
     "ClassificationCase",
     "VerificationReport",
     "analyze_graph",

@@ -7,13 +7,16 @@ reduce_to_core() folds, builds and collapses, and _measure() measures one
 core component: each of them for analyze_graph(), and for verify() the
 first, which every other component must be a rotation of.  verify()
 grades the prediction with decidable checks: collapses to a vertex for
-points, 1-dimensional torsion-free cores for wedges of circles, exact
-Betti profiles with shelling certificates for the wedge of two
-2-spheres, tetrahedron-boundary piece counts for garlands, and intrinsic
-closed-orientable-surface recognition for connected sums of tori.
-Anything outside the guarantee is a fail; a true-but-stronger outcome
-(for example genus above one) is reported as notable, never silently
-passed.
+points, 1-dimensional torsion-free cores for wedges of circles, the
+boundary of the 4-simplex for S^3, exact Betti profiles with shelling
+certificates for the wedge of two 2-spheres, tetrahedron-boundary piece
+counts for garlands, and intrinsic closed-orientable-surface recognition
+for connected sums of tori, whose genus is read off the classification
+string classify_surface returns.  verify_shelling returns the spanning
+simplices, two per doubled-sphere component.  Anything outside the
+guarantee is a fail; a true-but-stronger outcome (for example genus above
+one), or a right homology profile with no certificate, is reported as
+notable, never silently passed.
 """
 
 from __future__ import annotations
@@ -198,19 +201,23 @@ class VerificationReport:
         }
 
 
-def _is_tetrahedron_boundary(comp):
+def _is_simplex_boundary(comp):
+    """Whether comp is the boundary of the simplex on its vertex set V: its
+    maximal simplices are all the (|V| - 1)-subsets of V, which holds when
+    there are |V| of them, each on |V| - 1 vertices."""
     verts = comp.vertices()
-    if len(verts) != 4:
-        return False
-    return comp.maximal_simplices == tuple(combinations(verts, 3))
+    return len(comp.maximal_simplices) == len(verts) and all(
+        len(m) == len(verts) - 1 for m in comp.maximal_simplices
+    )
 
 
-def _check_component(shape, comp, h, sr):
+def _check_component(shape, comp, h, surface):
     """Per-component verdict (verdict, note) for a predicted shape.
 
     After the torsion and UCT prelude every rule reads the core's
     dimension d and integral Betti numbers b; garlands add their
-    tetrahedron pieces, spheres and tori the surface report.
+    tetrahedron pieces, spheres the simplex-boundary test, and the
+    tetrahedron boundary and tori the surface classification.
     """
     if any(h.torsion):
         return "fail", f"torsion {h.torsion} contradicts every predicted shape"
@@ -221,6 +228,7 @@ def _check_component(shape, comp, h, sr):
     # A vertex counts as the empty wedge; a 1-dimensional core with
     # connected b0 covers every positive circle count.
     wedge = d in (0, 1) and b[0] == 1
+    s3 = b == (1, 0, 0, 1) and _is_simplex_boundary(comp)
     rules = {
         "point-or-wedge-circles": (wedge, "core is neither a vertex nor 1-dimensional"),
         "point-or-S1": (
@@ -229,13 +237,13 @@ def _check_component(shape, comp, h, sr):
         ),
         "wedge-circles": (wedge, "core is not a torsion-free 1-dimensional complex"),
         "S1-or-S3": (
-            b == (1, 1) or b == (1, 0, 0, 1),
+            b == (1, 1) or s3,
             "component is neither a circle core nor a homology 3-sphere profile",
         ),
-        "S3": (b == (1, 0, 0, 1), f"betti {b} differs from (1, 0, 0, 1)"),
+        "S3": (s3, f"betti {b} differs from (1, 0, 0, 1)"),
         "S2vS2": (b == (1, 0, 2), f"betti {b} differs from (1, 0, 2)"),
         "tetra-sphere": (
-            b == (1, 0, 1) and sr.classification == "sphere" and _is_tetrahedron_boundary(comp),
+            b == (1, 0, 1) and surface == "sphere" and _is_simplex_boundary(comp),
             "component is not a tetrahedron boundary sphere",
         ),
     }
@@ -244,9 +252,12 @@ def _check_component(shape, comp, h, sr):
         if ok:
             return "pass", ""
         # Contractibility gets certified only by an actual collapse to a
-        # vertex; trivial homology alone is not allowed to claim it.
+        # vertex, and S^3 only as the boundary of a 4-simplex; the homology
+        # profile alone is not allowed to claim either.
         if shape in ("point-or-wedge-circles", "point-or-S1") and b[0] == 1 and not any(b[1:]):
             return "notable", "homology-trivial core that did not collapse to a vertex"
+        if shape in ("S3", "S1-or-S3") and b == (1, 0, 0, 1):
+            return "notable", "homology 3-sphere core that is not the boundary of a 4-simplex"
         return "fail", note
     if shape == "garland-of-S2":
         if d != 2:
@@ -262,13 +273,13 @@ def _check_component(shape, comp, h, sr):
             return "fail", "triangles are not exactly the garland piece boundaries"
         return "pass", ""
     if shape == "connected-sum-tori":
-        if not (sr.closed_surface and sr.connected):
+        if surface == "not-a-surface":
             return "fail", "component is not a closed surface"
-        if not sr.orientable:
+        if surface.startswith("nonorientable-"):
             return "fail", "surface is non-orientable"
-        genus = (2 - sr.euler) // 2
-        if genus < 1:
+        if surface == "sphere":
             return "fail", "surface is a sphere, expected genus at least 1"
+        genus = int(surface.removeprefix("orientable-genus-"))
         if b != (1, 2 * genus, 1):
             return "fail", f"betti {b} inconsistent with genus {genus}"
         if genus > 1:
@@ -291,13 +302,11 @@ def _shelling_certificate(comps, n, s, t):
     if set(by_maximal) != {comp.maximal_simplices for comp in comps}:
         return "fail", "component does not match any canonical shelling order"
     order, spanning = by_maximal[comps[0].maximal_simplices]
-    report = verify_shelling(comps[0], order)
-    if not report.valid:
+    found = verify_shelling(comps[0], order)
+    if found is None:
         return "fail", "canonical order is not a shelling of the component"
-    if sorted(report.spanning) != sorted(tuple(x) for x in spanning):
+    if sorted(found) != sorted(tuple(x) for x in spanning):
         return "fail", "spanning simplices differ from the canonical pair"
-    if report.sphere_dims != (2, 2):
-        return "fail", f"shelling gives spheres {report.sphere_dims}, expected (2, 2)"
     return "pass", ""
 
 
@@ -383,8 +392,8 @@ def _measure(comp, shape, certificate=None):
     note): a verdict worse than pass is merged in and its note appended.
     """
     h = homology(comp)
-    sr = classify_surface(comp)
-    verdict, note = ("", "") if shape is None else _check_component(shape, comp, h, sr)
+    surface = classify_surface(comp)
+    verdict, note = ("", "") if shape is None else _check_component(shape, comp, h, surface)
     cert, cert_note = certificate or ("pass", "")
     if cert != "pass":
         verdict, note = _worse(verdict, cert), (note + "; " + cert_note).strip("; ")
@@ -394,7 +403,7 @@ def _measure(comp, shape, certificate=None):
         torsion=h.torsion,
         betti_z2=h.betti_z2,
         euler=h.euler,
-        surface=sr.classification,
+        surface=surface,
         core_dim=comp.dim(),
         verdict=verdict,
         note=note,

@@ -12,16 +12,6 @@ whose entire boundary lies in its predecessors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ShellingReport:
-    order: tuple
-    valid: bool
-    spanning: tuple      # spanning simplices, in order of appearance
-    sphere_dims: tuple   # one entry d per spanning simplex; empty = contractible
-
 
 def _prefix_intersections(prefix_sets, current):
     """Maximal nonempty vertex intersections of current with the prefix."""
@@ -34,14 +24,13 @@ def verify_shelling(k, order):
     """Check a proposed shelling order of the maximal simplices of k.
 
     The complex must be pure and order must be a permutation of its
-    maximal simplices; both violations raise ValueError.  Returns a
-    ShellingReport with validity, the spanning simplices, and the wedge
-    description they imply.
+    maximal simplices; both violations raise ValueError.  Returns the
+    tuple of spanning simplices in order of appearance, one d-sphere of
+    the wedge each, or None when order is not a shelling.
     """
     if not k.is_pure():
         raise ValueError("shelling is defined for pure complexes only")
-    # From a list: tuple() of a generator leaves shrunk tuples in free lists.
-    order = tuple([tuple(sorted(set(s))) for s in order])
+    order = [tuple(sorted(set(s))) for s in order]
     if sorted(order) != list(k.maximal_simplices):
         raise ValueError("order is not a permutation of the maximal simplices")
     d = k.dim()
@@ -54,19 +43,14 @@ def verify_shelling(k, order):
         # maximal vertex intersections with the prefix are nonempty and
         # all of size d.
         if prefix_sets and not (pieces and all(len(a) == d for a in pieces)):
-            return ShellingReport(order=order, valid=False, spanning=(), sphere_dims=())
+            return None
         # Spanning: all d+1 facets of cur lie in earlier simplices.  Each
         # piece has size d, hence is a facet of cur, so all facets are
         # covered exactly when there are d+1 pieces.
         if len(pieces) == len(cur):
             spanning.append(cur)
         prefix_sets.append(cur_set)
-    return ShellingReport(
-        order=order,
-        valid=True,
-        spanning=tuple(spanning),
-        sphere_dims=(d,) * len(spanning),
-    )
+    return tuple(spanning)
 
 
 def wedge_shelling_orders(n, s, t):

@@ -11,7 +11,6 @@ classified by orientability and Euler characteristic alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -82,54 +81,24 @@ def _orient(k):
     return signs
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    pure2: bool
-    pseudomanifold: bool
-    closed_surface: bool
-    connected: bool
-    orientable: bool | None   # None when the question does not arise
-    euler: int
-    classification: str
-
-
 def classify_surface(k):
-    """Surface recognition report; classification uses chi and orientability.
+    """Classification of k: "sphere", "orientable-genus-g",
+    "nonorientable-crosscap-c", or "not-a-surface".
 
-    classification is one of "sphere", "orientable-genus-g",
-    "nonorientable-crosscap-c", or "not-a-surface" (the latter also for
-    disconnected or lower-dimensional input).
+    k is a surface when it is a 2-dimensional pseudomanifold whose vertex
+    links are single cycles, and connected; the rest, disconnected or
+    lower-dimensional input included, is "not-a-surface".
     """
-    pure2 = k.dim() == 2 and k.is_pure()
-    pm = k.dim() == 2 and is_pseudomanifold(k)
-    closed = pm and _links_are_cycles(k)
-    connected = k.is_connected()
-    orientable = None
-    if pm:
-        orientable = _orient(k) is not None
+    if not (k.dim() == 2 and is_pseudomanifold(k) and _links_are_cycles(k) and k.is_connected()):
+        return "not-a-surface"
     euler = k.euler_characteristic()
-    if closed and connected:
-        if orientable:
-            if euler % 2 or euler > 2:
-                raise AssertionError
-            genus = (2 - euler) // 2
-            classification = "sphere" if genus == 0 else f"orientable-genus-{genus}"
-        else:
-            crosscaps = 2 - euler
-            if crosscaps < 1:
-                raise AssertionError
-            classification = f"nonorientable-crosscap-{crosscaps}"
-    else:
-        classification = "not-a-surface"
-    return SurfaceReport(
-        pure2=pure2,
-        pseudomanifold=pm,
-        closed_surface=closed,
-        connected=connected,
-        orientable=orientable,
-        euler=euler,
-        classification=classification,
-    )
+    if _orient(k) is not None:
+        if euler % 2 or euler > 2:
+            raise AssertionError(f"orientable closed surface with Euler characteristic {euler}")
+        return "sphere" if euler == 2 else f"orientable-genus-{(2 - euler) // 2}"
+    if euler > 1:
+        raise AssertionError(f"non-orientable closed surface with Euler characteristic {euler}")
+    return f"nonorientable-crosscap-{2 - euler}"
 
 
 def tetrahedron_boundary_pieces(k):

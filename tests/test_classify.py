@@ -32,13 +32,14 @@ from nctopo.graphs import (
     normalize_circulant_pair,
 )
 from nctopo.homology import HomologyProfile, homology
-from nctopo.shelling import ShellingReport, wedge_shelling_orders
+from nctopo.shelling import wedge_shelling_orders
 from nctopo.surfaces import classify_surface
 
 from conftest import (
     KLEIN_TRIANGLES,
     RP2_TRIANGLES,
     TORUS_TRIANGLES,
+    boundary_of_simplex,
     complete_graph,
     cycle_graph,
     incidence_graph,
@@ -280,7 +281,7 @@ class TestVerify:
                 measured = (h.betti_z, h.torsion, h.betti_z2, h.euler)
                 assert (c.betti_z, c.torsion, c.betti_z2, c.euler) == measured
                 assert (c.f_vector, c.core_dim) == (comp.f_vector(), comp.dim())
-                assert c.surface == classify_surface(comp).classification
+                assert c.surface == classify_surface(comp)
             checked += 1
         assert checked == 685
 
@@ -489,7 +490,7 @@ class TestIncidenceGraphs:
         h = homology(k)
         assert [(c.betti_z, c.torsion) for c in out["components"]] == [(h.betti_z, h.torsion)] * 2
         if k.dim() == 2:
-            assert [c.surface for c in out["components"]] == [classify_surface(k).classification] * 2
+            assert [c.surface for c in out["components"]] == [classify_surface(k)] * 2
         if name == "tetra-boundary":
             # B of the tetrahedron boundary is K_{4,4} minus a perfect
             # matching: maximum degree 3, but excluded.
@@ -639,7 +640,7 @@ class TestRefusals:
     A component is graded through classify._measure, or through
     _check_component when the profile has to be built by hand because no
     real complex has it (torsion-free yet UCT-breaking, or torsion-free
-    with a non-orientable surface report).
+    with a non-orientable surface classification).
     """
 
     def test_torsion(self, rp2):
@@ -650,8 +651,8 @@ class TestRefusals:
 
     def test_uct(self, tetra_boundary):
         h = HomologyProfile(betti_z=(1, 0, 1), torsion=((), (), ()), betti_z2=(1, 1, 1), euler=2)
-        sr = classify_surface(tetra_boundary)
-        assert classify._check_component("S2vS2", tetra_boundary, h, sr) == (
+        surface = classify_surface(tetra_boundary)
+        assert classify._check_component("S2vS2", tetra_boundary, h, surface) == (
             "fail",
             "mod-2 Betti numbers disagree with the integral ones",
         )
@@ -692,13 +693,29 @@ class TestRefusals:
             "component is not a tetrahedron boundary sphere",
         )
 
+    def test_three_sphere_is_the_boundary_of_a_4_simplex(self):
+        """The boundary of the 4-dimensional cross-polytope has the Betti
+        numbers of S^3 but is not the boundary of a 4-simplex."""
+        simplex = boundary_of_simplex(range(5))
+        cross = SimplicialComplex(
+            [(a, b, c, d) for a in (0, 1) for b in (2, 3) for c in (4, 5) for d in (6, 7)]
+        )
+        assert cross.f_vector() == (8, 24, 32, 16)
+        assert homology(cross).betti_z == (1, 0, 0, 1)
+        for shape in ("S3", "S1-or-S3"):
+            assert _graded(simplex, shape) == ("pass", "")
+            assert _graded(cross, shape) == (
+                "notable",
+                "homology 3-sphere core that is not the boundary of a 4-simplex",
+            )
+
     def test_octahedron_is_not_a_tetra_sphere(self):
-        """A 2-sphere with the right Betti numbers and surface report that
-        is not the boundary of a tetrahedron."""
+        """A 2-sphere with the right Betti numbers and surface classification
+        that is not the boundary of a tetrahedron."""
         octahedron = SimplicialComplex(
             [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
         )
-        assert classify_surface(octahedron).classification == "sphere"
+        assert classify_surface(octahedron) == "sphere"
         assert _graded(octahedron, "tetra-sphere") == (
             "fail",
             "component is not a tetrahedron boundary sphere",
@@ -737,16 +754,16 @@ class TestRefusals:
 
     def test_non_orientable(self, klein):
         h = HomologyProfile(betti_z=(1, 1, 0), torsion=((), (), ()), betti_z2=(1, 1, 0), euler=0)
-        sr = classify_surface(klein)
-        assert classify._check_component("connected-sum-tori", klein, h, sr) == (
+        surface = classify_surface(klein)
+        assert classify._check_component("connected-sum-tori", klein, h, surface) == (
             "fail",
             "surface is non-orientable",
         )
 
     def test_genus_against_betti(self, torus7):
         h = HomologyProfile(betti_z=(1, 0, 1), torsion=((), (), ()), betti_z2=(1, 0, 1), euler=0)
-        sr = classify_surface(torus7)
-        assert classify._check_component("connected-sum-tori", torus7, h, sr) == (
+        surface = classify_surface(torus7)
+        assert classify._check_component("connected-sum-tori", torus7, h, surface) == (
             "fail",
             "betti (1, 0, 1) inconsistent with genus 1",
         )
@@ -756,7 +773,7 @@ class TestRefusals:
 
     def test_genus_two_is_notable(self):
         surface = _genus2_surface()
-        assert classify_surface(surface).classification == "orientable-genus-2"
+        assert classify_surface(surface) == "orientable-genus-2"
         assert _graded(surface, "connected-sum-tori") == (
             "notable",
             "genus 2 exceeds the expected genus 1",
@@ -806,17 +823,6 @@ class TestCertificateRefusals:
         certs = [(order, order[:2]) for order, _ in wedge_shelling_orders(*self.NST)]
         r = self._verify_with(monkeypatch, certs)
         self._assert_refused(r, "spanning simplices differ from the canonical pair")
-
-    def test_wrong_sphere_dimensions(self, monkeypatch):
-        real = classify.verify_shelling
-
-        def one_sphere(k, order):
-            report = real(k, order)
-            return ShellingReport(report.order, report.valid, report.spanning, (2,))
-
-        monkeypatch.setattr(classify, "verify_shelling", one_sphere)
-        r = verify(*self.NST)
-        self._assert_refused(r, "shelling gives spheres (2,), expected (2, 2)")
 
     def test_components_disagree(self, monkeypatch):
         # 3-cycles on {0, 1, 2} and {3, 5, 7} are isomorphic, but the

@@ -12,6 +12,7 @@ from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import circulant
 from nctopo.homology import homology
 from nctopo.surfaces import (
+    _links_are_cycles,
     _orient,
     classify_surface,
     is_pseudomanifold,
@@ -71,19 +72,27 @@ class TestPseudomanifold:
 
 class TestClosedSurface:
     def test_positives(self, tetra_boundary, rp2, torus7):
-        assert classify_surface(tetra_boundary).closed_surface
-        assert classify_surface(rp2).closed_surface
-        assert classify_surface(torus7).closed_surface
+        for k in (tetra_boundary, rp2, torus7):
+            assert is_pseudomanifold(k) and _links_are_cycles(k)
+            assert classify_surface(k) == reference_classification(k) != "not-a-surface"
 
     def test_pinched_sphere_fails_on_link(self, pinched_sphere):
         assert is_pseudomanifold(pinched_sphere)
-        assert not classify_surface(pinched_sphere).closed_surface
+        assert not _links_are_cycles(pinched_sphere)
+        assert classify_surface(pinched_sphere) == reference_classification(pinched_sphere)
+        assert classify_surface(pinched_sphere) == "not-a-surface"
 
     def test_triangle_with_boundary_fails(self, solid_triangle):
-        assert not classify_surface(solid_triangle).closed_surface
+        assert not is_pseudomanifold(solid_triangle)
+        assert classify_surface(solid_triangle) == reference_classification(solid_triangle)
+        assert classify_surface(solid_triangle) == "not-a-surface"
 
     def test_wrong_dimension(self):
-        assert not classify_surface(SimplicialComplex([(0, 1), (1, 2), (0, 2)])).closed_surface
+        circle = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
+        # A 1-pseudomanifold: only the dimension keeps it from the link test.
+        assert is_pseudomanifold(circle) and circle.dim() == 1
+        assert classify_surface(circle) == reference_classification(circle)
+        assert classify_surface(circle) == "not-a-surface"
 
 
 def _edge_sign(triangle, edge):
@@ -126,55 +135,72 @@ class TestOrient:
 
 class TestClassifySurface:
     def test_sphere(self, tetra_boundary):
-        r = classify_surface(tetra_boundary)
-        assert r.classification == "sphere"
-        assert r.orientable is True
-        assert r.euler == 2
-        assert r.closed_surface and r.connected and r.pseudomanifold
+        assert classify_surface(tetra_boundary) == "sphere"
+        assert classify_surface(tetra_boundary) == reference_classification(tetra_boundary)
+        assert is_pseudomanifold(tetra_boundary) and _links_are_cycles(tetra_boundary)
+        assert tetra_boundary.is_connected()
+        assert _orient(tetra_boundary) is not None
+        assert tetra_boundary.euler_characteristic() == 2
 
     def test_torus(self, torus7):
-        r = classify_surface(torus7)
-        assert r.classification == "orientable-genus-1"
-        assert r.euler == 0
+        assert classify_surface(torus7) == "orientable-genus-1"
+        assert classify_surface(torus7) == reference_classification(torus7)
+        assert _orient(torus7) is not None
+        assert torus7.euler_characteristic() == 0
 
     def test_projective_plane(self, rp2):
-        r = classify_surface(rp2)
-        assert r.classification == "nonorientable-crosscap-1"
-        assert r.orientable is False
-        assert r.euler == 1
+        assert classify_surface(rp2) == "nonorientable-crosscap-1"
+        assert classify_surface(rp2) == reference_classification(rp2)
+        assert _orient(rp2) is None
+        assert rp2.euler_characteristic() == 1
 
     def test_klein_bottle(self, klein):
-        r = classify_surface(klein)
-        assert r.classification == "nonorientable-crosscap-2"
-        assert r.closed_surface and r.connected
-        assert r.orientable is False
-        assert r.euler == 0
+        assert classify_surface(klein) == "nonorientable-crosscap-2"
+        assert classify_surface(klein) == reference_classification(klein)
+        assert is_pseudomanifold(klein) and _links_are_cycles(klein)
+        assert klein.is_connected()
+        assert _orient(klein) is None
+        assert klein.euler_characteristic() == 0
 
     def test_pinched_sphere(self, pinched_sphere):
-        r = classify_surface(pinched_sphere)
-        assert r.classification == "not-a-surface"
-        assert r.pseudomanifold
-        assert not r.closed_surface
-        assert r.euler == 3
+        assert classify_surface(pinched_sphere) == "not-a-surface"
+        assert classify_surface(pinched_sphere) == reference_classification(pinched_sphere)
+        assert is_pseudomanifold(pinched_sphere)
+        assert not _links_are_cycles(pinched_sphere)
+        assert pinched_sphere.euler_characteristic() == 3
 
     def test_disconnected_pair_of_spheres(self, two_spheres):
-        r = classify_surface(two_spheres)
-        assert r.classification == "not-a-surface"
-        assert r.closed_surface
-        assert not r.connected
+        assert classify_surface(two_spheres) == "not-a-surface"
+        assert classify_surface(two_spheres) == reference_classification(two_spheres)
+        assert is_pseudomanifold(two_spheres) and _links_are_cycles(two_spheres)
+        assert not two_spheres.is_connected()
 
     def test_one_dimensional_input(self):
-        r = classify_surface(SimplicialComplex([(0, 1), (1, 2), (0, 2)]))
-        assert r.classification == "not-a-surface"
-        assert not r.pure2
-        assert r.orientable is None
+        circle = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
+        assert classify_surface(circle) == "not-a-surface"
+        assert classify_surface(circle) == reference_classification(circle)
+        assert circle.dim() == 1
 
     def test_orientability_agrees_with_top_homology(self, rp2, torus7, tetra_boundary):
         # Independent cross-check: rank of H_2 equals 1 for a closed
         # connected orientable surface and 0 otherwise.
         for k in (rp2, torus7, tetra_boundary):
-            r = classify_surface(k)
-            assert (homology(k).betti_z[2] == 1) == r.orientable
+            c = classify_surface(k)
+            orientable = c == "sphere" or c.startswith("orientable-")
+            assert (homology(k).betti_z[2] == 1) == orientable
+
+    @pytest.mark.parametrize(
+        "name, euler, message",
+        [
+            ("torus7", 1, "orientable closed surface with Euler characteristic 1"),
+            ("rp2", 2, "non-orientable closed surface with Euler characteristic 2"),
+        ],
+    )
+    def test_euler_contradiction_is_refused(self, request, monkeypatch, name, euler, message):
+        k = request.getfixturevalue(name)
+        monkeypatch.setattr(SimplicialComplex, "euler_characteristic", lambda self: euler)
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            classify_surface(k)
 
 
 class TestTetrahedronBoundaryPieces:
@@ -275,6 +301,20 @@ def reference_orient(k):
     return signs
 
 
+def reference_classification(k):
+    """The classification string from the reference checks, with the Euler
+    characteristic counted off the triangles' vertices and edges."""
+    components = reference_component_vertex_sets(k.maximal_simplices)
+    if not (reference_is_closed_surface(k) and len(components) == 1):
+        return "not-a-surface"
+    tris = k.maximal_simplices
+    edges = {e for t in tris for e in combinations(t, 2)}
+    euler = len(k.vertices()) - len(edges) + len(tris)
+    if reference_orient(k) is None:
+        return f"nonorientable-crosscap-{2 - euler}"
+    return "sphere" if euler == 2 else f"orientable-genus-{(2 - euler) // 2}"
+
+
 def outcome_of(fn, k):
     try:
         return fn(k)
@@ -318,15 +358,16 @@ def random_two_complex(seed):
 
 
 def check_surface_against_references(k):
-    closed = reference_is_closed_surface(k)
+    """Every stage of classify_surface against its reference, then the
+    classification against the one the references give."""
     signs = outcome_of(reference_orient, k)
-    r = classify_surface(k)
-    assert r.connected == (len(reference_component_vertex_sets(k.maximal_simplices)) == 1)
-    assert r.pseudomanifold == (signs != "raises")
-    assert r.closed_surface == closed
-    assert r.orientable == (None if signs == "raises" else signs is not None)
-    if r.pseudomanifold:
+    pm = k.dim() == 2 and is_pseudomanifold(k)
+    assert k.is_connected() == (len(reference_component_vertex_sets(k.maximal_simplices)) == 1)
+    assert pm == (signs != "raises")
+    assert (pm and _links_are_cycles(k)) == reference_is_closed_surface(k)
+    if pm:
         assert _orient(k) == signs
+    assert classify_surface(k) == reference_classification(k)
 
 
 class TestStarBasedRecognitionMatchesReferences:
@@ -338,7 +379,7 @@ class TestStarBasedRecognitionMatchesReferences:
         ks = [SimplicialComplex(random_two_complex(seed)) for seed in range(400)]
         closed = [reference_is_closed_surface(k) for k in ks]
         connected = [len(reference_component_vertex_sets(k.maximal_simplices)) == 1 for k in ks]
-        pm = [classify_surface(k).pseudomanifold for k in ks]
+        pm = [k.dim() == 2 and is_pseudomanifold(k) for k in ks]
         assert any(c and conn for c, conn in zip(closed, connected))
         assert any(c and not conn for c, conn in zip(closed, connected))
         # Pseudomanifolds with a pinched vertex, whose link is two cycles.
