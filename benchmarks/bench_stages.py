@@ -8,8 +8,11 @@ too.  Recorded here: the torus case I4C at n = 80, 160 and 320
 ``perfbench/run.py``, imported and not modified).
 
 Each stage in ``STAGES`` is timed as one pass over its recorded inputs,
-best of three.  ``collapse_core``, ``fold_reduce`` and ``snf``
-(``_kernels.snf_diagonal``) get their recorded arguments; ``construct``
+best of three.  ``collapse_core`` and ``fold_reduce`` get their recorded
+arguments; ``snf`` (``_kernels.snf_diagonal``) gets a fresh copy of each
+recorded boundary, made outside the clock, since a boundary builds its
+rows on first read and keeps them, and the pipeline hands each one to
+the Smith entry once; ``construct
 replays every recorded ``SimplicialComplex(...)`` call, so each checkout
 times the calls its own pipeline makes.  The other three run as the
 pipeline runs them: each pass first rebuilds every collapsed core outside
@@ -27,12 +30,14 @@ and ``homology`` is not charged for them twice.
 Each run is appended under ``--label`` in ``BENCH_stages.json``, next to
 the entries of other checkouts, with machine and Python metadata, and the
 label's ``stages`` become the per-stage medians over all its runs.  Give
-each checkout a label of its own.  Machine drift moves every run of one
-stretch alike, so alternate the checkouts run by run rather than timing
-one after the other:
+each checkout a label of its own, and time it with its own copy of this
+script, which knows the matrices its pipeline hands the Smith entry.
+Machine drift moves every run of one stretch alike, so alternate the
+checkouts run by run rather than timing one after the other:
 
     for i in 1 2 3 4 5; do
-        PYTHONPATH=../parent/src python3 benchmarks/bench_stages.py --label parent-abc1234
+        (cd ../parent && PYTHONPATH=src python3 benchmarks/bench_stages.py \
+            --label parent-abc1234 --out ../change/BENCH_stages.json)
         PYTHONPATH=src python3 benchmarks/bench_stages.py --label change-def5678
     done
 """
@@ -84,7 +89,11 @@ ABOUT = (
     "classify_surface on every component of every core, and counted every "
     "component; later labels time and count only the components the pipeline "
     "measures, the first of each verify core and every component of each "
-    "analyze_graph core"
+    "analyze_graph core. Labels from parent-8a1e290 on were made under the "
+    "rule that each checkout runs its own copy of this script; from "
+    "change-boundary on, snf is timed on fresh copies of the recorded "
+    "boundary matrices, whose rows no earlier call has built (parent-8a1e290 "
+    "handed the kernel plain row lists, which keep no cache)"
 )
 
 
@@ -141,18 +150,26 @@ def record(run):
     return rec
 
 
-def _best_of(fn, items):
-    """Best of three passes over items; None when there is nothing to time."""
+def _best_of(fn, items, fresh=None):
+    """Best of three passes over items; None when there is nothing to time.
+    With ``fresh``, each pass calls fn on ``fresh(item)`` for every item,
+    all made before the clock starts."""
     if not items:
         return None
     best = None
     for _ in range(3):
+        batch = items if fresh is None else list(map(fresh, items))
         t0 = time.perf_counter()
-        for item in items:
+        for item in batch:
             fn(item)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
+
+
+def fresh_boundary(mat):
+    """A copy of a recorded boundary with no rows built."""
+    return _kernels.Boundary(mat.nrows, mat.ncols, mat.positions)
 
 
 def fresh_core(core, built):
@@ -226,7 +243,7 @@ def measure():
             "collapse_core_s": _best_of(lambda c: nctopo.collapse_core(*c[0]), rec["collapses"]),
             "construct_s": _best_of(lambda b: SimplicialComplex(*b[0], **b[1]), rec["builds"]),
             "fold_reduce_s": _best_of(nctopo.fold_reduce, rec["folds"]),
-            "snf_s": _best_of(_kernels.snf_diagonal, rec["snf"]),
+            "snf_s": _best_of(_kernels.snf_diagonal, rec["snf"], fresh_boundary),
         }
         for stage, dt in _core_stages(rec["collapses"], rec["surfaces"]).items():
             rows[name][stage + "_s"] = dt

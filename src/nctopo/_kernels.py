@@ -5,31 +5,31 @@ reduction exact however large its intermediate entries grow.
 ``BACKEND`` is the constant ``"pure"``; it names the kernel set in
 benchmark and trace metadata.
 
-``snf_diagonal`` takes the ``SparseRow`` rows that
-``homology.chain_complex`` builds.  The entry checks once that all rows
-have one width, then recognizes a matrix with entries +1 and -1 only, in
-which every row, or every column, holds exactly two of them.  That is the
-incidence matrix of a signed graph (Zaslavsky, "Signed graphs", Discrete
-Appl. Math. 4, 1982): the other index is its nodes.  A connected
-component is balanced when some choice of node signs makes every edge a
-difference of two nodes, as in an ordinary graph incidence matrix, which
-is totally unimodular (Schrijver, *Theory of Linear and Integer
-Programming*, 1986, ch. 19).  An unbalanced component has full rank, and
-each of its nonzero maximal minors is +-2**c with c >= 1 (a spanning tree
-plus one edge closing an unbalanced cycle gives +-2), while its smaller
-tree minors are +-1.  So the rank is nodes minus components plus
-unbalanced components, and the invariant factors are all 1, then one 2
-per unbalanced component; parity union-find finds both.  Every edge
-boundary is such a matrix, and so is the top boundary of a closed
-pseudomanifold, where each ridge lies in two facets: the dual graph of a
-non-orientable surface is unbalanced.
+``snf_diagonal`` reads some of the ``Boundary`` matrices that
+``homology.chain_complex`` builds straight off their face positions, as
+the incidence matrix of a signed graph (Zaslavsky, "Signed graphs",
+Discrete Appl. Math. 4, 1982): entries +1 and -1 only, two in every
+column (the rows are its nodes) or in every row.  A connected component
+is balanced when some choice of node signs makes every edge a difference
+of two nodes, as in an ordinary graph incidence matrix, which is totally
+unimodular (Schrijver, *Theory of Linear and Integer Programming*, 1986,
+ch. 19).  An unbalanced component has full rank, and each of its nonzero
+maximal minors is +-2**c with c >= 1 (a spanning tree plus one edge
+closing an unbalanced cycle gives +-2), while its smaller tree minors
+are +-1.  So the rank is nodes minus components plus unbalanced
+components, and the invariant factors are all 1, then one 2 per
+unbalanced component; parity union-find finds both.  Every edge boundary
+is such a matrix, and so is the top boundary of a closed pseudomanifold,
+where each ridge lies in two facets: the dual graph of a non-orientable
+surface is unbalanced.
 
-Any other matrix takes the general reduction, one sparse elimination.
-It takes unit pivots (entries of absolute value 1), cheapest Markowitz
-cost first, and an entry of least absolute value when no unit is left.
-Boundary matrices of collapsed cores reduce by unit pivots alone.  See
-Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
-normal form computations", J. Symb. Comput. 32 (2001).
+Any other boundary, and any list of ``SparseRow`` rows, takes the
+general reduction, one sparse elimination.  It takes unit pivots
+(entries of absolute value 1), cheapest Markowitz cost first, and an
+entry of least absolute value when no unit is left.  Boundary matrices
+of collapsed cores reduce by unit pivots alone.  See Dumas, Saunders and
+Villard, "On efficient sparse integer matrix Smith normal form
+computations", J. Symb. Comput. 32 (2001).
 
 The GF(2) route shares none of this: ``gf2_rank`` eliminates bitmasks on
 its own, so the Smith and GF(2) ranks stay independent cross-checks.
@@ -38,7 +38,8 @@ its own, so the Smith and GF(2) ranks stay independent cross-checks.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, prod
+from itertools import chain, repeat
+from math import gcd
 
 BACKEND = "pure"
 
@@ -69,6 +70,33 @@ class SparseRow:
         return f"SparseRow({self.ncols}, {self.entries!r})"
 
 
+class Boundary:
+    """Matrix of ``nrows`` by ``ncols`` whose column j holds (-1)**i at row
+    ``positions[i][j]`` and no other entry.  It reads as its ``SparseRow``
+    rows (``len`` and indexing, so iteration too), built on first read."""
+
+    __slots__ = ("nrows", "ncols", "positions", "_rows")
+
+    def __init__(self, nrows, ncols, positions):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.positions = positions
+        self._rows = None
+
+    def __len__(self):
+        return self.nrows
+
+    def __getitem__(self, i):
+        if self._rows is None:
+            rows = [{} for _ in range(self.nrows)]
+            for k, faces in enumerate(self.positions):
+                sign = -1 if k % 2 else 1
+                for col, row in enumerate(faces):
+                    rows[row][col] = sign
+            self._rows = list(map(SparseRow, repeat(self.ncols), rows))
+        return self._rows[i]
+
+
 def gf2_rank(rows):
     """Rank over GF(2) of the matrix whose rows are the given bitmasks.
 
@@ -93,71 +121,60 @@ def gf2_rank(rows):
     return rank
 
 
-def snf_diagonal(rows):
+def snf_diagonal(mat):
     """Invariant factors d1 | d2 | ... | dr of an integer matrix.
 
-    ``rows`` is a sequence of ``SparseRow``.  Returns the full positive
-    diagonal of the Smith normal form as a list, ones included, so the
-    rank is its length.  Rows of unequal width raise ValueError.
+    ``mat`` is a ``Boundary`` or a list of ``SparseRow``.  Returns the full
+    positive diagonal of the Smith normal form, ones included, so the rank
+    is its length.  Rows of unequal width raise ValueError.
     """
-    if not rows:
+    if isinstance(mat, Boundary):
+        factors = _incidence_factors(mat)
+        return _general_snf(mat) if factors is None else factors
+    if not mat:
         return []
-    if len({row.ncols for row in rows}) > 1:
+    if len({row.ncols for row in mat}) > 1:
         raise ValueError("ragged matrix")
-    factors = _signed_graph_factors(rows)
-    if factors is None:
-        factors = _general_snf(rows)
-    return factors
+    return _general_snf(mat)
 
 
-def _signed_graph_factors(rows):
-    """Invariant factors of a signed-graph incidence matrix, else None.
+def _incidence_factors(b):
+    """Invariant factors of a signed-graph incidence ``Boundary``, else None.
 
-    ``rows`` is a nonempty sequence of ``SparseRow`` of one width.  The
-    matrix qualifies when all its entries are +1 or -1, and every row, or
-    else every column, holds exactly two of them.  Each such row (column)
-    is an edge between the two columns (rows) it touches, which are the
-    nodes.  An edge whose two entries have equal signs, a product of +1,
-    is negative; a component is balanced when no cycle in it has an odd
-    number of negative edges.  Parity union-find merges nodes and finds
-    the unbalanced components; the factors are one 1 per merge and one 2
-    per unbalanced component.
-    """
-    ncols = rows[0].ncols
-    if all(len(row.entries) == 2 for row in rows):
-        nodes = ncols
-        heads, tails = zip(*[row.entries for row in rows])
-        signs = [prod(row.entries.values()) for row in rows]
-    else:
-        nodes = len(rows)
-        heads = [-1] * ncols
-        tails = [-1] * ncols
-        signs = [0] * ncols
-        for i, row in enumerate(rows):
-            for j, v in row.entries.items():
-                if heads[j] < 0:
-                    heads[j] = i
-                    signs[j] = v
-                elif tails[j] < 0:
-                    tails[j] = i
-                    signs[j] *= v
-                else:
-                    return None
-        if -1 in tails:
-            return None
-    # A product of two integers is +-1 exactly when both are.
-    if not {1, -1}.issuperset(signs):
+    An edge boundary's columns are edges, never negative, between its rows.
+    Any other boundary qualifies when its entries, sorted by row, show two
+    in every row: an edge between the two columns, negative when the two
+    signs agree."""
+    if len(b.positions) == 2:
+        return _parity_union_find(b.nrows, *b.positions, repeat(False))
+    ncols = b.ncols
+    # Entry k is (-1)**i in column j, with i, j = divmod(k, ncols).
+    flat = list(chain.from_iterable(b.positions))
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    rows = list(map(flat.__getitem__, order))
+    if not rows[::2] == rows[1::2] == list(range(b.nrows)):
         return None
+    negative = [(h // ncols - t // ncols) % 2 == 0 for h, t in zip(order[::2], order[1::2])]
+    heads = [k % ncols for k in order[::2]]
+    tails = [k % ncols for k in order[1::2]]
+    return _parity_union_find(ncols, heads, tails, negative)
 
+
+def _parity_union_find(nodes, heads, tails, negative):
+    """Invariant factors of the incidence matrix of the signed graph on
+    nodes 0 .. nodes - 1 whose edge e joins heads[e] and tails[e], negative
+    when negative[e] is true.  A component is unbalanced when some cycle in
+    it has an odd number of negative edges.  The factors are one 1 per
+    union-find merge and one 2 per unbalanced component.
+    """
     # parity[x] is the sign flip from x to parent[x]; a root's is 0.
     parent = list(range(nodes))
     parity = [0] * nodes
     odd = [False] * nodes
     merges = unbalanced = 0
-    for a, b, sign in zip(heads, tails, signs):
+    for a, b, flip in zip(heads, tails, negative):
         # Find both roots, halving the paths on the way; flip gathers the
         # parity the edge demands between the two roots.
-        flip = sign == 1
         while parent[a] != a:
             up = parent[a]
             parity[a] ^= parity[up]
@@ -185,7 +202,7 @@ def _signed_graph_factors(rows):
 
 
 def _general_snf(rows):
-    """Smith diagonal of any nonempty sequence of ``SparseRow`` of one width.
+    """Smith diagonal of a nonempty sequence of ``SparseRow`` of one width.
 
     One sparse elimination on a copy of the entries.  Unit pivots come from
     a heap, cheapest Markowitz cost first; every unit that fill-in or a

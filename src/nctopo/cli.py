@@ -6,7 +6,8 @@ them through one format switch; export-complex reduces through
 classify.reduce_to_core.
 
 Exit codes: 0 when no component verdict is fail, 1 when one is, 2 for
-invalid parameters, 3 for unreadable or unwritable files.  JSON and CSV
+invalid parameters, 3 for unreadable or unwritable files, 4 when an
+internal cross-check fails, 5 when memory runs out.  JSON and CSV
 outputs are stable contracts and are byte-identical across runs and
 worker counts; the text format is human-oriented and may change.
 """
@@ -26,6 +27,7 @@ import sys
 from .classify import analyze_graph, case_of, reduce_to_core, verify
 from .complexes import neighborhood_complex
 from .graphs import MAX_VERTEX_LABEL, circulant, read_edge_list
+from .homology import CrossCheckError
 
 _CSV_FIELDS = (
     "n",
@@ -328,6 +330,12 @@ def main(argv=None):
     except OSError as exc:
         print(f"nctopo: {exc}", file=sys.stderr)
         return 3
+    except CrossCheckError as exc:
+        print(f"nctopo: internal cross-check failed: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("nctopo: out of memory", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,17 +1,13 @@
 """Simplicial homology over Z and over GF(2).
 
 Unreduced homology throughout: a point has betti_z == (1,).  The integer
-route goes through Smith normal form of the boundary matrices, which
-reach ``_kernels.snf_diagonal`` as the sparse rows ``chain_complex``
-builds.  Every edge boundary, and the top boundary of a closed
-pseudomanifold core (a surface or a 3-sphere), is a signed-graph
-incidence matrix, which the Smith entry answers by parity union-find;
-the rest take its general sparse reduction.  The mod-2 route does
-bit-packed Gaussian elimination on incidence masks built directly from
-face containment.  It reads the face positions that ``chain_complex``
-recorded for the Smith rows, but shares no elimination code with the SNF
-path.  The universal-coefficient relation between the two is a checkable
-consequence, not an assumption.
+route takes the Smith normal form of the ``_kernels.Boundary`` matrices
+``chain_complex`` builds from face positions; every edge boundary, and
+the top boundary of a closed pseudomanifold core, is a signed-graph
+incidence matrix, answered by parity union-find.  The mod-2 route
+eliminates bitmasks ORed from the same positions and shares no
+elimination code with the Smith route, so the universal-coefficient
+relation between the two is a checkable consequence, not an assumption.
 """
 
 from __future__ import annotations
@@ -23,15 +19,17 @@ from operator import itemgetter, lshift, or_
 from . import _kernels
 
 
+class CrossCheckError(AssertionError):
+    """Two independent computations disagree; raised also under -O."""
+
+
 class ChainComplex:
     """Bases and integer boundary matrices of a simplicial complex.
 
     bases[d] is the sorted tuple of d-simplices; boundaries[d] is the
-    matrix of the boundary map C_d -> C_{d-1} as a list of sparse rows
-    (rows indexed by (d-1)-simplices, columns by d-simplices).  Each row
-    is a ``_kernels.SparseRow`` of width f_d holding its nonzero entries
-    as ``{column: +-1}``.  boundaries[0] is the empty matrix with f_0
-    columns.
+    matrix of the boundary map C_d -> C_{d-1} (rows indexed by
+    (d-1)-simplices, columns by d-simplices) as a ``_kernels.Boundary``
+    over positions[d]; boundaries[0] is the empty matrix with f_0 columns.
     positions[d][i][j], for 1 <= d <= dim, is the position in bases[d - 1]
     of the face of bases[d][j] that drops its i-th vertex: the row of the
     entry (-1)**i in column j of boundaries[d].  positions[0] is empty.
@@ -56,19 +54,14 @@ def chain_complex(k):
     """
     top = k.dim()
     bases = [k.faces(d) for d in range(top + 1)]
-    boundaries = [[] for _ in range(top + 1)]
     positions = [()] * (top + 1)
     for d in range(1, top + 1):
         index = dict(zip(bases[d - 1], range(len(bases[d - 1]))))
         positions[d] = [
             list(map(index.__getitem__, _faces_dropping(bases[d], i))) for i in range(d + 1)
         ]
-        rows = [{} for _ in bases[d - 1]]
-        for i, faces in enumerate(positions[d]):
-            sign = -1 if i % 2 else 1
-            for col, row in enumerate(faces):
-                rows[row][col] = sign
-        boundaries[d] = list(map(_kernels.SparseRow, repeat(len(bases[d])), rows))
+    f = [len(b) for b in bases]
+    boundaries = list(map(_kernels.Boundary, [0] + f[:-1], f, positions))
     return ChainComplex([tuple(b) for b in bases], boundaries, positions)
 
 
@@ -132,12 +125,12 @@ def homology(k):
     euler = sum((-1) ** d * f[d] for d in range(top + 1))
     alt = sum((-1) ** d * betti_z[d] for d in range(top + 1))
     if euler != alt:
-        raise AssertionError(f"Euler mismatch: f-vector gives {euler}, Betti sum gives {alt}")
+        raise CrossCheckError(f"Euler mismatch: f-vector gives {euler}, Betti sum gives {alt}")
     # The Euler sum holds for any ranks, so it cannot see a lost pivot.
     # A rank mod 2 never exceeds the rank over Z; this catches one.
     for d in range(1, top + 1):
         if rank_2[d] > rank_z[d]:
-            raise AssertionError(
+            raise CrossCheckError(
                 f"rank mismatch in boundary {d}: GF(2) rank {rank_2[d]} exceeds Z rank {rank_z[d]}"
             )
     return HomologyProfile(betti_z=betti_z, torsion=torsion, betti_z2=betti_z2, euler=euler)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .homology import CrossCheckError
+
 
 def is_pseudomanifold(k):
     """Pure of dimension d >= 1 and non-branching: every (d-1)-face lies in
@@ -94,10 +96,10 @@ def classify_surface(k):
     euler = k.euler_characteristic()
     if _orient(k) is not None:
         if euler % 2 or euler > 2:
-            raise AssertionError(f"orientable closed surface with Euler characteristic {euler}")
+            raise CrossCheckError(f"orientable closed surface with Euler characteristic {euler}")
         return "sphere" if euler == 2 else f"orientable-genus-{(2 - euler) // 2}"
     if euler > 1:
-        raise AssertionError(f"non-orientable closed surface with Euler characteristic {euler}")
+        raise CrossCheckError(f"non-orientable closed surface with Euler characteristic {euler}")
     return f"nonorientable-crosscap-{2 - euler}"
 
 

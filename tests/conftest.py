@@ -141,6 +141,18 @@ def boundary_of_simplex(vertices):
     return SimplicialComplex(combinations(vs, len(vs) - 1))
 
 
+def dunce_hat():
+    """A triangle with its sides glued along the word a a a^-1, each side
+    cut in three at the glued vertices 0, 1, 2, with a ring of nine inner
+    vertices 3..11 and a centre 12: 27 triangles."""
+    side = [0, 1, 2, 0, 1, 2, 0, 2, 1]
+    triangles = []
+    for i in range(9):
+        j = (i + 1) % 9
+        triangles += [(side[i], side[j], 3 + i), (side[j], 3 + j, 3 + i), (3 + i, 3 + j, 12)]
+    return SimplicialComplex(triangles)
+
+
 def cycle_graph(m):
     if m < 3:
         raise ValueError("cycle needs at least 3 vertices")

@@ -66,3 +66,16 @@ def test_cores_arrive_with_the_screens_coface_index(bench_stages):
     ((_, trace, built),) = rec["collapses"]
     assert trace.strategy == "generic" and trace.pairs and built == ()
     assert bench_stages.fresh_core(trace.core, built)._cofaces == {}
+
+
+def test_snf_times_boundaries_with_no_rows_built(bench_stages):
+    """The S2vS2 core's d2 takes the general reduction, which builds the
+    boundary's rows; the snf stage times a copy that has none."""
+    rec = bench_stages.record(lambda: classify.verify(12, 1, 3))
+    built = [m for m in rec["snf"] if m._rows is not None]
+    assert built
+    for mat in built:
+        fresh = bench_stages.fresh_boundary(mat)
+        assert fresh._rows is None
+        assert (fresh.nrows, fresh.ncols, fresh.positions) == (mat.nrows, mat.ncols, mat.positions)
+        assert _kernels.snf_diagonal(fresh) == _kernels.snf_diagonal(mat)

@@ -42,6 +42,7 @@ from conftest import (
     boundary_of_simplex,
     complete_graph,
     cycle_graph,
+    dunce_hat,
     incidence_graph,
     k44_minus_matching,
     reference_is_excluded,
@@ -436,18 +437,6 @@ KNOWN_COMPLEXES = {
     "C5": tuple((i, (i + 1) % 5) for i in range(5)),
     "cube-1-skeleton": tuple(CUBE_EDGES),
 }
-
-
-def dunce_hat():
-    """A triangle with its sides glued along the word a a a^-1, each side
-    cut in three at the glued vertices 0, 1, 2, with a ring of nine inner
-    vertices 3..11 and a centre 12: 27 triangles."""
-    side = [0, 1, 2, 0, 1, 2, 0, 2, 1]
-    triangles = []
-    for i in range(9):
-        j = (i + 1) % 9
-        triangles += [(side[i], side[j], 3 + i), (side[j], 3 + j, 3 + i), (3 + i, 3 + j, 12)]
-    return SimplicialComplex(triangles)
 
 
 def random_pure_2_complex(seed):

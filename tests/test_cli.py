@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from nctopo import classify, cli
+from nctopo import _kernels, classify, cli
 from nctopo.classify import verify
 from nctopo.cli import _CSV_FIELDS, _parse_range, _parse_triple, admissible_triples, main
 from nctopo.collapse import CollapseTrace
@@ -592,6 +592,35 @@ class TestFaceBound:
         assert rc == 2
         assert out == ""
         assert f"above the cap of {classify.MAX_COMPLEX_FACES}" in err
+
+
+class TestInternalFailures:
+    """A failed cross-check and exhausted memory each end with an exit code
+    of their own and one line on stderr, not a traceback."""
+
+    @pytest.mark.parametrize("check", ["surface euler", "smith rank"])
+    def test_cross_check_failure_exits_4(self, capsys, monkeypatch, check):
+        if check == "surface euler":
+            # The torus core's Euler characteristic reads 1: odd for an
+            # orientable closed surface.
+            monkeypatch.setattr(SimplicialComplex, "euler_characteristic", lambda self: 1)
+            message = "orientable closed surface with Euler characteristic 1"
+        else:
+            # A Smith kernel that loses a pivot: the GF(2) rank exceeds it.
+            dispatch = _kernels.snf_diagonal
+            monkeypatch.setattr(_kernels, "snf_diagonal", lambda mat: dispatch(mat)[:-1])
+            message = "rank mismatch in boundary 1"
+        rc, out, err = run(capsys, "analyze", "--circulant", "15,1,4")
+        assert rc == 4 and out == ""
+        assert err.startswith(f"nctopo: internal cross-check failed: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_memory_error_exits_5(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify", exhausted)
+        assert run(capsys, "analyze", "--circulant", "15,1,4") == (5, "", "nctopo: out of memory\n")
 
 
 class TestConsoleScript:

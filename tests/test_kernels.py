@@ -1,23 +1,26 @@
 """The exact kernels against independent oracles.
 
 The GF(2) rank is checked against plain list elimination, on masks of one
-and of several machine words.  The Smith entry takes sparse rows; its
-general reduction is one sparse elimination that takes unit pivots first
-and an entry of least absolute value when none is left.  It is checked
-against sympy, against literal diagonals that need a remainder or the
-last gcd/lcm pass, and against the signed-graph shortcut on the boundary
-matrices of a torus core.  The entry answers signed-graph incidence
-matrices by parity union-find; that shortcut is checked against sympy and
-the general reduction, in both orientations, and matrices that only look
-like such incidence matrices must reach the general reduction.
+and of several machine words.  The Smith entry takes a ``Boundary`` or
+sparse rows; its general reduction is one sparse elimination that takes
+unit pivots first and an entry of least absolute value when none is left.
+It is checked against sympy, against literal diagonals that need a
+remainder or the last gcd/lcm pass, and against the signed-graph reader
+on the boundary matrices of a torus core.  The entry answers a boundary
+that is a signed-graph incidence matrix by parity union-find; the union-
+find is checked against sympy and the general reduction on random signed
+graphs, in both orientations, and boundaries and rows that only look like
+such incidence matrices must reach the general reduction.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from conftest import (
     RP2_TRIANGLES,
     dense_rows,
+    dunce_hat,
     oracle_gf2_rank,
     oracle_invariant_factors,
     snf,
@@ -25,9 +28,9 @@ from conftest import (
 )
 
 import nctopo
-from nctopo import SimplicialComplex, _kernels, chain_complex, verify
-from nctopo.classify import case_of
-from nctopo._kernels import SparseRow
+from nctopo import SimplicialComplex, _kernels, chain_complex, circulant, verify
+from nctopo._kernels import Boundary, SparseRow
+from nctopo.classify import case_of, reduce_to_core
 from nctopo.cli import admissible_triples
 
 
@@ -118,6 +121,34 @@ def node_rows(edges, nv):
         entries[a][j] = sa
         entries[b][j] = sb
     return [SparseRow(len(edges), e) for e in entries]
+
+
+def incidence_ends(entries, ncols):
+    """The rows of the +1 and of the -1 in each column of a multigraph's
+    incidence entries: the two face position lists of its edge boundary."""
+    plus, minus = [None] * ncols, [None] * ncols
+    for r, e in enumerate(entries):
+        for j, v in e.items():
+            (plus if v == 1 else minus)[j] = r
+    return plus, minus
+
+
+def dense_boundary(k, d):
+    """The d-th boundary matrix of k, built densely from faces enumerated
+    here and the sign (-1)**i of the face dropping the i-th vertex."""
+    faces = [
+        sorted({f for m in k.maximal_simplices for f in combinations(m, e + 1)}) for e in (d - 1, d)
+    ]
+    row = {f: r for r, f in enumerate(faces[0])}
+    mat = [[0] * len(faces[1]) for _ in faces[0]]
+    for j, s in enumerate(faces[1]):
+        for i in range(d + 1):
+            mat[row[s[:i] + s[i + 1 :]]][j] = -1 if i % 2 else 1
+    return mat
+
+
+def core(n, s, t):
+    return reduce_to_core(circulant(n, (s, t)), (n, s, t))[2].core
 
 
 @pytest.fixture
@@ -279,7 +310,7 @@ class TestSparseStage:
         assert verify(80, 1, 4).verdict == "pass"
         assert [(len(m), len(m[0])) for m in mats] == [(80, 240), (240, 160)]
         for mat in mats:
-            assert _kernels._signed_graph_factors(mat) is not None
+            assert _kernels._incidence_factors(mat) is not None
             assert _kernels._general_snf(mat) == dispatch(mat)
 
 
@@ -319,10 +350,13 @@ class TestIncidenceShortcut:
             entries, ncols = incidence_entries(seed)
             rows = [SparseRow(ncols, e) for e in entries]
             dense = dense_rows(rows)
-            got = _kernels.snf_diagonal(rows)
-            assert got == oracle_invariant_factors(dense), seed
+            plus, minus = incidence_ends(entries, ncols)
+            got = _kernels._parity_union_find(len(rows), plus, minus, [False] * ncols)
+            assert got == oracle_invariant_factors(dense) == [1] * len(got), seed
             assert got == _kernels._general_snf(rows), seed
-            assert _kernels._signed_graph_factors(rows) == got == [1] * len(got), seed
+            boundary = Boundary(len(rows), ncols, [plus, minus])
+            assert dense_rows(boundary) == dense, seed
+            assert _kernels.snf_diagonal(boundary) == got, seed
             cols = [tuple(sorted(r for r, e in enumerate(entries) if j in e)) for j in range(ncols)]
             shapes.append((len(rows) - len(got), len(set(cols)) < ncols))
         assert sum(components >= 3 for components, _ in shapes) >= 30
@@ -332,11 +366,12 @@ class TestIncidenceShortcut:
         shapes = []
         for seed in range(120):
             edges, nv = signed_graph(seed)
+            heads, tails = [a for (a, _), _ in edges], [b for _, (b, _) in edges]
+            negative = [sa == sb for (_, sa), (_, sb) in edges]
+            got = _kernels._parity_union_find(nv, heads, tails, negative)
             for rows in (edge_rows(edges, nv), node_rows(edges, nv)):
-                dense = dense_rows(rows)
-                got = _kernels._signed_graph_factors(rows)
-                assert got == oracle_invariant_factors(dense), seed
-                assert _kernels.snf_diagonal(rows) == _kernels._general_snf(rows) == got, seed
+                assert got == oracle_invariant_factors(dense_rows(rows)), seed
+                assert got == _kernels._general_snf(rows), seed
             unbalanced = got.count(2)
             shapes.append((unbalanced, nv - len(got)))
         # Balanced components include the two isolated nodes.
@@ -351,23 +386,26 @@ class TestIncidenceShortcut:
         assert _kernels.snf_diagonal(d2) == [1] * 18 + [2, 2]
         assert kernel_calls == []
 
-    def test_shortcut_skips_the_backend(self, kernel_calls):
+    def test_shortcut_skips_the_backend(self, kernel_calls, torus7, rp2):
         entries, ncols = incidence_entries(0)
-        assert _kernels.snf_diagonal([SparseRow(ncols, e) for e in entries])
-        edges, nv = signed_graph(0)
-        assert _kernels.snf_diagonal(edge_rows(edges, nv))
-        assert _kernels.snf_diagonal(node_rows(edges, nv))
+        plus, minus = incidence_ends(entries, ncols)
+        assert _kernels.snf_diagonal(Boundary(len(entries), ncols, [plus, minus]))
+        for k in torus7, rp2:
+            for mat in chain_complex(k).boundaries[1:]:
+                assert _kernels.snf_diagonal(mat)
+                assert mat._rows is None
         assert kernel_calls == []
 
-    def test_dense_incidence_takes_the_shortcut(self, kernel_calls):
-        # Dense rows converted to sparse ones take the shortcut too.
+    def test_incidence_rows_take_the_general_reduction(self, kernel_calls):
+        # Rows, sparse or converted from dense, always take the general
+        # reduction: only a Boundary is read as a signed graph.
         entries, ncols = incidence_entries(1)
         edges, nv = signed_graph(1)
         mats = [[SparseRow(ncols, e) for e in entries], edge_rows(edges, nv), node_rows(edges, nv)]
         for mat in mats:
             dense = dense_rows(mat)
             assert snf(dense) == oracle_invariant_factors(dense)
-        assert kernel_calls == []
+        assert len(kernel_calls) == len(mats)
 
     @pytest.mark.parametrize(
         "defect", ["three entries", "entry 2", "entry -2", "extra entry 2", "single entry"]
@@ -390,7 +428,6 @@ class TestIncidenceShortcut:
                 del minus[j]
             rows = [SparseRow(ncols, e) for e in entries]
             dense = dense_rows(rows)
-            assert _kernels._signed_graph_factors(rows) is None, seed
             kernel_calls.clear()
             assert _kernels.snf_diagonal(rows) == oracle_invariant_factors(dense), seed
             assert len(kernel_calls) == 1, seed
@@ -411,7 +448,6 @@ class TestIncidenceShortcut:
             else:
                 entries[next(c for c in range(nv) if c not in entries)] = -1
             dense = dense_rows(rows)
-            assert _kernels._signed_graph_factors(rows) is None, seed
             kernel_calls.clear()
             assert _kernels.snf_diagonal(rows) == oracle_invariant_factors(dense), seed
             assert len(kernel_calls) == 1, seed
@@ -420,26 +456,56 @@ class TestIncidenceShortcut:
         # The solid triangle's edges lie in one triangle each; RP^2's lie
         # in two, so its dual graph is an unbalanced signed graph.
         d2 = chain_complex(solid_triangle).boundaries[2]
-        assert _kernels._signed_graph_factors(d2) is None
+        assert _kernels._incidence_factors(d2) is None
         assert _kernels.snf_diagonal(d2) == [1]
         assert len(kernel_calls) == 1
         d2 = chain_complex(rp2).boundaries[2]
-        assert _kernels._signed_graph_factors(d2) == [1] * 9 + [2]
+        assert _kernels._incidence_factors(d2) == [1] * 9 + [2]
         assert _kernels.snf_diagonal(d2) == [1] * 9 + [2]
         assert len(kernel_calls) == 1
 
+    def test_a_row_of_three_falls_through(self, kernel_calls, torus7):
+        # Moving one entry of the torus's d2 leaves a row of three entries
+        # and a row of one.
+        d2 = chain_complex(torus7).boundaries[2]
+        positions = [list(p) for p in d2.positions]
+        positions[0][0] = positions[1][1]
+        moved = Boundary(d2.nrows, d2.ncols, positions)
+        dense = dense_rows(moved)
+        counts = sorted(len(row) - row.count(0) for row in dense)
+        assert counts == [1] + [2] * (d2.nrows - 2) + [3]
+        assert _kernels._incidence_factors(moved) is None
+        assert _kernels.snf_diagonal(moved) == oracle_invariant_factors(dense)
+        assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("name", ["torus7", "rp2", "dunce hat", "garland", "S2vS2"])
+    def test_boundaries_match_dense_ones(self, name, torus7, rp2):
+        k = {
+            "torus7": torus7,
+            "rp2": rp2,
+            "dunce hat": dunce_hat(),
+            "garland": core(20, 3, 5),
+            "S2vS2": core(12, 1, 3),
+        }[name]
+        cc = chain_complex(k)
+        assert cc.dim() == 2
+        for d in 1, 2:
+            dense = dense_boundary(k, d)
+            assert dense_rows(cc.boundaries[d]) == dense, d
+            assert _kernels.snf_diagonal(cc.boundaries[d]) == oracle_invariant_factors(dense), d
+
     def test_fires_on_every_edge_boundary_of_a_sweep(self, monkeypatch):
         fired = {}
-        inner = _kernels._signed_graph_factors
+        inner = _kernels._incidence_factors
         tag = None
 
-        def spy(rows):
-            factors = inner(rows)
-            d = sum(len(r.entries) for r in rows) // rows[0].ncols - 1
+        def spy(boundary):
+            factors = inner(boundary)
+            d = len(boundary.positions) - 1
             fired.setdefault((tag, d), []).append(factors is not None)
             return factors
 
-        monkeypatch.setattr(_kernels, "_signed_graph_factors", spy)
+        monkeypatch.setattr(_kernels, "_incidence_factors", spy)
         # (20, 3, 5) adds a garland core (I3A) to the sweep.
         for triple in admissible_triples(5, 15) + [(20, 3, 5)]:
             tag = case_of(*triple).tag
