@@ -37,7 +37,6 @@ from .graphs import (
     connected_components,
     find_fold,
     fold_reduce,
-    induced_subgraph,
     is_connected,
     normalize_circulant_pair,
     read_edge_list,
@@ -86,7 +85,6 @@ __all__ = [
     "find_fold",
     "fold_reduce",
     "homology",
-    "induced_subgraph",
     "is_connected",
     "is_pseudomanifold",
     "neighborhood_complex",

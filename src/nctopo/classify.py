@@ -6,8 +6,11 @@ complex.  verify() and analyze_graph() share one pipeline:
 reduce_to_core() folds, builds and collapses, and _measure() measures one
 core component: each of them for analyze_graph(), and for verify() the
 first, which every other component must be a rotation of.  verify()
-grades the prediction with decidable checks: collapses to a vertex for
-points, 1-dimensional torsion-free cores for wedges of circles, the
+grades the prediction, sharpened from the case arithmetic in two cases:
+I1A with n = 4s grades as tetrahedron boundary spheres, and I4A as S^3
+when (n, t) = (5s, 2s) and as one circle otherwise.  The checks are
+decidable: collapses to a vertex for points, 1-dimensional torsion-free
+cores for wedges of circles, Betti numbers (1, 1) for one circle, the
 boundary of the 4-simplex for S^3, exact Betti profiles with shelling
 certificates for the wedge of two 2-spheres, tetrahedron-boundary piece
 counts for garlands, and intrinsic closed-orientable-surface recognition
@@ -27,15 +30,7 @@ from itertools import combinations
 
 from .collapse import collapse_core
 from .complexes import neighborhood_complex
-from .graphs import (
-    circulant,
-    connected_components,
-    find_fold,
-    fold_reduce,
-    induced_subgraph,
-    is_connected,
-    normalize_circulant_pair,
-)
+from .graphs import circulant, find_fold, fold_reduce, is_connected, normalize_circulant_pair
 from .homology import homology, uct_check
 from .shelling import verify_shelling, wedge_shelling_orders
 from .surfaces import classify_surface, tetrahedron_boundary_pieces
@@ -236,10 +231,7 @@ def _check_component(shape, comp, h, surface):
             "core is neither a vertex nor a single circle",
         ),
         "wedge-circles": (wedge, "core is not a torsion-free 1-dimensional complex"),
-        "S1-or-S3": (
-            b == (1, 1) or s3,
-            "component is neither a circle core nor a homology 3-sphere profile",
-        ),
+        "S1": (b == (1, 1), f"betti {b} differs from (1, 1)"),
         "S3": (s3, f"betti {b} differs from (1, 0, 0, 1)"),
         "S2vS2": (b == (1, 0, 2), f"betti {b} differs from (1, 0, 2)"),
         "tetra-sphere": (
@@ -256,7 +248,7 @@ def _check_component(shape, comp, h, surface):
         # profile alone is not allowed to claim either.
         if shape in ("point-or-wedge-circles", "point-or-S1") and b[0] == 1 and not any(b[1:]):
             return "notable", "homology-trivial core that did not collapse to a vertex"
-        if shape in ("S3", "S1-or-S3") and b == (1, 0, 0, 1):
+        if shape == "S3" and b == (1, 0, 0, 1):
             return "notable", "homology 3-sphere core that is not the boundary of a 4-simplex"
         return "fail", note
     if shape == "garland-of-S2":
@@ -415,7 +407,7 @@ def verify(n, s, t):
 
     Pipeline: classify, build the circulant graph, reduce it to a collapsed
     core with reduce_to_core, then measure and grade its first component
-    against the predicted shape; every other one must be a rotation of it.
+    against the shape its case gives; every other one must be a rotation of it.
     """
     case = case_of(n, s, t)
     n, s, t = case.n, case.s, case.t
@@ -423,25 +415,30 @@ def verify(n, s, t):
 
     g = circulant(n, (s, t))
 
-    # The degree-3 wedge guarantee carves out two exceptional graphs.  A
-    # circulant can only realize the complete one (on 4 vertices, when
-    # 2t = n and 4s = n); its complex components are tetrahedron boundary
-    # spheres, which is what gets graded instead of the wedge shape.
+    # The grading shape, read off the case arithmetic.  With s < t <= n/2,
+    # I1A means 2t = n, and n = 4s makes the graph k copies of K_4, the one
+    # graph excluded from the degree-3 wedge guarantee that a circulant
+    # realizes (not K_{4,4} minus a matching: C_8(a, 4) with a odd has the
+    # 5-cycle 0, a, 2a, 3a, 4); its complex components are tetrahedron
+    # boundary spheres.  I4A with (n, t) = (5s, 2s) is k copies of K_5,
+    # whose components are S^3; every other I4A component is one circle.
     grading, notes = prediction, []
-    if case.tag == "I1A" and _is_excluded(induced_subgraph(g, connected_components(g)[0])):
+    if case.tag == "I1A" and n == 4 * s:
         grading = "tetra-sphere"
         notes.append(
             "graph components match an excluded degree-3 graph; grading "
             "each complex component as a tetrahedron boundary sphere"
         )
+    elif case.tag == "I4A":
+        grading = "S3" if (n, t) == (5 * s, 2 * s) else "S1"
 
     _, _, trace = reduce_to_core(g, (n, s, t))
     comps = trace.core.components()
     first, *rest = comps
     certificate = _shelling_certificate(comps, n, s, t) if case.tag in ("I2B", "I3B") else None
     report = _measure(first, grading, certificate)
-    components = [report] * len(comps)
-    notes += [c.note for c in components if c.note]
+    if report.note:
+        notes.append(report.note)
     overall = report.verdict
 
     # Z_n acts transitively on the components.  Each other one must be the
@@ -459,7 +456,7 @@ def verify(n, s, t):
         t=t,
         case=case,
         prediction=prediction,
-        components=tuple(components),
+        components=(report,) * len(comps),
         verdict=overall,
         notes=tuple(notes),
     )

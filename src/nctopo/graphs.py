@@ -184,18 +184,6 @@ def find_fold(g):
     return None
 
 
-def induced_subgraph(g, vertices):
-    """Induced subgraph on the given vertices, relabeled in sorted order."""
-    keep = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    ]
-    return Graph(len(keep), edges)
-
-
 def fold_reduce(g):
     """Apply folds until none remains; returns the reduced graph.
 
@@ -210,8 +198,8 @@ def fold_reduce(g):
     queued is pushed back.  Only a neighbor of a deleted vertex can gain a
     fold, so every live vertex off the heap has none, and the popped
     vertex is the smallest that folds.  A neighbor smaller than u goes
-    back below it.  The result is read off the live neighbor sets,
-    relabeled in sorted order as by ``induced_subgraph``.
+    back below it.  The result is read off the live neighbor sets, the
+    surviving vertices relabeled 0, 1, ... in increasing order.
     """
     adj = [set(ns) for ns in g._adj]
     heap = list(range(len(adj)))  # sorted, so already a heap

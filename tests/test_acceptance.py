@@ -14,7 +14,6 @@ from itertools import combinations
 import pytest
 
 from nctopo.classify import analyze_graph, verify
-from nctopo.cli import admissible_triples
 from nctopo.collapse import (
     CollapseError,
     CongruenceError,
@@ -28,7 +27,7 @@ from nctopo.homology import homology, uct_check
 from nctopo.shelling import verify_shelling, wedge_shelling_orders
 from nctopo.surfaces import tetrahedron_boundary_pieces
 
-from conftest import RP2_TRIANGLES, TORUS_TRIANGLES, paper_edge_pairs
+from conftest import RP2_TRIANGLES, TORUS_TRIANGLES, paper_edge_pairs, sweep_reports
 
 
 def announce(num, detail):
@@ -176,18 +175,15 @@ def test_criterion_08_garlands():
 
 
 def test_criterion_09_full_sweep():
+    sweep_reports.cache_clear()
     done = timed(120.0)
     failures = []
-    for n, s, t in admissible_triples(5, 40):
-        try:
-            r = verify(n, s, t)
-        except ValueError:
-            continue  # degenerate generator pairs are not instances
+    for nst, r in sweep_reports().items():
         if r.verdict != "pass":
-            failures.append(((n, s, t), r.verdict))
+            failures.append((nst, r.verdict))
             continue
         if any(tor for c in r.components for tor in c.torsion):
-            failures.append(((n, s, t), "torsion"))
+            failures.append((nst, "torsion"))
     assert failures == []
     elapsed = done()
     announce(9, f"all admissible instances for n in [5,40] pass with zero torsion; "

@@ -19,16 +19,14 @@ from nctopo.classify import (
     verify,
 )
 from nctopo.cli import admissible_triples
-from nctopo.collapse import collapse_core
+from nctopo.collapse import CollapseTrace, collapse_core
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import (
     MAX_VERTEX_LABEL,
     Graph,
     circulant,
-    connected_components,
     find_fold,
     fold_reduce,
-    induced_subgraph,
     normalize_circulant_pair,
 )
 from nctopo.homology import HomologyProfile, homology
@@ -45,7 +43,9 @@ from conftest import (
     dunce_hat,
     incidence_graph,
     k44_minus_matching,
+    multiplier_orbit,
     reference_is_excluded,
+    sweep_reports,
 )
 
 
@@ -204,6 +204,22 @@ class TestVerify:
         assert r.case.tag == "I4A" and r.verdict == "pass"
         assert len(r.components) == 1
         assert r.components[0].betti_z == (1, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "nst, core, note",
+        [
+            ((5, 1, 2), [(0, 1), (1, 2), (0, 2)], "betti (1, 1) differs from (1, 0, 0, 1)"),
+            ((7, 1, 2), list(combinations(range(5), 4)), "betti (1, 0, 0, 1) differs from (1, 1)"),
+        ],
+        ids=["K5-type-given-a-circle", "circle-type-given-S3"],
+    )
+    def test_i4a_grades_the_shape_of_its_type(self, monkeypatch, nst, core, note):
+        """I4A is S^3 for (5k, k, 2k) and one circle otherwise, never either."""
+        stub = CollapseTrace((), SimplicialComplex(core), "stub")
+        monkeypatch.setattr(classify, "collapse_core", lambda k, **kw: stub)
+        r = verify(*nst)
+        assert (r.case.tag, r.prediction) == ("I4A", "S1-or-S3")
+        assert (r.verdict, r.notes) == ("fail", (note,))
 
     def test_torus(self):
         r = verify(15, 1, 4)
@@ -384,8 +400,11 @@ def random_cubic_graph(seed):
             return Graph(8, sorted(edges))
 
 
-def first_component(g):
-    return induced_subgraph(g, connected_components(g)[0])
+def first_component(n, s, t):
+    """The component of 0 in C_n(s, t), relabelled in sorted order: the
+    multiples of d = gcd(n, s, t), which C_{n/d}(s/d, t/d) relabels by /d."""
+    d = math.gcd(n, s, t)
+    return circulant(n // d, (s // d, t // d))
 
 
 # Each family of graphs, with the set of verdicts it must show.
@@ -408,7 +427,7 @@ EXCLUSION_INPUTS = {
     "cubic-8": ({True, False}, lambda: [random_cubic_graph(seed) for seed in range(40)]),
     "circulant-5..40": (
         {True, False},
-        lambda: [first_component(circulant(n, (s, t))) for n, s, t in admissible_triples(5, 40)],
+        lambda: [first_component(*nst) for nst in admissible_triples(5, 40)],
     ),
 }
 
@@ -424,6 +443,51 @@ class TestIsExcluded:
         verdicts = [classify._is_excluded(g) for g in graphs]
         assert verdicts == [reference_is_excluded(g) for g in graphs]
         assert set(verdicts) == seen
+
+
+class TestGradingShape:
+    """verify picks the I1A and I4A grading shapes by arithmetic alone."""
+
+    def test_arithmetic_matches_the_component_graph(self):
+        k4, k5 = Counter(), Counter()
+        for n, s, t in admissible_triples(5, 200):
+            tag = case_of(n, s, t).tag
+            if tag == "I1A":
+                k4[n == 4 * s, reference_is_excluded(first_component(n, s, t))] += 1
+            elif tag == "I4A":
+                k5[(n, t) == (5 * s, 2 * s), first_component(n, s, t) == complete_graph(5)] += 1
+        assert set(k4) == set(k5) == {(True, True), (False, False)}
+        assert (k4[True, True], k5[True, True]) == (49, 40)
+
+
+# Each orbit's set of case tags: the case partition agrees with itself
+# across isomorphisms, except that I4A shares orbits with wedge cases.
+ORBIT_TAG_CLASSES = {
+    frozenset(tags.split())
+    for tags in (
+        "I4C", "I3D I4C", "I1A", "I1B", "I4B", "I3A I4B", "I2A", "I2B I3B",
+        "I4A", "I2C I4A", "I2C I3C I4A",
+    )
+}
+
+
+class TestMultiplierOrbits:
+    """Multiplier orbits (Ádám 1967): members are isomorphic circulants."""
+
+    def test_case_tags_of_each_orbit(self):
+        orbits = {multiplier_orbit(*nst) for nst in admissible_triples(5, 60)}
+        classes = {frozenset(case_of(*m).tag for m in orbit) for orbit in orbits}
+        assert classes == ORBIT_TAG_CLASSES
+
+    def test_homology_agrees_across_each_orbit(self):
+        reports = sweep_reports()
+        orbits = {multiplier_orbit(*nst) for nst in reports}
+        for orbit in orbits:
+            profiles = {
+                tuple((c.betti_z, c.torsion) for c in reports[m].components) for m in orbit
+            }
+            assert len(profiles) == 1, sorted(orbit)
+        assert (len(orbits), sum(len(o) > 1 for o in orbits)) == (445, 392)
 
 
 CUBE_EDGES = [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]
@@ -659,7 +723,7 @@ class TestRefusals:
             ("point-or-wedge-circles", "core is neither a vertex nor 1-dimensional"),
             ("point-or-S1", "core is neither a vertex nor a single circle"),
             ("wedge-circles", "core is not a torsion-free 1-dimensional complex"),
-            ("S1-or-S3", "component is neither a circle core nor a homology 3-sphere profile"),
+            ("S1", "betti (1, 0, 1) differs from (1, 1)"),
             ("S3", "betti (1, 0, 1) differs from (1, 0, 0, 1)"),
             ("S2vS2", "betti (1, 0, 1) differs from (1, 0, 2)"),
             ("garland-of-S2", "betti (1, 0, 1) differs from (1, 1, 1) for 1 pieces"),
@@ -671,8 +735,9 @@ class TestRefusals:
 
     def test_circle_passes_the_circle_shapes_only(self):
         circle = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
-        for shape in ("point-or-wedge-circles", "point-or-S1", "wedge-circles", "S1-or-S3"):
+        for shape in ("point-or-wedge-circles", "point-or-S1", "wedge-circles", "S1"):
             assert _graded(circle, shape) == ("pass", "")
+        assert _graded(circle, "S3") == ("fail", "betti (1, 1) differs from (1, 0, 0, 1)")
         assert _graded(circle, "garland-of-S2") == ("fail", "core is not 2-dimensional")
 
     def test_tetra_sphere(self, solid_triangle, tetra_boundary):
@@ -691,12 +756,13 @@ class TestRefusals:
         )
         assert cross.f_vector() == (8, 24, 32, 16)
         assert homology(cross).betti_z == (1, 0, 0, 1)
-        for shape in ("S3", "S1-or-S3"):
-            assert _graded(simplex, shape) == ("pass", "")
-            assert _graded(cross, shape) == (
-                "notable",
-                "homology 3-sphere core that is not the boundary of a 4-simplex",
-            )
+        assert _graded(simplex, "S3") == ("pass", "")
+        assert _graded(cross, "S3") == (
+            "notable",
+            "homology 3-sphere core that is not the boundary of a 4-simplex",
+        )
+        for k in (simplex, cross):
+            assert _graded(k, "S1") == ("fail", "betti (1, 0, 0, 1) differs from (1, 1)")
 
     def test_octahedron_is_not_a_tetra_sphere(self):
         """A 2-sphere with the right Betti numbers and surface classification
@@ -788,7 +854,7 @@ class TestCertificateRefusals:
         assert r.verdict == "fail"
         assert [c.verdict for c in r.components] == ["fail", "fail"]
         assert [c.note for c in r.components] == [note, note]
-        assert r.notes == (note, note)
+        assert r.notes == (note,)
 
     def test_order_count(self, monkeypatch):
         r = self._verify_with(monkeypatch, wedge_shelling_orders(*self.NST)[:1])

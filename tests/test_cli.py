@@ -63,6 +63,14 @@ class TestAnalyzeCirculant:
         ]
         assert all(row["component_verdict"] for row in rows)
 
+    def test_measured_note_printed_once(self, capsys, monkeypatch):
+        """verify measures one component for all; its note is one line."""
+        monkeypatch.setattr(classify, "_check_component", lambda *args: ("notable", "measured"))
+        assert verify(20, 3, 5).notes == ("measured",)
+        rc, out, _ = run(capsys, "analyze", "--circulant", "20,3,5")
+        assert rc == 0
+        assert out.count("  component ") == 2 and out.count("note: measured") == 1
+
     def test_json_schema(self, capsys):
         rc, out, err = run(capsys, "analyze", "--circulant", "10,1,3", "--format", "json")
         assert rc == 0
@@ -185,6 +193,8 @@ class TestAnalyzeGraphFile:
             "pass",
         ),
         "k4": ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], None),
+        # The 3-cube is K_{4,4} minus a perfect matching, the other excluded graph.
+        "cube": ([(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit], None),
     }
 
     def outputs(self, capsys, tmp_path, name):

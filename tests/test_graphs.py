@@ -21,7 +21,6 @@ from nctopo.graphs import (
     connected_components,
     find_fold,
     fold_reduce,
-    induced_subgraph,
     is_connected,
     normalize_circulant_pair,
     read_edge_list,
@@ -309,20 +308,6 @@ class TestFindFoldMatchesBruteForce:
     def test_edgeless(self, n):
         g = Graph(n)
         assert find_fold(g) == brute_force_find_fold(g) == (None if n == 1 else (0, 1))
-
-
-class TestInducedSubgraph:
-    def test_relabels_in_sorted_order(self):
-        g = circulant(8, (2, 4))
-        comp = connected_components(g)[0]
-        sub = induced_subgraph(g, comp)
-        assert sub.num_vertices == 4
-        assert sub == complete_graph(4)
-
-    def test_keeps_only_internal_edges(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        sub = induced_subgraph(g, [0, 1, 3])
-        assert len(sub.edges()) == 1
 
 
 class TestExcludedGraphs:
