@@ -23,11 +23,9 @@ from .classify import (
 from .collapse import (
     CollapseError,
     CollapseTrace,
-    CongruenceError,
-    circulant_collapse_pairs,
+    circulant_schedule,
     collapse_core,
     collapse_step,
-    triangle_collapse_pairs,
     verify_collapsible_pair,
 )
 from .complexes import SimplicialComplex, neighborhood_complex
@@ -67,7 +65,6 @@ __all__ = [
     "CollapseTrace",
     "ChainComplex",
     "ComponentReport",
-    "CongruenceError",
     "Graph",
     "HomologyProfile",
     "SimplicialComplex",
@@ -77,7 +74,7 @@ __all__ = [
     "case_of",
     "chain_complex",
     "circulant",
-    "circulant_collapse_pairs",
+    "circulant_schedule",
     "classify_surface",
     "collapse_core",
     "collapse_step",
@@ -93,7 +90,6 @@ __all__ = [
     "read_edge_list",
     "reduce_to_core",
     "special_params",
-    "triangle_collapse_pairs",
     "uct_check",
     "verify",
     "verify_collapsible_pair",

@@ -23,13 +23,13 @@ is such a matrix, and so is the top boundary of a closed pseudomanifold,
 where each ridge lies in two facets: the dual graph of a non-orientable
 surface is unbalanced.
 
-Any other boundary, and any list of ``SparseRow`` rows, takes the
-general reduction, one sparse elimination.  It takes unit pivots
-(entries of absolute value 1), cheapest Markowitz cost first, and an
-entry of least absolute value when no unit is left.  Boundary matrices
-of collapsed cores reduce by unit pivots alone.  See Dumas, Saunders and
-Villard, "On efficient sparse integer matrix Smith normal form
-computations", J. Symb. Comput. 32 (2001).
+Any other boundary takes the general reduction, one sparse elimination
+over its ``SparseRow`` rows.  It takes unit pivots (entries of absolute
+value 1), cheapest Markowitz cost first, and an entry of least absolute
+value when no unit is left.  Boundary matrices of collapsed cores reduce
+by unit pivots alone.  See Dumas, Saunders and Villard, "On efficient
+sparse integer matrix Smith normal form computations", J. Symb. Comput.
+32 (2001).
 
 The GF(2) route shares none of this: ``gf2_rank`` eliminates bitmasks on
 its own, so the Smith and GF(2) ranks stay independent cross-checks.
@@ -122,20 +122,14 @@ def gf2_rank(rows):
 
 
 def snf_diagonal(mat):
-    """Invariant factors d1 | d2 | ... | dr of an integer matrix.
+    """Invariant factors d1 | d2 | ... | dr of the ``Boundary`` mat.
 
-    ``mat`` is a ``Boundary`` or a list of ``SparseRow``.  Returns the full
-    positive diagonal of the Smith normal form, ones included, so the rank
-    is its length.  Rows of unequal width raise ValueError.
+    Returns the full positive diagonal of the Smith normal form, ones
+    included, so the rank is its length: read off the signed graph when
+    mat is one's incidence matrix, else by the general reduction.
     """
-    if isinstance(mat, Boundary):
-        factors = _incidence_factors(mat)
-        return _general_snf(mat) if factors is None else factors
-    if not mat:
-        return []
-    if len({row.ncols for row in mat}) > 1:
-        raise ValueError("ragged matrix")
-    return _general_snf(mat)
+    factors = _incidence_factors(mat)
+    return _general_snf(mat) if factors is None else factors
 
 
 def _incidence_factors(b):

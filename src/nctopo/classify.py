@@ -8,18 +8,18 @@ core component: each of them for analyze_graph(), and for verify() the
 first, which every other component must be a rotation of.  verify()
 grades the prediction, sharpened from the case arithmetic in two cases:
 I1A with n = 4s grades as tetrahedron boundary spheres, and I4A as S^3
-when (n, t) = (5s, 2s) and as one circle otherwise.  The checks are
-decidable: collapses to a vertex for points, 1-dimensional torsion-free
-cores for wedges of circles, Betti numbers (1, 1) for one circle, the
-boundary of the 4-simplex for S^3, exact Betti profiles with shelling
-certificates for the wedge of two 2-spheres, tetrahedron-boundary piece
-counts for garlands, and intrinsic closed-orientable-surface recognition
-for connected sums of tori, whose genus is read off the classification
-string classify_surface returns.  verify_shelling returns the spanning
-simplices, two per doubled-sphere component.  Anything outside the
-guarantee is a fail; a true-but-stronger outcome (for example genus above
-one), or a right homology profile with no certificate, is reported as
-notable, never silently passed.
+when (n, t) = (5s, 2s) and as one circle otherwise; a note names the
+sharper shape.  The checks are decidable: collapses to a vertex for
+points, 1-dimensional torsion-free cores for wedges of circles, Betti
+numbers (1, 1) for one circle, the boundary of the 4-simplex for S^3,
+exact Betti profiles with shelling certificates for the wedge of two
+2-spheres, tetrahedron-boundary piece counts for garlands, and intrinsic
+closed-orientable-surface recognition for connected sums of tori, whose
+genus is read off the classification string classify_surface returns.
+verify_shelling returns the spanning simplices, two per doubled-sphere
+component.  Anything outside the guarantee is a fail; a true-but-stronger
+outcome (for example genus above one), or a right homology profile with
+no certificate, is reported as notable, never silently passed.
 """
 
 from __future__ import annotations
@@ -422,15 +422,19 @@ def verify(n, s, t):
     # 5-cycle 0, a, 2a, 3a, 4); its complex components are tetrahedron
     # boundary spheres.  I4A with (n, t) = (5s, 2s) is k copies of K_5,
     # whose components are S^3; every other I4A component is one circle.
-    grading, notes = prediction, []
+    # The prediction string does not name the sharper shape, so a note does.
+    grading, sharper = prediction, None
     if case.tag == "I1A" and n == 4 * s:
         grading = "tetra-sphere"
-        notes.append(
-            "graph components match an excluded degree-3 graph; grading "
-            "each complex component as a tetrahedron boundary sphere"
+        sharper = (
+            "a tetrahedron boundary sphere: the graph components are K_4, "
+            "an excluded degree-3 graph"
         )
+    elif case.tag == "I4A" and (n, t) == (5 * s, 2 * s):
+        grading, sharper = "S3", "S^3, the boundary of a 4-simplex: the graph components are K_5"
     elif case.tag == "I4A":
-        grading = "S3" if (n, t) == (5 * s, 2 * s) else "S1"
+        grading, sharper = "S1", "one circle, betti (1, 1)"
+    notes = [] if sharper is None else [f"graded as {sharper}"]
 
     _, _, trace = reduce_to_core(g, (n, s, t))
     comps = trace.core.components()
@@ -492,5 +496,5 @@ def analyze_graph(g, name=""):
         "case": case,
         "prediction": prediction,
         "components": components,
-        "verdict": _worse(*(c.verdict for c in components)) if applicable else None,
+        "verdict": _worse(*[c.verdict for c in components]) if applicable else None,
     }

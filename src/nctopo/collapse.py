@@ -16,19 +16,19 @@ iff tau is its only maximal coface.  The heap starts with one entry per
 maximal simplex, its smallest free face: a face free in tau stays free
 while tau is maximal, because every simplex added later lies in the
 simplex just removed, so a smaller free face can only appear by a push.
-The circulant strategy first tries the closed-form pair schedules that
-exist for two-generator circulant graphs (an edge schedule in two
-mirrored forms, plus a free-triangle schedule for two special parameter
-families).  A schedule runs on a live maximal set and vertex -> star
-index, with every pair verified as it is applied, and needs no face map.
-After it the core is built, and a free-face screen asks the core's own
-coface index whether anything is still free: the face map of the generic
-strategy is built from that core, and that strategy run to a fixed
-point, only when some (d-1)-face lies in a single d-face, d the
+The circulant strategy first applies the closed-form pair schedule that
+the arithmetic of (n, s, t) admits, if any (``circulant_schedule``: an
+edge schedule in two mirrored forms, or a free-triangle schedule for two
+special parameter families).  It runs on a live maximal set and vertex
+-> star index, with every pair verified as it is applied, and needs no
+face map.  After it the core is built, and a free-face screen asks the
+core's own coface index whether anything is still free: the face map of
+the generic strategy is built from that core, and that strategy run to a
+fixed point, only when some (d-1)-face lies in a single d-face, d the
 dimension of a maximal simplex.  The coface index the screen builds is
-the one homology and surface recognition read next.  When no schedule
-applies the generic strategy runs on the whole complex.  Everything is
-deterministic.
+the one homology and surface recognition read next.  When no schedule is
+admitted, or a pair of it is not free, the generic strategy runs on the
+whole complex.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -41,17 +41,7 @@ from .complexes import SimplicialComplex
 
 
 class CollapseError(ValueError):
-    """A collapse pair is invalid or a schedule does not apply."""
-
-
-class CongruenceError(CollapseError):
-    """A congruence hypothesis of the edge-pair schedule is violated."""
-
-    def __init__(self, name, n, s, t):
-        self.congruence = name
-        super().__init__(
-            f"hypothesis violated: {name} == 0 (mod {n}) for (n, s, t) = ({n}, {s}, {t})"
-        )
+    """A collapse pair is not a face of the complex or is not collapsible."""
 
 
 class _Engine:
@@ -211,65 +201,35 @@ def _neighborhood_tuple(n, s, t, k):
     return tuple(sorted({(s + k) % n, (t + k) % n, (n - s + k) % n, (n - t + k) % n}))
 
 
-def circulant_collapse_pairs(n, s, t):
-    """Edge pairs ({s+k, n-s+k}, N(k)) for all k in Z_n, for C_n(s, t).
+def circulant_schedule(n, s, t):
+    """(label, pairs) of the closed-form schedule that C_n(s, t) admits, or None.
 
-    The schedule is valid when none of 2s, 2(s+t), 3s+t, 3s-t, 4s vanishes
-    mod n; a violated congruence raises CongruenceError naming it.  The
-    first generator plays the edge role; call with (n, t, s) for the
-    mirrored family.
+    "edges(s)" is the edge-pair lemma's schedule ({s+k, n-s+k}, N(k)) for
+    k in Z_n, admitted when none of 2s, 2(s+t), 3s+t, 3s-t, 4s vanishes
+    mod n; "edges(t)" is the same with the generators' roles swapped.
+    "triangles" is the free-triangle schedule of the two doubled-sphere
+    families: ({s+k, t+k, n-t+k}, N(k)) when t == 3s and n == 12s, and
+    ({s+k, t+k, n-s+k}, N(k)) when 5s == 3t and n == 4s.  The first one
+    admitted, in that order, is returned.
     """
     if n < 2 or s % n == 0 or t % n == 0:
         raise ValueError("generators must be nonzero mod n")
-    for name, value in _edge_congruences(n, s, t):
-        if value == 0:
-            raise CongruenceError(name, n, s, t)
-    return [
-        (
-            tuple(sorted({(s + k) % n, (n - s + k) % n})),
-            _neighborhood_tuple(n, s, t, k),
-        )
-        for k in range(n)
-    ]
-
-
-def triangle_collapse_pairs(n, s, t):
-    """Free-triangle pairs for the two doubled-sphere parameter families.
-
-    For t == 3s with n == 12s the pair is ({s+k, t+k, n-t+k}, N(k)); for
-    5s == 3t with n == 4s it is ({s+k, t+k, n-s+k}, N(k)).  Raises
-    CollapseError for parameters outside both families.
-    """
-    if n < 2 or s % n == 0 or t % n == 0:
-        raise ValueError("generators must be nonzero mod n")
+    for label, a, b in (("edges(s)", s, t), ("edges(t)", t, s)):
+        if all(value for _, value in _edge_congruences(n, a, b)):
+            return label, [
+                (tuple(sorted({(a + k) % n, (n - a + k) % n})), _neighborhood_tuple(n, s, t, k))
+                for k in range(n)
+            ]
     if t == 3 * s and n == 12 * s:
         sig = (s, t, n - t)
     elif 5 * s == 3 * t and n == 4 * s:
         sig = (s, t, n - s)
     else:
-        raise CollapseError(f"no triangle schedule for (n, s, t) = ({n}, {s}, {t})")
-    return [
-        (
-            tuple(sorted((a + k) % n for a in sig)),
-            _neighborhood_tuple(n, s, t, k),
-        )
+        return None
+    return "triangles", [
+        (tuple(sorted((a + k) % n for a in sig)), _neighborhood_tuple(n, s, t, k))
         for k in range(n)
     ]
-
-
-def _schedule_candidates(n, s, t):
-    """(label, pairs) for each schedule of C_n(s, t), built when reached."""
-    builders = (
-        ("edges(s)", lambda: circulant_collapse_pairs(n, s, t)),
-        ("edges(t)", lambda: circulant_collapse_pairs(n, t, s)),
-        ("triangles", lambda: triangle_collapse_pairs(n, s, t)),
-    )
-    for label, build in builders:
-        try:
-            sched = build()
-        except CollapseError:
-            continue
-        yield label, sched
 
 
 def _apply_schedule(k, sched):
@@ -283,12 +243,11 @@ def _apply_schedule(k, sched):
     """
     maximal = set(k.maximal_simplices)
     star = {v: set(k.star(v)) for v in k.vertices()}
-    lookup = star.__getitem__
     meet = set.intersection
     for sigma, tau in sched:
         if tau not in maximal or not set(sigma) < set(tau):
             return None
-        if len(meet(*map(lookup, sigma))) != 1:
+        if len(meet(*[star[v] for v in sigma])) != 1:
             return None
         maximal.remove(tau)
         for v in tau:
@@ -297,7 +256,7 @@ def _apply_schedule(k, sched):
             i = tau.index(x)
             cand = tau[:i] + tau[i + 1 :]
             # A candidate contained in another maximal simplex is absorbed.
-            if not meet(*map(lookup, cand)):
+            if not meet(*[star[v] for v in cand]):
                 maximal.add(cand)
                 for v in cand:
                     star[v].add(cand)
@@ -326,12 +285,13 @@ def collapse_core(k, strategy="generic", circulant=None):
 
     strategy "generic" repeatedly removes the free pair whose coface has
     highest dimension, tie-broken by lexicographically smallest free face.
-    strategy "circulant" expects circulant=(n, s, t) and first applies the
-    closed-form pair schedule for those parameters when one exists,
-    verifying each pair against a live star index, then finishes
-    generically; after a schedule the core is built first, and the face map
-    of the generic strategy is built from it only when the core's coface
-    index shows a free face (``_has_free_face``).  Both strategies are
+    strategy "circulant" expects circulant=(n, s, t) and first applies
+    circulant_schedule(n, s, t) when it gives a schedule, verifying each
+    pair against a live star index, then finishes generically; after a
+    schedule the core is built first, and the face map of the generic
+    strategy is built from it only when the core's coface index shows a
+    free face (``_has_free_face``).  A schedule pair that is not free
+    leaves k to the generic strategy whole.  Both strategies are
     deterministic; the core is a fixed point of collapsing but is not
     guaranteed to have minimal size.
     """
@@ -343,16 +303,15 @@ def collapse_core(k, strategy="generic", circulant=None):
     if strategy == "circulant":
         if circulant is None:
             raise ValueError("strategy 'circulant' needs circulant=(n, s, t)")
-        for label, sched in _schedule_candidates(*circulant):
-            live = _apply_schedule(k, sched)
-            if live is not None:
-                pairs_applied.extend(sched)
-                schedule_used = label
-                # Both the schedule and the engine add a candidate only when
-                # no maximal simplex contains it, so the maximal set stays
-                # an antichain.
-                core = SimplicialComplex(live, antichain=True)
-                break
+        chosen = circulant_schedule(*circulant)
+        live = None if chosen is None else _apply_schedule(k, chosen[1])
+        if live is not None:
+            schedule_used, sched = chosen
+            pairs_applied.extend(sched)
+            # Both the schedule and the engine add a candidate only when no
+            # maximal simplex contains it, so the maximal set stays an
+            # antichain.
+            core = SimplicialComplex(live, antichain=True)
     if schedule_used is None or _has_free_face(core):
         eng = _Engine(core)
         while (nxt := eng.find_free_generic()) is not None:

@@ -28,7 +28,7 @@ def oracle_invariant_factors(mat):
 
 def sparse_rows(dense):
     """The rows of a dense integer matrix as the ``SparseRow`` rows that
-    ``_kernels.snf_diagonal`` takes."""
+    ``_kernels._general_snf`` takes."""
     return [_kernels.SparseRow(len(row), {j: v for j, v in enumerate(row) if v}) for row in dense]
 
 
@@ -38,8 +38,10 @@ def dense_rows(rows):
 
 
 def snf(dense):
-    """Smith diagonal of a dense integer matrix, through the one Smith entry."""
-    return _kernels.snf_diagonal(sparse_rows(dense))
+    """Smith diagonal of a nonempty dense integer matrix, by the general
+    reduction that the Smith entry runs on any boundary that is no signed
+    graph's incidence matrix."""
+    return _kernels._general_snf(sparse_rows(dense))
 
 
 def oracle_gf2_rank(mat):

@@ -16,8 +16,8 @@ import pytest
 from nctopo.classify import analyze_graph, verify
 from nctopo.collapse import (
     CollapseError,
-    CongruenceError,
-    circulant_collapse_pairs,
+    _edge_congruences,
+    circulant_schedule,
     collapse_core,
     collapse_step,
 )
@@ -252,7 +252,7 @@ def test_criterion_10b_uct_everywhere():
 
 def test_criterion_10c_lemma_pairs():
     # Whenever all five congruence hypotheses hold, the full n-pair schedule
-    # applies step by step.
+    # is offered and applies step by step.
     tested = 0
     for n in range(5, 21):
         for t in range(2, n // 2 + 1):
@@ -261,10 +261,10 @@ def test_criterion_10c_lemma_pairs():
                     s0, t0 = normalize_circulant_pair(n, s, t)
                 except ValueError:
                     continue
-                try:
-                    pairs = circulant_collapse_pairs(n, s0, t0)
-                except CongruenceError:
+                if not all(value for _, value in _edge_congruences(n, s0, t0)):
                     continue
+                label, pairs = circulant_schedule(n, s0, t0)
+                assert label == "edges(s)"
                 cur = neighborhood_complex(circulant(n, (s0, t0)))
                 for pair in pairs:
                     cur = collapse_step(cur, pair)
@@ -279,9 +279,9 @@ def test_criterion_10c_lemma_pairs():
         (12, 3, 5, "4s"),
     ]
     for n, s, t, name in violations:
-        with pytest.raises(CongruenceError) as exc:
-            circulant_collapse_pairs(n, s, t)
-        assert exc.value.congruence == name
+        assert dict(_edge_congruences(n, s, t))[name] == 0
+        chosen = circulant_schedule(n, s, t)
+        assert chosen is None or chosen[0] != "edges(s)"
         pairs = paper_edge_pairs(n, s, t)
         cur = neighborhood_complex(circulant(n, (s, t)))
         with pytest.raises(CollapseError):

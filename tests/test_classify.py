@@ -206,20 +206,31 @@ class TestVerify:
         assert r.components[0].betti_z == (1, 0, 0, 1)
 
     @pytest.mark.parametrize(
-        "nst, core, note",
+        "nst, core, shape, note",
         [
-            ((5, 1, 2), [(0, 1), (1, 2), (0, 2)], "betti (1, 1) differs from (1, 0, 0, 1)"),
-            ((7, 1, 2), list(combinations(range(5), 4)), "betti (1, 0, 0, 1) differs from (1, 1)"),
+            (
+                (5, 1, 2),
+                [(0, 1), (1, 2), (0, 2)],
+                "graded as S^3, the boundary of a 4-simplex: the graph components are K_5",
+                "betti (1, 1) differs from (1, 0, 0, 1)",
+            ),
+            (
+                (7, 1, 2),
+                list(combinations(range(5), 4)),
+                "graded as one circle, betti (1, 1)",
+                "betti (1, 0, 0, 1) differs from (1, 1)",
+            ),
         ],
         ids=["K5-type-given-a-circle", "circle-type-given-S3"],
     )
-    def test_i4a_grades_the_shape_of_its_type(self, monkeypatch, nst, core, note):
-        """I4A is S^3 for (5k, k, 2k) and one circle otherwise, never either."""
+    def test_i4a_grades_the_shape_of_its_type(self, monkeypatch, nst, core, shape, note):
+        """I4A is S^3 for (5k, k, 2k) and one circle otherwise, never either;
+        a note names the shape graded against."""
         stub = CollapseTrace((), SimplicialComplex(core), "stub")
         monkeypatch.setattr(classify, "collapse_core", lambda k, **kw: stub)
         r = verify(*nst)
         assert (r.case.tag, r.prediction) == ("I4A", "S1-or-S3")
-        assert (r.verdict, r.notes) == ("fail", (note,))
+        assert (r.verdict, r.notes) == ("fail", (shape, note))
 
     def test_torus(self):
         r = verify(15, 1, 4)

@@ -71,6 +71,25 @@ class TestAnalyzeCirculant:
         assert rc == 0
         assert out.count("  component ") == 2 and out.count("note: measured") == 1
 
+    def test_grading_shape_named_once(self, capsys):
+        """Both I4A instances pass under the one prediction S1-or-S3; the
+        text names the shape each was graded against, once."""
+        texts = {}
+        for triple in ("7,1,2", "5,1,2"):
+            rc, out, _ = run(capsys, "analyze", "--circulant", triple)
+            assert rc == 0
+            assert "prediction S1-or-S3" in out and out.endswith("verdict: pass\n")
+            texts[triple] = [x for x in out.splitlines() if x.startswith("  note: ")]
+        assert texts == {
+            "7,1,2": ["  note: graded as one circle, betti (1, 1)"],
+            "5,1,2": [
+                "  note: graded as S^3, the boundary of a 4-simplex: the graph components are K_5"
+            ],
+        }
+        for fmt in ("json", "csv"):
+            _, out, _ = run(capsys, "analyze", "--circulant", "5,1,2", "--format", fmt)
+            assert "graded as" not in out
+
     def test_json_schema(self, capsys):
         rc, out, err = run(capsys, "analyze", "--circulant", "10,1,3", "--format", "json")
         assert rc == 0
@@ -443,20 +462,34 @@ class TestSweep:
         assert rc == 2
 
 
+def _is_lazy(node):
+    """A generator expression or a map(...) call."""
+    return isinstance(node, ast.GeneratorExp) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map"
+    )
+
+
 def test_no_tuple_of_a_generator():
     # CPython allocates a generator's tuple at a guessed size and shrinks it;
     # freed, it parks in the free list of its final size.  Over 40 sweeps of
-    # 5..25 in one process that raised peak RSS from 17.4 to 21.1 MB.
+    # 5..25 in one process that raised peak RSS from 17.4 to 21.1 MB.  A
+    # starred argument, f(*map(...)) or f(*(x for ...)), is packed into
+    # such a tuple too.
     package = pathlib.Path(cli.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "tuple"
-        and node.args
-        and isinstance(node.args[0], ast.GeneratorExp)
+        and (
+            (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and node.args
+                and isinstance(node.args[0], ast.GeneratorExp)
+            )
+            or any(isinstance(a, ast.Starred) and _is_lazy(a.value) for a in node.args)
+        )
     ]
     assert found == []
 

@@ -10,15 +10,13 @@ from nctopo import classify, collapse
 from nctopo.cli import admissible_triples
 from nctopo.collapse import (
     CollapseError,
-    CongruenceError,
     _apply_schedule,
+    _edge_congruences,
     _Engine,
     _has_free_face,
-    _schedule_candidates,
-    circulant_collapse_pairs,
+    circulant_schedule,
     collapse_core,
     collapse_step,
-    triangle_collapse_pairs,
     verify_collapsible_pair,
 )
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
@@ -143,9 +141,15 @@ class TestGenericCore:
             collapse_core(SimplicialComplex([(0, 1)]), strategy="circulant")
 
 
+def edges_admitted(n, s, t):
+    """Whether the edge-pair lemma's five congruences all hold."""
+    return all(value for _, value in _edge_congruences(n, s, t))
+
+
 class TestEdgeSchedule:
     def test_pair_shape(self):
-        pairs = circulant_collapse_pairs(13, 2, 3)
+        label, pairs = circulant_schedule(13, 2, 3)
+        assert label == "edges(s)"
         assert len(pairs) == 13
         sigma, tau = pairs[0]
         assert sigma == (2, 11)
@@ -153,7 +157,7 @@ class TestEdgeSchedule:
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
-            circulant_collapse_pairs(10, 10, 3)
+            circulant_schedule(10, 10, 3)
 
     @pytest.mark.parametrize(
         "n,s,t,name",
@@ -166,9 +170,9 @@ class TestEdgeSchedule:
         ],
     )
     def test_congruence_guard(self, n, s, t, name):
-        with pytest.raises(CongruenceError) as exc:
-            circulant_collapse_pairs(n, s, t)
-        assert exc.value.congruence == name
+        assert dict(_edge_congruences(n, s, t))[name] == 0
+        chosen = circulant_schedule(n, s, t)
+        assert chosen is None or chosen[0] != "edges(s)"
 
     @pytest.mark.parametrize("n,s,t", [(10, 5, 2), (12, 3, 5), (10, 1, 3), (10, 2, 4)])
     def test_violations_break_statically(self, n, s, t):
@@ -198,32 +202,37 @@ class TestEdgeSchedule:
 
     def test_guard_matches_schedule_on_every_fold_free_instance(self):
         # The edge-schedule lemma, exhaustively for n = 5..40 in both
-        # generator orders: the guard refuses exactly the schedules that
-        # stop at a pair that is not free, and otherwise returns the
-        # paper's pairs, each with tau = N(k) in the circulant.
+        # generator orders: the congruences refuse exactly the schedules
+        # that stop at a pair that is not free, each with tau = N(k) in the
+        # circulant, and circulant_schedule offers the paper's pairs of the
+        # first order they admit.
         held = refused = 0
         for n, s, t in admissible_triples(5, 40):
             g = circulant(n, (s, t))
             if find_fold(g) is not None:
                 continue
             k = neighborhood_complex(g)
-            for a, b in ((s, t), (t, s)):
+            admitted = []
+            for label, a, b in (("edges(s)", s, t), ("edges(t)", t, s)):
                 expect = paper_edge_pairs(n, a, b)
                 assert [tau for _, tau in expect] == [g.neighborhood(v) for v in range(n)]
                 applies = _apply_schedule(k, expect) is not None
-                try:
-                    pairs = circulant_collapse_pairs(n, a, b)
-                except CongruenceError:
-                    assert not applies, (n, a, b)
+                assert applies == edges_admitted(n, a, b), (n, a, b)
+                if applies:
+                    admitted.append((label, expect))
+                    held += 1
+                else:
                     refused += 1
-                    continue
-                assert applies and pairs == expect, (n, a, b)
-                held += 1
+            chosen = circulant_schedule(n, s, t)
+            if admitted:
+                assert chosen == admitted[0], (n, s, t)
+            else:
+                assert chosen is None or chosen[0] == "triangles", (n, s, t)
         assert (held, refused) == (4123, 623)
 
     def test_valid_schedule_applies_fully(self):
         n, s, t = 13, 2, 3
-        pairs = circulant_collapse_pairs(n, s, t)
+        _, pairs = circulant_schedule(n, s, t)
         cur = nbhd(n, s, t)
         for pair in pairs:
             cur = collapse_step(cur, pair)
@@ -232,29 +241,34 @@ class TestEdgeSchedule:
 
 class TestTriangleSchedule:
     def test_families_only(self):
-        with pytest.raises(CollapseError):
-            triangle_collapse_pairs(13, 2, 3)
+        # Both edge forms of (10, 1, 3) are refused (3s - t and 3t + s
+        # vanish), and it lies in neither triangle family.
+        assert not edges_admitted(10, 1, 3) and not edges_admitted(10, 3, 1)
+        assert circulant_schedule(10, 1, 3) is None
 
     def test_zero_generator_rejected(self):
-        # A plain ValueError, not the CollapseError of a parameter outside
-        # both families.
+        # A plain ValueError, not a CollapseError.
         with pytest.raises(ValueError) as exc:
-            triangle_collapse_pairs(12, 0, 3)
+            circulant_schedule(12, 0, 3)
         assert not isinstance(exc.value, CollapseError)
 
     def test_tripled_generator_family(self):
-        pairs = triangle_collapse_pairs(12, 1, 3)
+        label, pairs = circulant_schedule(12, 1, 3)
+        assert label == "triangles"
         assert len(pairs) == 12
         assert pairs[0] == ((1, 3, 9), (1, 3, 9, 11))
 
     def test_three_fifths_family(self):
-        pairs = triangle_collapse_pairs(12, 3, 5)
+        label, pairs = circulant_schedule(12, 3, 5)
+        assert label == "triangles"
         assert pairs[0] == ((3, 5, 9), (3, 5, 7, 9))
 
     @pytest.mark.parametrize("n,s,t", [(12, 1, 3), (12, 3, 5), (24, 2, 6)])
     def test_schedule_verifies_stepwise(self, n, s, t):
+        label, pairs = circulant_schedule(n, s, t)
+        assert label == "triangles"
         cur = nbhd(n, s, t)
-        for pair in triangle_collapse_pairs(n, s, t):
+        for pair in pairs:
             cur = collapse_step(cur, pair)
         assert len(cur.faces(3)) == 0
 
@@ -274,6 +288,23 @@ class TestCirculantStrategy:
         tr = collapse_core(nbhd(n, s, t), strategy="circulant", circulant=(n, s, t))
         assert tr.schedule == schedule
         assert tr.strategy == "circulant"
+
+    def test_falls_back_to_generic_when_a_pair_is_not_free(self, monkeypatch):
+        # The sixth pair repeats the fifth, whose tau is gone by then.  The
+        # generic strategy then collapses the whole complex, as if no
+        # schedule had been offered.
+        n, s, t = 13, 2, 3
+        k = nbhd(n, s, t)
+        label, pairs = circulant_schedule(n, s, t)
+        broken = pairs[:5] + [pairs[4]] + pairs[6:]
+        assert _apply_schedule(k, pairs[:5]) is not None
+        assert _apply_schedule(k, broken) is None
+        monkeypatch.setattr(collapse, "circulant_schedule", lambda *nst: (label, broken))
+        tr = collapse_core(k, strategy="circulant", circulant=(n, s, t))
+        generic = collapse_core(k)
+        assert (tr.strategy, tr.schedule) == ("circulant", None)
+        assert (tr.pairs, tr.core) == (generic.pairs, generic.core)
+        assert tr.pairs[:5] != tuple(pairs[:5])
 
     def test_falls_back_to_generic_when_no_schedule(self):
         # Both edge forms die on a congruence here, yet the complex still
@@ -431,21 +462,21 @@ class ReferenceEngine:
 
 
 def reference_collapse_core(k, strategy="generic", circulant=None):
-    """(pairs, core, schedule) as collapse_core computed them with a full
-    engine per schedule candidate and a full scan per generic pair."""
+    """(pairs, core, schedule) as collapse_core computes them, with a full
+    engine for the offered schedule and a full scan per generic pair."""
     eng = ReferenceEngine(k)
     pairs, schedule = [], None
-    if strategy == "circulant":
-        for label, sched in _schedule_candidates(*circulant):
-            trial = ReferenceEngine(k)
-            for pair in sched:
-                if not trial.is_free_pair(*pair):
-                    break
-                trial.collapse(*pair)
-            else:
-                eng, schedule = trial, label
-                pairs.extend(sched)
+    chosen = circulant_schedule(*circulant) if strategy == "circulant" else None
+    if chosen is not None:
+        label, sched = chosen
+        trial = ReferenceEngine(k)
+        for pair in sched:
+            if not trial.is_free_pair(*pair):
                 break
+            trial.collapse(*pair)
+        else:
+            eng, schedule = trial, label
+            pairs.extend(sched)
     while (pair := eng.find_free_generic()) is not None:
         eng.collapse(*pair)
         pairs.append(pair)
@@ -545,15 +576,15 @@ class TestEngineSwap:
 
 
 def engine_starts(collapse_calls):
-    """Each complex collapse_core was called on, and the core that each
-    schedule applicable to it leaves: what an engine can start from."""
+    """Each complex collapse_core was called on, and the core that the
+    schedule offered for it leaves when it applies: what an engine can
+    start from."""
     for k, strategy, circ in collapse_calls:
         yield k
-        if strategy == "circulant":
-            for _, sched in _schedule_candidates(*circ):
-                applied = _apply_schedule(k, sched)
-                if applied is not None:
-                    yield SimplicialComplex(applied, antichain=True)
+        chosen = circulant_schedule(*circ) if strategy == "circulant" else None
+        applied = None if chosen is None else _apply_schedule(k, chosen[1])
+        if applied is not None:
+            yield SimplicialComplex(applied, antichain=True)
 
 
 class TestEngineStart:
@@ -627,11 +658,11 @@ class TestEngineBuilds:
         assert builds[0] == 1
 
     def test_first_pair_rejection_builds_none(self, builds):
-        # Both edge schedules of (13, 2, 3) are candidates, but their first
-        # edge is no face of the complex of C_13(1, 5): only the generic
-        # engine is built.
+        # (13, 2, 3) is offered its edges(s) schedule, but the first edge is
+        # no face of the complex of C_13(1, 5): only the generic engine is
+        # built.
         k = nbhd(13, 1, 5)
-        assert [label for label, _ in _schedule_candidates(13, 2, 3)] == ["edges(s)", "edges(t)"]
+        assert circulant_schedule(13, 2, 3)[0] == "edges(s)"
         tr = collapse_core(k, strategy="circulant", circulant=(13, 2, 3))
         assert tr.schedule is None
         assert builds[0] == 1
@@ -735,6 +766,7 @@ class TestPipelineSample:
             elif trace.schedule is None:
                 seen.add("circulant miss")
             else:
-                sched = dict(_schedule_candidates(*circ))[trace.schedule]
+                label, sched = circulant_schedule(*circ)
+                assert label == trace.schedule
                 seen.add("generic finish" if len(trace.pairs) > len(sched) else "nothing free")
         assert seen == {"nothing free", "generic finish", "circulant miss", "fold path"}
