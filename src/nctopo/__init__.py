@@ -21,12 +21,10 @@ from .classify import (
     verify,
 )
 from .collapse import (
-    CollapseError,
     CollapseTrace,
+    apply_pairs,
     circulant_schedule,
     collapse_core,
-    collapse_step,
-    verify_collapsible_pair,
 )
 from .complexes import SimplicialComplex, neighborhood_complex
 from .graphs import (
@@ -61,7 +59,6 @@ __all__ = [
     "BACKEND",
     "CASE_TAGS",
     "PREDICTIONS",
-    "CollapseError",
     "CollapseTrace",
     "ChainComplex",
     "ComponentReport",
@@ -71,13 +68,13 @@ __all__ = [
     "ClassificationCase",
     "VerificationReport",
     "analyze_graph",
+    "apply_pairs",
     "case_of",
     "chain_complex",
     "circulant",
     "circulant_schedule",
     "classify_surface",
     "collapse_core",
-    "collapse_step",
     "connected_components",
     "find_fold",
     "fold_reduce",
@@ -92,7 +89,6 @@ __all__ = [
     "special_params",
     "uct_check",
     "verify",
-    "verify_collapsible_pair",
     "verify_shelling",
     "wedge_shelling_orders",
     "__version__",

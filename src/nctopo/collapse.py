@@ -19,29 +19,27 @@ simplex just removed, so a smaller free face can only appear by a push.
 The circulant strategy first applies the closed-form pair schedule that
 the arithmetic of (n, s, t) admits, if any (``circulant_schedule``: an
 edge schedule in two mirrored forms, or a free-triangle schedule for two
-special parameter families).  It runs on a live maximal set and vertex
--> star index, with every pair verified as it is applied, and needs no
-face map.  After it the core is built, and a free-face screen asks the
-core's own coface index whether anything is still free: the face map of
-the generic strategy is built from that core, and that strategy run to a
-fixed point, only when some (d-1)-face lies in a single d-face, d the
-dimension of a maximal simplex.  The coface index the screen builds is
-the one homology and surface recognition read next.  When no schedule is
-admitted, or a pair of it is not free, the generic strategy runs on the
-whole complex.  Everything is deterministic.
+special parameter families) through ``apply_pairs``, which runs on a
+live maximal set and vertex -> star index, verifies every pair as it is
+applied, and needs no face map.  ``apply_pairs`` is the one pair
+verifier: a recorded trace replays through it too, and it shares no code
+with the generic engine.  After the schedule the core is built, and a
+free-face screen asks the core's own coface index whether anything is
+still free: the face map of the generic strategy is built from that
+core, and that strategy run to a fixed point, only when some (d-1)-face
+lies in a single d-face, d the dimension of a maximal simplex.  The
+coface index the screen builds is the one homology and surface
+recognition read next.  When no schedule is admitted, or a pair of it is
+not free, the generic strategy runs on the whole complex.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-
-
-class CollapseError(ValueError):
-    """A collapse pair is not a face of the complex or is not collapsible."""
 
 
 class _Engine:
@@ -134,7 +132,7 @@ class _Engine:
 
 
 class CollapseTrace:
-    """Sequence of collapse pairs together with the resulting core."""
+    """Collapse pairs and the core they leave; apply_pairs replays them."""
 
     __slots__ = ("pairs", "core", "strategy", "schedule")
 
@@ -144,47 +142,11 @@ class CollapseTrace:
         self.strategy = strategy
         self.schedule = schedule
 
-    def replay(self, start):
-        """Re-apply the recorded pairs to start; must reproduce the core."""
-        return reduce(collapse_step, self.pairs, start)
-
     def __repr__(self):
         return (
             f"CollapseTrace({len(self.pairs)} pairs, strategy={self.strategy!r}, "
             f"schedule={self.schedule!r})"
         )
-
-
-def verify_collapsible_pair(k, sigma, tau):
-    """True iff sigma is a free face of k whose unique maximal coface is tau.
-
-    Raises CollapseError when sigma or tau is not a face of k at all.
-    """
-    sigma = tuple(sorted(set(sigma)))
-    tau = tuple(sorted(set(tau)))
-    if not k.has_face(sigma):
-        raise CollapseError(f"{sigma} is not a face of the complex")
-    if not k.has_face(tau):
-        raise CollapseError(f"{tau} is not a face of the complex")
-    if not set(sigma) < set(tau):
-        return False
-    return k.maximal_cofaces(sigma) == [tau]
-
-
-def collapse_step(k, pair):
-    """Single elementary collapse; returns the smaller complex.
-
-    The pair must verify via verify_collapsible_pair, otherwise
-    CollapseError is raised.
-    """
-    sigma, tau = pair
-    sigma = tuple(sorted(set(sigma)))
-    tau = tuple(sorted(set(tau)))
-    if not verify_collapsible_pair(k, sigma, tau):
-        raise CollapseError(f"({sigma}, {tau}) is not a collapsible pair")
-    new_maximal = [m for m in k.maximal_simplices if m != tau]
-    new_maximal.extend(tuple([v for v in tau if v != x]) for x in sigma)
-    return SimplicialComplex(new_maximal)
 
 
 def _edge_congruences(n, s, t):
@@ -232,20 +194,23 @@ def circulant_schedule(n, s, t):
     ]
 
 
-def _apply_schedule(k, sched):
-    """Apply sched to a live copy of k's maximal set and star index.
+def apply_pairs(k, pairs):
+    """Apply pairs to a live copy of k's maximal set and star index.
 
-    Each pair (sigma, tau) must be free when it is reached: tau is
-    maximal, sigma is a proper subset of tau, and no other maximal simplex
-    contains sigma, that is the stars of sigma's vertices meet in tau
-    alone.  Returns the maximal set after the last pair, or None when some
-    pair is not free.
+    The one collapse-pair verifier: schedules run through it, and a trace
+    replays as ``apply_pairs(k, trace.pairs)``.  Each pair (sigma, tau) of
+    sorted vertex tuples, as traces record them, must be free when it is
+    reached: tau is maximal, sigma is a nonempty proper subset of tau, and
+    no other maximal simplex contains sigma, that is the stars of sigma's
+    vertices meet in tau alone.  A tau in another vertex order is no
+    maximal simplex, so it is refused.  Returns the maximal set after the
+    last pair, or None when some pair is not free.
     """
     maximal = set(k.maximal_simplices)
     star = {v: set(k.star(v)) for v in k.vertices()}
     meet = set.intersection
-    for sigma, tau in sched:
-        if tau not in maximal or not set(sigma) < set(tau):
+    for sigma, tau in pairs:
+        if not sigma or tau not in maximal or not set(sigma) < set(tau):
             return None
         if len(meet(*[star[v] for v in sigma])) != 1:
             return None
@@ -286,14 +251,14 @@ def collapse_core(k, strategy="generic", circulant=None):
     strategy "generic" repeatedly removes the free pair whose coface has
     highest dimension, tie-broken by lexicographically smallest free face.
     strategy "circulant" expects circulant=(n, s, t) and first applies
-    circulant_schedule(n, s, t) when it gives a schedule, verifying each
-    pair against a live star index, then finishes generically; after a
-    schedule the core is built first, and the face map of the generic
-    strategy is built from it only when the core's coface index shows a
-    free face (``_has_free_face``).  A schedule pair that is not free
-    leaves k to the generic strategy whole.  Both strategies are
-    deterministic; the core is a fixed point of collapsing but is not
-    guaranteed to have minimal size.
+    circulant_schedule(n, s, t) when it gives a schedule, through
+    apply_pairs, then finishes generically; after a schedule the core is
+    built first, and the face map of the generic strategy is built from it
+    only when the core's coface index shows a free face
+    (``_has_free_face``).  A schedule pair that is not free leaves k to
+    the generic strategy whole.  Both strategies are deterministic; the
+    core is a fixed point of collapsing but is not guaranteed to have
+    minimal size.
     """
     if strategy not in ("generic", "circulant"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -304,7 +269,7 @@ def collapse_core(k, strategy="generic", circulant=None):
         if circulant is None:
             raise ValueError("strategy 'circulant' needs circulant=(n, s, t)")
         chosen = circulant_schedule(*circulant)
-        live = None if chosen is None else _apply_schedule(k, chosen[1])
+        live = None if chosen is None else apply_pairs(k, chosen[1])
         if live is not None:
             schedule_used, sched = chosen
             pairs_applied.extend(sched)

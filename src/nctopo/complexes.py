@@ -144,9 +144,6 @@ class SimplicialComplex:
         rarest = min((self._star.get(v, ()) for v in s), key=len)
         return [m for m in rarest if s.issubset(m)]
 
-    def has_face(self, simplex):
-        return bool(self.maximal_cofaces(simplex))
-
     def f_vector(self):
         return tuple([len(self.faces(d)) for d in range(self.dim() + 1)])
 

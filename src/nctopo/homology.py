@@ -91,8 +91,9 @@ class HomologyProfile:
     """Betti numbers, torsion, and mod-2 Betti numbers per dimension.
 
     torsion[d] lists the invariant factors > 1 of H_d(.; Z), smallest
-    first.  euler is the alternating f-vector sum, cross-checked against
-    the alternating Betti sum on construction by homology().
+    first.  euler is the alternating f-vector sum.  The alternating Betti
+    sum equals it whatever the ranks are, so it checks nothing; homology()
+    checks each GF(2) rank against the rank over Z instead.
     """
 
     betti_z: tuple
@@ -123,11 +124,8 @@ def homology(k):
     betti_z2 = tuple([f[d] - rank_2[d] - rank_2[d + 1] for d in range(top + 1)])
 
     euler = sum((-1) ** d * f[d] for d in range(top + 1))
-    alt = sum((-1) ** d * betti_z[d] for d in range(top + 1))
-    if euler != alt:
-        raise CrossCheckError(f"Euler mismatch: f-vector gives {euler}, Betti sum gives {alt}")
-    # The Euler sum holds for any ranks, so it cannot see a lost pivot.
-    # A rank mod 2 never exceeds the rank over Z; this catches one.
+    # A rank mod 2 never exceeds the rank over Z; this catches a lost pivot,
+    # which the Betti sum cannot: it telescopes to euler whatever the ranks.
     for d in range(1, top + 1):
         if rank_2[d] > rank_z[d]:
             raise CrossCheckError(

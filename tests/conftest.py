@@ -298,6 +298,39 @@ def paper_edge_pairs(n, s, t):
     ]
 
 
+def reference_verify_collapsible_pair(k, sigma, tau):
+    """Whether (sigma, tau) is a free pair of k, by scanning every maximal
+    simplex: sigma is a nonempty proper subset of the maximal simplex tau
+    and lies in no other one.  Shares no package code."""
+    maximal = k.maximal_simplices
+    if not sigma or tau not in maximal or not set(sigma) < set(tau):
+        return False
+    return [m for m in maximal if set(sigma) <= set(m)] == [tau]
+
+
+def reference_collapse_step(k, pair):
+    """k after the elementary collapse of pair, or None when it is not a
+    free pair: tau goes, each tau minus a vertex of sigma comes in, and the
+    normalizing constructor drops those that lie in another maximal
+    simplex.  Shares no package code with the collapse layer."""
+    sigma, tau = pair
+    if not reference_verify_collapsible_pair(k, sigma, tau):
+        return None
+    rest = [m for m in k.maximal_simplices if m != tau]
+    return SimplicialComplex(rest + [tuple([v for v in tau if v != x]) for x in sigma])
+
+
+def reference_replay(k, pairs):
+    """Every complex from k through each reference_collapse_step of pairs,
+    stopping after a None at the first pair that is not free."""
+    states = [k]
+    for pair in pairs:
+        states.append(reference_collapse_step(states[-1], pair))
+        if states[-1] is None:
+            break
+    return states
+
+
 def reference_component_vertex_sets(maximal):
     """Vertex sets of the connected components by union-find, ordered by
     minimum vertex; shares no code with SimplicialComplex."""

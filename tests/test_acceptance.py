@@ -11,23 +11,21 @@ import time
 from functools import lru_cache
 from itertools import combinations
 
-import pytest
-
 from nctopo.classify import analyze_graph, verify
-from nctopo.collapse import (
-    CollapseError,
-    _edge_congruences,
-    circulant_schedule,
-    collapse_core,
-    collapse_step,
-)
+from nctopo.collapse import _edge_congruences, apply_pairs, circulant_schedule, collapse_core
 from nctopo.complexes import SimplicialComplex, neighborhood_complex
 from nctopo.graphs import Graph, circulant, fold_reduce, is_connected, normalize_circulant_pair
 from nctopo.homology import homology, uct_check
 from nctopo.shelling import verify_shelling, wedge_shelling_orders
 from nctopo.surfaces import tetrahedron_boundary_pieces
 
-from conftest import RP2_TRIANGLES, TORUS_TRIANGLES, paper_edge_pairs, sweep_reports
+from conftest import (
+    RP2_TRIANGLES,
+    TORUS_TRIANGLES,
+    paper_edge_pairs,
+    reference_replay,
+    sweep_reports,
+)
 
 
 def announce(num, detail):
@@ -204,9 +202,7 @@ def invariance_run():
         ]
         k = SimplicialComplex(gens)
         tr = collapse_core(k)
-        states = [k]
-        for pair in tr.pairs:
-            states.append(collapse_step(states[-1], pair))
+        states = reference_replay(k, tr.pairs)
         assert states[-1] == tr.core
         hs = [homology(state) for state in states]
         dim = max(state.dim() for state in states)
@@ -265,9 +261,10 @@ def test_criterion_10c_lemma_pairs():
                     continue
                 label, pairs = circulant_schedule(n, s0, t0)
                 assert label == "edges(s)"
-                cur = neighborhood_complex(circulant(n, (s0, t0)))
-                for pair in pairs:
-                    cur = collapse_step(cur, pair)
+                k = neighborhood_complex(circulant(n, (s0, t0)))
+                cur = reference_replay(k, pairs)[-1]
+                assert cur is not None
+                assert SimplicialComplex(apply_pairs(k, pairs), antichain=True) == cur
                 tested += 1
     assert tested >= 200
     # One constructed violation per hypothesis; each must break the schedule.
@@ -283,10 +280,9 @@ def test_criterion_10c_lemma_pairs():
         chosen = circulant_schedule(n, s, t)
         assert chosen is None or chosen[0] != "edges(s)"
         pairs = paper_edge_pairs(n, s, t)
-        cur = neighborhood_complex(circulant(n, (s, t)))
-        with pytest.raises(CollapseError):
-            for pair in pairs:
-                cur = collapse_step(cur, pair)
+        k = neighborhood_complex(circulant(n, (s, t)))
+        assert apply_pairs(k, pairs) is None
+        assert reference_replay(k, pairs)[-1] is None
     announce(10, f"(c) schedule lemma holds on {tested} hypothesis-satisfying instances; "
                  "every constructed congruence violation yields a counterexample pair")
 

@@ -54,10 +54,10 @@ class TestFaceEnumeration:
         assert tetra_boundary.dim() == 2
 
     def test_has_face(self, tetra_boundary):
-        assert tetra_boundary.has_face((1, 3))
-        assert tetra_boundary.has_face((2,))
-        assert not tetra_boundary.has_face((0, 1, 2, 3))
-        assert not tetra_boundary.has_face(())
+        assert tetra_boundary.maximal_cofaces((1, 3))
+        assert tetra_boundary.maximal_cofaces((2,))
+        assert not tetra_boundary.maximal_cofaces((0, 1, 2, 3))
+        assert not tetra_boundary.maximal_cofaces(())
 
     def test_mixed_dimensions_not_pure(self):
         k = SimplicialComplex([(0, 1, 2), (3, 4)])
@@ -229,7 +229,7 @@ def check_against_references(family, rng, antichain=False):
     for p in probes(family, rng):
         holders = [m for m in maximal if p and set(p) <= set(m)]
         assert sorted(k.maximal_cofaces(p)) == holders, p
-        assert k.has_face(p) == bool(holders), p
+        assert bool(k.maximal_cofaces(p)) == bool(holders), p
     for v in k.vertices():
         assert sorted(k.star(v)) == [m for m in maximal if v in m], v
     assert k.star(max(k.vertices(), default=0) + 1) == ()
@@ -276,8 +276,8 @@ class TestIncidenceIndexMatchesReferences:
     def test_empty_complex(self):
         k = SimplicialComplex([(), []])
         assert k.vertices() == ()
-        assert not k.has_face(())
-        assert not k.has_face((0,))
+        assert not k.maximal_cofaces(())
+        assert not k.maximal_cofaces((0,))
         assert k.components() == []
         assert not k.is_connected()
 
