@@ -21,7 +21,8 @@ components, and the invariant factors are all 1, then one 2 per
 unbalanced component; parity union-find finds both.  Every edge boundary
 is such a matrix, and so is the top boundary of a closed pseudomanifold,
 where each ridge lies in two facets: the dual graph of a non-orientable
-surface is unbalanced.
+surface is unbalanced.  The second kind is recognised in one pass over
+the face positions, which stops at the first row with a third entry.
 
 Any other boundary takes the general reduction, one sparse elimination
 over its ``SparseRow`` rows.  It takes unit pivots (entries of absolute
@@ -33,12 +34,16 @@ sparse integer matrix Smith normal form computations", J. Symb. Comput.
 
 The GF(2) route shares none of this: ``gf2_rank`` eliminates bitmasks on
 its own, so the Smith and GF(2) ranks stay independent cross-checks.
+``homology`` clears the GF(2) columns that the next boundary makes
+redundant before handing them over, which takes the edge boundary of the
+torus core at n = 320 from 1903 XOR steps of ``gf2_rank`` to 333; the
+Smith route is not cleared.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd
 
 BACKEND = "pure"
@@ -103,9 +108,10 @@ def gf2_rank(rows):
     Each row is a nonnegative int; bit j set means entry 1 in column j.
     The rows are eliminated in descending order of top bit, rows with the
     same top bit in the order given.  That keeps the chains of reductions
-    short on boundary matrices: the edge boundary of the torus core at
-    n = 320 takes 1903 reduction steps, against 25159 in the order the
-    edges come in.
+    short on boundary matrices: the full edge boundary of the torus core
+    at n = 320 takes 1903 reduction steps, against 25159 in the order the
+    edges come in, and the 331 masks left after ``homology`` clears it
+    take 333.
     """
     pivots = {}
     rank = 0
@@ -136,22 +142,31 @@ def _incidence_factors(b):
     """Invariant factors of a signed-graph incidence ``Boundary``, else None.
 
     An edge boundary's columns are edges, never negative, between its rows.
-    Any other boundary qualifies when its entries, sorted by row, show two
-    in every row: an edge between the two columns, negative when the two
-    signs agree."""
+    Any other boundary qualifies when every row holds two entries: an edge
+    between their columns, negative when their signs agree.  One pass over
+    the positions records each row's first column (its head), its second
+    (its tail) and whether the two signs agree; it gives up at a third
+    entry in a row, and when some row is left with fewer than two.
+    """
     if len(b.positions) == 2:
         return _parity_union_find(b.nrows, *b.positions, repeat(False))
-    ncols = b.ncols
-    # Entry k is (-1)**i in column j, with i, j = divmod(k, ncols).
-    flat = list(chain.from_iterable(b.positions))
-    order = sorted(range(len(flat)), key=flat.__getitem__)
-    rows = list(map(flat.__getitem__, order))
-    if not rows[::2] == rows[1::2] == list(range(b.nrows)):
+    heads = [-1] * b.nrows
+    tails = [-1] * b.nrows
+    negative = [False] * b.nrows
+    for i, faces in enumerate(b.positions):
+        odd = i % 2 == 1  # the entries here are (-1)**i
+        for col, row in enumerate(faces):
+            if heads[row] < 0:
+                heads[row] = col
+                negative[row] = odd
+            elif tails[row] < 0:
+                tails[row] = col
+                negative[row] = negative[row] == odd
+            else:
+                return None
+    if -1 in tails:
         return None
-    negative = [(h // ncols - t // ncols) % 2 == 0 for h, t in zip(order[::2], order[1::2])]
-    heads = [k % ncols for k in order[::2]]
-    tails = [k % ncols for k in order[1::2]]
-    return _parity_union_find(ncols, heads, tails, negative)
+    return _parity_union_find(b.ncols, heads, tails, negative)
 
 
 def _parity_union_find(nodes, heads, tails, negative):

@@ -25,8 +25,8 @@ no certificate, is reported as notable, never silently passed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .collapse import collapse_core
 from .complexes import neighborhood_complex
@@ -54,8 +54,7 @@ PREDICTIONS = {
 CASE_TAGS = tuple(PREDICTIONS)
 
 
-@dataclass(frozen=True)
-class ClassificationCase:
+class ClassificationCase(NamedTuple):
     tag: str
     n: int
     s: int
@@ -149,8 +148,7 @@ def special_params(p, q):
     return out
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     f_vector: tuple
     betti_z: tuple
     torsion: tuple
@@ -173,8 +171,7 @@ class ComponentReport:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     s: int
     t: int
@@ -182,7 +179,7 @@ class VerificationReport:
     prediction: str
     components: tuple
     verdict: str
-    notes: tuple = field(default=())
+    notes: tuple = ()
 
     def to_json_obj(self):
         return {
@@ -347,7 +344,7 @@ def _check_face_bound(g):
     Every face of N(g) lies in some N(v), which has 2^deg(v) - 1 nonempty
     subsets, so their sum bounds the face count.
     """
-    bound = sum((1 << g.degree(v)) - 1 for v in g.vertices())
+    bound = sum(map((1).__lshift__, map(g.degree, g.vertices()))) - g.num_vertices
     if bound > MAX_COMPLEX_FACES:
         raise ValueError(
             f"the neighborhood complex may have {bound} faces, "

@@ -242,7 +242,7 @@ def _has_free_face(k):
     """
     # Top first: the index of a lower dimension is built from those above.
     dims = sorted({len(m) - 1 for m in k.maximal_simplices}, reverse=True)
-    return any(len(holders) == 1 for d in dims for holders in k.cofaces(d).values())
+    return any(1 in map(len, k.cofaces(d).values()) for d in dims)
 
 
 def collapse_core(k, strategy="generic", circulant=None):

@@ -1,22 +1,27 @@
 """Finite simple graphs, circulant constructions, and fold reduction.
 
-Vertices are always 0..num_vertices-1.  A fold deletes a vertex u whose
-neighborhood is contained in the neighborhood of another vertex v; this
-never changes the homotopy type of the neighborhood complex, so
-``fold_reduce`` is the cheap first pass before any simplicial work.
+Vertices are always 0..num_vertices-1.  A circulant's neighborhoods are
+built straight from its generators, with no edge list.  A fold deletes a
+vertex u whose neighborhood is contained in the neighborhood of another
+vertex v; this never changes the homotopy type of the neighborhood
+complex, so ``fold_reduce`` is the cheap first pass before any
+simplicial work.
 
 Fold reduction runs from a worklist.  Deleting u shrinks only the
 neighborhoods of u's neighbors, and takes u away as a fold target, so
 only those neighbors can gain a fold; a vertex tested without one keeps
 having none.  Each deletion therefore requeues u's remaining neighbors
 and nothing else, and the work is one test per vertex plus one per
-neighbor of a deleted vertex, not a rescan of the graph per fold.
+neighbor of a deleted vertex, not a rescan of the graph per fold.  An
+isolated vertex is tested by finding one other live vertex, searched
+from the next label up, so a graph of many isolated vertices stays linear.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import chain
+from operator import index
 
 
 class Graph:
@@ -41,7 +46,8 @@ class Graph:
     @classmethod
     def _from_adjacency(cls, adj):
         """Graph whose N(v) is adj[v]: a tuple of sorted tuples, trusted to
-        be symmetric, loop-free and in range, as fold_reduce builds it."""
+        be symmetric, loop-free and in range, as circulant and fold_reduce
+        build it."""
         g = cls.__new__(cls)
         g._adj = adj
         return g
@@ -80,25 +86,27 @@ class Graph:
 def circulant(n, generators):
     """Circulant graph on Z_n: i ~ j iff (i - j) mod n lies in S or -S.
 
-    Generators must lie in 1..n-1; the set is closed under negation
-    automatically, so circulant(7, {2}) == circulant(7, {5}).
+    Generators must be integers in 1..n-1, read with ``operator.index``,
+    so 2.5 or "3" raises ValueError rather than being truncated or parsed.
+    The set is closed under negation automatically, so
+    circulant(7, {2}) == circulant(7, {5}).  N(i) is the offset set S and
+    -S shifted by i, built without an edge list.
     """
     if n < 2:
         raise ValueError("circulant graph needs at least 2 vertices")
-    gens = set()
+    offsets = set()
     for a in generators:
-        a = int(a)
+        try:
+            a = index(a)
+        except TypeError:
+            raise ValueError(f"generator {a!r} is not an integer") from None
         if not 1 <= a <= n - 1:
             raise ValueError(f"generator {a} out of range for n={n}")
-        gens.add(a)
-        gens.add(n - a)
-    edges = []
-    for i in range(n):
-        for a in gens:
-            j = (i + a) % n
-            if i < j:
-                edges.append((i, j))
-    return Graph(n, edges)
+        offsets.add(a)
+        offsets.add(n - a)
+    return Graph._from_adjacency(
+        tuple([tuple(sorted([(i + a) % n for a in offsets])) for i in range(n)])
+    )
 
 
 def normalize_circulant_pair(n, s, t):
@@ -154,19 +162,24 @@ def _fold_targets(adj, u):
 
     adj[x] is the neighbor set of x, or None once x is deleted.  Every v
     with a nonempty N(u) contained in N(v) is adjacent to each vertex of
-    N(u), so only the neighbors of one of them are tested.  An empty N(u)
-    lies in the neighborhood of every other live vertex; the search for
-    one starts at u + 1 and then wraps below u, because fold_reduce pops
-    an isolated u before any larger vertex, so all of those are still
-    live, while the vertices below u may be deleted.  Lazy, so a caller
-    that asks only whether u folds stops at the first target.
+    N(u), so only the neighbors of one of them are tested, in a plain loop.
+    An empty N(u) lies in the neighborhood of every other live vertex, and
+    only the first one found is listed: the search starts at u + 1 and
+    then wraps below u, because fold_reduce pops an isolated u before any
+    larger vertex, so all of those are still live, while the vertices
+    below u may be deleted.
     """
     nu = adj[u]
-    if nu:
-        w = next(iter(nu))
-        return (v for v in adj[w] if v != u and adj[v] >= nu)
-    others = chain(range(u + 1, len(adj)), range(u))
-    return (v for v in others if adj[v] is not None)
+    if not nu:
+        for v in chain(range(u + 1, len(adj)), range(u)):
+            if adj[v] is not None:
+                return [v]
+        return []
+    targets = []
+    for v in adj[next(iter(nu))]:
+        if v != u and adj[v] >= nu:
+            targets.append(v)
+    return targets
 
 
 def find_fold(g):
@@ -174,13 +187,14 @@ def find_fold(g):
 
     Pairs are compared lexicographically, so the result is deterministic.
     When N(u) == N(v) the smaller vertex is the one reported for deletion.
-    An isolated u folds onto the smallest other vertex.
+    An isolated u folds onto the smallest other vertex: every vertex is
+    live here, so that is 0, or 1 when u is 0.
     """
     adj = [set(ns) for ns in g._adj]
     for u in range(len(adj)):
-        v = min(_fold_targets(adj, u), default=None)
-        if v is not None:
-            return (u, v)
+        targets = _fold_targets(adj, u)
+        if targets:
+            return (u, min(targets) if adj[u] else 0 if u else 1)
     return None
 
 
@@ -207,7 +221,7 @@ def fold_reduce(g):
     while heap:
         u = heappop(heap)
         queued[u] = False
-        if next(_fold_targets(adj, u), None) is None:
+        if not _fold_targets(adj, u):
             continue
         for w in adj[u]:
             adj[w].discard(u)

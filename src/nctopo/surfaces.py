@@ -2,7 +2,8 @@
 
 The route is intrinsic: pseudomanifold check, vertex links, then an
 orientation attempt by sign propagation over the triangle adjacency
-graph.  The pseudomanifold check, the orientation walk and garland piece
+graph.  The pseudomanifold check, the walk around each vertex's fan of
+triangles that checks its link, the orientation walk and garland piece
 detection read the complex's ``cofaces(d)`` index; edge signs are
 computed locally, so orientability obtained this way is independent of
 the rank of H_2, and homology can cross-validate it.  Closed surfaces are
@@ -20,7 +21,7 @@ def is_pseudomanifold(k):
     """Pure of dimension d >= 1 and non-branching: every (d-1)-face lies in
     exactly two maximal simplices."""
     d = k.dim()
-    return d >= 1 and k.is_pure() and all(len(fs) == 2 for fs in k.cofaces(d).values())
+    return d >= 1 and k.is_pure() and set(map(len, k.cofaces(d).values())) == {2}
 
 
 def _links_are_cycles(k):
@@ -28,22 +29,29 @@ def _links_are_cycles(k):
 
     In the link of v each vertex w has exactly two neighbours, the third
     vertices of the two triangles on the edge vw, so the link is a union
-    of disjoint cycles.  It is one cycle when a walk from one link vertex
-    returns after as many steps as v has triangles.  The walk reads a
-    two-neighbour adjacency built from the star of v alone.
+    of disjoint cycles.  It is one cycle when the fan of triangles around
+    v closes after as many steps as v has triangles.  The walk leaves a
+    triangle through one of its edges at v, crosses to the other triangle
+    on that edge, read off ``k.cofaces(2)``, and leaves that one through
+    its other edge at v.  The two triangles on an edge are told apart by
+    identity: k is pure of dimension 2, so the star index and the coface
+    index both hold the tuple objects of ``k.maximal_simplices``.
     """
+    ridges = k.cofaces(2)
     for v in k.vertices():
         star = k.star(v)
-        nbrs = {}
-        for a, b, c in star:
-            x, y = (b, c) if v == a else (a, c) if v == b else (a, b)
-            nbrs.setdefault(x, []).append(y)
-            nbrs.setdefault(y, []).append(x)
-        # Walk from the link edge xy of the last triangle read.
-        prev, cur, steps = x, y, 1
-        while cur != x:
-            a, b = nbrs[cur]
-            prev, cur, steps = cur, b if a == prev else a, steps + 1
+        start = tri = star[0]
+        x = tri[2] if tri[2] != v else tri[1]
+        steps = 1
+        while True:
+            p, q = ridges[(v, x) if v < x else (x, v)]
+            tri = q if p is tri else p
+            if tri is start:
+                break
+            # Leave through the edge to the vertex that is neither v nor x.
+            a, b, c = tri
+            x = c if c != v and c != x else b if b != v and b != x else a
+            steps += 1
         if steps != len(star):
             return False
     return True
@@ -57,8 +65,6 @@ def _orient(k):
     shared edges, which adjacent triangles must induce with opposite
     signs; a conflict means the complex is non-orientable.
     """
-    # The sign of edge e in the boundary of the sorted triangle t is
-    # (-1)**i for the dropped vertex t[i]: -1 exactly when t[1] is dropped.
     ridges = k.cofaces(2)
     signs = {}
     for start in k.maximal_simplices:
@@ -68,12 +74,16 @@ def _orient(k):
         stack = [start]
         while stack:
             tri = stack.pop()
-            for e in combinations(tri, 2):
-                a, b = ridges[e]
-                other = b if a == tri else a
-                sign_tri = -1 if tri[1] not in e else 1
-                sign_other = -1 if other[1] not in e else 1
-                want = -signs[tri] * sign_tri * sign_other
+            a, b, c = tri
+            s = signs[tri]
+            # The sign of edge e in the boundary of the sorted triangle t is
+            # (-1)**i for the dropped vertex t[i]: -1 exactly for (t[0], t[2]).
+            # The neighbour wants -s times the product of the two signs.
+            for e, want in (((a, b), -s), ((a, c), s), ((b, c), -s)):
+                p, q = ridges[e]
+                other = q if p is tri else p
+                if other[1] not in e:
+                    want = -want
                 have = signs.get(other)
                 if have is None:
                     signs[other] = want

@@ -2,8 +2,12 @@
 ``nctopo.__all__``, so a name removed from its module but left in the list
 breaks it."""
 
+import ast
 import inspect
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import nctopo
 
@@ -23,3 +27,24 @@ def test_all_names_resolve_once_and_are_nctopo_own():
     namespace = {}
     exec("from nctopo import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses brings inspect, ast, dis and tokenize into every fresh
+    # interpreter; the report types are NamedTuples so that it is not needed.
+    src = str(Path(nctopo.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import sys; before = set(sys.modules); import nctopo; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    new = ast.literal_eval(out.stdout)
+    assert "nctopo.classify" in new
+    assert "dataclasses" not in new

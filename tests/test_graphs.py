@@ -3,6 +3,8 @@
 import math
 import random
 import re
+import time
+from itertools import combinations
 
 import pytest
 from conftest import (
@@ -96,6 +98,22 @@ class TestCirculant:
     def test_k5_and_k4(self):
         assert circulant(5, (1, 2)) == complete_graph(5)
         assert circulant(4, (1, 2)) == complete_graph(4)
+
+    def test_matches_the_edge_definition(self):
+        # circulant builds each N(i) from the offsets, with no edge list;
+        # Graph checks and sorts the edges i ~ i + a itself.
+        rng = random.Random(0)
+        for n in range(2, 40):
+            for _ in range(4):
+                gens = rng.sample(range(1, n), rng.randint(1, min(4, n - 1)))
+                edges = [(i, (i + a) % n) for i in range(n) for a in gens]
+                assert circulant(n, gens) == Graph(n, edges), (n, gens)
+
+    @pytest.mark.parametrize("gen", [2.5, 2.0, "3"])
+    def test_non_integral_generator_rejected(self, gen):
+        # int() would truncate 2.5 to 2 and parse "3"; the generator is named.
+        with pytest.raises(ValueError, match=re.escape(f"generator {gen!r} is not an integer")):
+            circulant(7, (gen,))
 
     @pytest.mark.parametrize(
         "n, gens",
@@ -308,6 +326,33 @@ class TestFindFoldMatchesBruteForce:
     def test_edgeless(self, n):
         g = Graph(n)
         assert find_fold(g) == brute_force_find_fold(g) == (None if n == 1 else (0, 1))
+
+    def test_many_isolated_vertices(self):
+        # An isolated vertex gets one fold target, searched from u + 1;
+        # find_fold must still report the smallest vertex, below u.
+        isolated_first = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(2, 25)
+            active = sorted(rng.sample(range(n), rng.randint(0, n // 2)))
+            edges = [e for e in combinations(active, 2) if rng.random() < 0.5]
+            g = Graph(n, edges)
+            pair = find_fold(g)
+            assert pair == brute_force_find_fold(g), seed
+            assert fold_reduce(g) == reference_fold_reduce(g), seed
+            isolated_first += pair[0] > 0 and g.degree(pair[0]) == 0 and pair[1] == 0
+        assert isolated_first >= 30
+
+    def test_fold_reduce_stays_linear_on_isolated_vertices(self):
+        # 20 000 vertices, all but three isolated.  Each isolated u folds
+        # onto u + 1, which is still live; a search that started from
+        # vertex 0 would walk past every deleted vertex, 2 * 10**8 steps.
+        n = 20_000
+        g = Graph(n, [(0, n // 2), (n // 2, n - 1)])
+        t0 = time.perf_counter()
+        reduced = fold_reduce(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert reduced == Graph(2, [(0, 1)])
 
 
 class TestExcludedGraphs:

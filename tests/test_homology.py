@@ -25,10 +25,15 @@ from nctopo import (
     neighborhood_complex,
     uct_check,
 )
+from nctopo.classify import reduce_to_core
+from nctopo.cli import admissible_triples
+from nctopo.homology import _rank_gf2
 from conftest import (
     TORUS_TRIANGLES,
     boundary_of_simplex,
     dense_rows,
+    dunce_hat,
+    incidence_graph,
     oracle_gf2_rank,
     oracle_invariant_factors,
     snf,
@@ -241,6 +246,72 @@ class TestTwoRouteAgreement:
                         m |= 1 << i
                 masks.append(m)
             assert gf2_rank(masks) == oracle_gf2_rank(mat)
+
+
+def full_rank_gf2(cc, d):
+    """Rank mod 2 of boundary d with one mask for every d-simplex, none
+    cleared."""
+    masks = [0] * len(cc.bases[d])
+    for faces in cc.positions[d]:
+        for j, row in enumerate(faces):
+            masks[j] |= 1 << row
+    return _kernels.gf2_rank(masks)
+
+
+def assert_clearing_keeps_the_rank(k):
+    """Every cleared GF(2) rank of k equals the full one; returns the
+    number of columns that clearing dropped."""
+    cc = chain_complex(k)
+    dropped = 0
+    for d in range(1, cc.dim() + 1):
+        assert _rank_gf2(cc, d) == full_rank_gf2(cc, d), (k, d)
+        if d < cc.dim():
+            dropped += len(set(cc.positions[d + 1][0]))
+    return dropped
+
+
+class TestGf2Clearing:
+    """``_rank_gf2`` gives no mask to a d-simplex that is the face dropping
+    vertex 0 of a (d+1)-simplex; the rank must be that of the full
+    elimination."""
+
+    def test_sweep_cores(self):
+        cores = [
+            reduce_to_core(circulant(n, (s, t)), (n, s, t))[2].core
+            for n, s, t in admissible_triples(5, 25)
+        ]
+        assert len(cores) == 571
+        assert sum(map(assert_clearing_keeps_the_rank, cores)) > 0
+
+    def test_graph_pool_cores(self, run):
+        # The generic cores of the pool are graphs, whose one boundary has
+        # nothing to clear; the complexes they collapse from have triangles.
+        reduced = [reduce_to_core(g) for g in run.graph_pool(run.FULL, 0)]
+        assert sum(assert_clearing_keeps_the_rank(trace.core) for _, _, trace in reduced) == 0
+        assert sum(assert_clearing_keeps_the_rank(k) for _, k, _ in reduced) > 0
+
+    def test_incidence_graph_complexes(self, rp2, torus7, klein, tetra_boundary):
+        # N(B(K)) holds a copy of K and the nerve of its maximal simplices,
+        # of dimension up to the largest vertex degree of K.
+        ks = [rp2, torus7, klein, tetra_boundary, dunce_hat(), boundary_of_simplex(range(5))]
+        dims = set()
+        for k in ks:
+            nk = neighborhood_complex(incidence_graph(k))
+            dims.add(nk.dim())
+            assert assert_clearing_keeps_the_rank(k) > 0
+            assert assert_clearing_keeps_the_rank(nk) > 0
+        assert max(dims) >= 5
+
+    def test_torus_core_masks(self, monkeypatch):
+        # On the torus core at n = 320, f = (320, 960, 640): 331 edge masks
+        # are left of 960, and the top boundary keeps all of its 640.
+        seen = []
+        inner = _kernels.gf2_rank
+        monkeypatch.setattr(_kernels, "gf2_rank", lambda masks: seen.append(masks) or inner(masks))
+        k = reduce_to_core(circulant(320, (1, 4)), (320, 1, 4))[2].core
+        cc = chain_complex(k)
+        assert [_rank_gf2(cc, d) for d in (1, 2)] == [319, 639]
+        assert [len(masks) for masks in seen] == [331, 640]
 
 
 # Run under ``python -O``, which strips assert statements.  A Smith kernel

@@ -520,6 +520,68 @@ class TestIncidenceShortcut:
         assert all(f for _, fs in triangles for f in fs)
 
 
+class TestOnePassReader:
+    """``_incidence_factors`` reads a boundary other than an edge boundary
+    in one pass over its positions, keeping each row's head, tail and sign
+    parity.  A third entry in a row, or a row left with fewer than two,
+    sends the matrix to the general reduction."""
+
+    @staticmethod
+    def _falls_through(mat, kernel_calls):
+        dense = dense_rows(mat)
+        assert _kernels._incidence_factors(mat) is None
+        assert _kernels.snf_diagonal(mat) == oracle_invariant_factors(dense)
+        assert len(kernel_calls) == 1
+
+    def test_row_with_three_entries(self, kernel_calls, torus7):
+        # A copy of column 0 gives each of its rows a third entry, and no
+        # row has fewer than two.
+        d2 = chain_complex(torus7).boundaries[2]
+        doubled = Boundary(d2.nrows, d2.ncols + 1, [[*p, p[0]] for p in d2.positions])
+        counts = {len(row) - row.count(0) for row in dense_rows(doubled)}
+        assert counts == {2, 3}
+        self._falls_through(doubled, kernel_calls)
+
+    def test_row_with_one_entry(self, kernel_calls, torus7):
+        # Without its last triangle, the torus has three edges in one
+        # triangle each, and no row has three entries.
+        d2 = chain_complex(torus7).boundaries[2]
+        cut = Boundary(d2.nrows, d2.ncols - 1, [p[:-1] for p in d2.positions])
+        counts = sorted(len(row) - row.count(0) for row in dense_rows(cut))
+        assert counts == [1, 1, 1] + [2] * (d2.nrows - 3)
+        self._falls_through(cut, kernel_calls)
+
+    def test_empty_row(self, kernel_calls, rp2):
+        # One more row than RP^2 has edges, with no entry in it.
+        d2 = chain_complex(rp2).boundaries[2]
+        padded = Boundary(d2.nrows + 1, d2.ncols, d2.positions)
+        assert dense_rows(padded)[-1] == [0] * d2.ncols
+        self._falls_through(padded, kernel_calls)
+
+    @pytest.mark.parametrize(
+        "name, read", [("torus7", True), ("rp2", True), ("dunce hat", False), ("garland", False)]
+    )
+    def test_agrees_with_the_general_reduction_and_sympy(self, name, read, torus7, rp2):
+        k = {
+            "torus7": torus7,
+            "rp2": rp2,
+            "dunce hat": dunce_hat(),
+            "garland": core(20, 3, 5),
+        }[name]
+        cc = chain_complex(k)
+        for d in 1, 2:
+            mat = cc.boundaries[d]
+            dense = dense_rows(mat)
+            factors = _kernels._incidence_factors(mat)
+            # Every edge boundary is read; a top boundary only on a surface.
+            assert (factors is not None) == (d == 1 or read), d
+            expected = _kernels._general_snf(list(mat))
+            assert expected == oracle_invariant_factors(dense), d
+            assert _kernels.snf_diagonal(mat) == expected, d
+            if factors is not None:
+                assert factors == expected, d
+
+
 class TestDispatch:
     def test_backend_name(self):
         assert _kernels.BACKEND == nctopo.BACKEND == "pure"

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from conftest import RP2_TRIANGLES, TORUS_TRIANGLES, reference_component_vertex_sets
@@ -396,3 +396,48 @@ class TestStarBasedRecognitionMatchesReferences:
         assert any(not reference_is_closed_surface(k) for k in ks)
         for k in ks:
             check_surface_against_references(k)
+
+
+def octahedron(a0, a1, b0, b1, c0, c1):
+    """The octahedron boundary on three antipodal pairs: a sphere whose
+    vertex links are 4-cycles."""
+    return [tuple(sorted(t)) for t in product((a0, a1), (b0, b1), (c0, c1))]
+
+
+class TestFanWalk:
+    """``_links_are_cycles`` walks the fan of triangles around each vertex
+    across ``cofaces(2)``, telling the two triangles on an edge apart by
+    identity."""
+
+    @pytest.mark.parametrize(
+        "tris",
+        [
+            list(combinations(range(4), 3)) + list(combinations((0, 4, 5, 6), 3)),
+            octahedron(0, 1, 2, 3, 4, 5) + octahedron(0, 6, 7, 8, 9, 10),
+        ],
+        ids=["two tetrahedra", "two octahedra"],
+    )
+    def test_pinched_spheres(self, tris):
+        # Two spheres sharing the vertex 0: a connected pseudomanifold whose
+        # link at 0 is two cycles of equal length, so the fan closes after
+        # half the star of 0.
+        k = SimplicialComplex(tris)
+        link = reference_vertex_link(k, 0)
+        cycles = reference_component_vertex_sets(link.maximal_simplices)
+        assert len(cycles) == 2 and len(cycles[0]) == len(cycles[1])
+        assert is_pseudomanifold(k) and k.is_connected()
+        assert all(
+            reference_link_is_single_cycle(reference_vertex_link(k, v)) for v in k.vertices()[1:]
+        )
+        assert not _links_are_cycles(k)
+        assert classify_surface(k) == "not-a-surface" == reference_classification(k)
+
+    def test_star_and_cofaces_share_the_triangles(self, torus7, rp2, pipeline_inputs):
+        surfaces = [k for k in pipeline_inputs["surfaces"] if k.dim() == 2 and k.is_pure()]
+        assert surfaces
+        for k in [torus7, rp2, *surfaces]:
+            ridges = k.cofaces(2)
+            for v in k.vertices():
+                for tri in k.star(v):
+                    for e in combinations(tri, 2):
+                        assert any(t is tri for t in ridges[e])
