@@ -12,7 +12,7 @@ best of three.  ``collapse_core`` and ``fold_reduce`` get their recorded
 arguments; ``snf`` (``_kernels.snf_diagonal``) gets a fresh copy of each
 recorded boundary, made outside the clock, since a boundary builds its
 rows on first read and keeps them, and the pipeline hands each one to
-the Smith entry once; ``construct
+the Smith entry once; ``construct``
 replays every recorded ``SimplicialComplex(...)`` call, so each checkout
 times the calls its own pipeline makes.  The other three run as the
 pipeline runs them: each pass first rebuilds every collapsed core outside

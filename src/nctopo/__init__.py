@@ -15,7 +15,6 @@ from .classify import (
     VerificationReport,
     analyze_graph,
     case_of,
-    predicted,
     reduce_to_core,
     special_params,
     verify,
@@ -83,7 +82,6 @@ __all__ = [
     "is_pseudomanifold",
     "neighborhood_complex",
     "normalize_circulant_pair",
-    "predicted",
     "read_edge_list",
     "reduce_to_core",
     "special_params",

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .collapse import collapse_core
 from .complexes import neighborhood_complex
-from .graphs import circulant, find_fold, fold_reduce, is_connected, normalize_circulant_pair
+from .graphs import _walk, circulant, find_fold, fold_reduce, is_connected, normalize_circulant_pair
 from .homology import homology, uct_check
 from .shelling import verify_shelling, wedge_shelling_orders
 from .surfaces import classify_surface, tetrahedron_boundary_pieces
@@ -112,12 +112,6 @@ def case_of(n, s, t):
     if 4 * s == n or 4 * t == n:
         return ClassificationCase("I4B", n, s, t, "4s = n" if 4 * s == n else "4t = n")
     return ClassificationCase("I4C", n, s, t, "no congruence hits")
-
-
-def predicted(case):
-    """Predicted homotopy shape for a case tag or ClassificationCase."""
-    tag = case.tag if isinstance(case, ClassificationCase) else case
-    return PREDICTIONS[tag]
 
 
 def special_params(p, q):
@@ -311,25 +305,16 @@ def _is_excluded(g):
     K_4 is the only 3-regular graph on 4 vertices.  A 3-regular bipartite
     graph on 8 vertices has 4 vertices on each side, and each vertex misses
     exactly one vertex of the other side, so it is K_{4,4} minus a perfect
-    matching.  g is bipartite iff the 2-colouring of a spanning forest
-    gives no edge one colour at both ends.
+    matching.  g is bipartite iff no edge joins two vertices of one depth
+    parity in the graph walk.
     """
     n = g.num_vertices
     if n not in (4, 8) or any(g.degree(v) != 3 for v in g.vertices()):
         return False
     if n == 4:
         return True
-    colour = [None] * n
-    for root in g.vertices():
-        if colour[root] is None:
-            colour[root], stack = 0, [root]
-            while stack:
-                u = stack.pop()
-                for w in g.neighborhood(u):
-                    if colour[w] is None:
-                        colour[w] = 1 - colour[u]
-                        stack.append(w)
-    return all(colour[u] != colour[v] for u, v in g.edges())
+    _, parity = _walk(g)
+    return all(parity[u] != parity[v] for u, v in g.edges())
 
 
 # Cap on the face count bound of a neighborhood complex.  Every 4-regular
@@ -408,7 +393,7 @@ def verify(n, s, t):
     """
     case = case_of(n, s, t)
     n, s, t = case.n, case.s, case.t
-    prediction = predicted(case)
+    prediction = PREDICTIONS[case.tag]
 
     g = circulant(n, (s, t))
 

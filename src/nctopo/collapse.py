@@ -31,13 +31,14 @@ lies in a single d-face, d the dimension of a maximal simplex.  The
 coface index the screen builds is the one homology and surface
 recognition read next.  When no schedule is admitted, or a pair of it is
 not free, the generic strategy runs on the whole complex.  Everything is
-deterministic.
+deterministic, and a returned trace is an immutable record.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex
 
@@ -131,22 +132,14 @@ class _Engine:
         return None
 
 
-class CollapseTrace:
-    """Collapse pairs and the core they leave; apply_pairs replays them."""
+class CollapseTrace(NamedTuple):
+    """Collapse pairs (a tuple), the core they leave, the strategy, and the
+    schedule applied or None; apply_pairs replays the pairs."""
 
-    __slots__ = ("pairs", "core", "strategy", "schedule")
-
-    def __init__(self, pairs, core, strategy, schedule=None):
-        self.pairs = tuple(pairs)
-        self.core = core
-        self.strategy = strategy
-        self.schedule = schedule
-
-    def __repr__(self):
-        return (
-            f"CollapseTrace({len(self.pairs)} pairs, strategy={self.strategy!r}, "
-            f"schedule={self.schedule!r})"
-        )
+    pairs: tuple
+    core: SimplicialComplex
+    strategy: str
+    schedule: str | None = None
 
 
 def _edge_congruences(n, s, t):
@@ -283,4 +276,4 @@ def collapse_core(k, strategy="generic", circulant=None):
             eng.collapse(*nxt)
             pairs_applied.append(nxt)
         core = SimplicialComplex(eng.maximal, antichain=True)
-    return CollapseTrace(pairs=pairs_applied, core=core, strategy=strategy, schedule=schedule_used)
+    return CollapseTrace(tuple(pairs_applied), core, strategy, schedule_used)

@@ -1,7 +1,9 @@
 """Finite simple graphs, circulant constructions, and fold reduction.
 
 Vertices are always 0..num_vertices-1.  A circulant's neighborhoods are
-built straight from its generators, with no edge list.  A fold deletes a
+built straight from its generators, with no edge list.  One breadth-first
+walk gives each vertex its component's least vertex and its depth
+parity, for the components and the bipartiteness test.  A fold deletes a
 vertex u whose neighborhood is contained in the neighborhood of another
 vertex v; this never changes the homotopy type of the neighborhood
 complex, so ``fold_reduce`` is the cheap first pass before any
@@ -132,25 +134,29 @@ def normalize_circulant_pair(n, s, t):
     return s, t
 
 
+def _walk(g):
+    """(root, parity): for each vertex, the least vertex of its component,
+    and the parity of its depth in a breadth-first walk from that root."""
+    root, parity = [-1] * g.num_vertices, [0] * g.num_vertices
+    for r in g.vertices():
+        if root[r] < 0:
+            root[r] = r
+            queue = [r]
+            for u in queue:
+                for w in g.neighborhood(u):
+                    if root[w] < 0:
+                        root[w] = r
+                        parity[w] = 1 - parity[u]
+                        queue.append(w)
+    return root, parity
+
+
 def connected_components(g):
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    seen = [False] * g.num_vertices
-    comps = []
-    for root in g.vertices():
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in g.neighborhood(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    comps = {}
+    for v, r in enumerate(_walk(g)[0]):
+        comps.setdefault(r, []).append(v)
+    return list(comps.values())
 
 
 def is_connected(g):

@@ -2,12 +2,12 @@
 
 Unreduced homology throughout: a point has betti_z == (1,).  The integer
 route takes the Smith normal form of the ``_kernels.Boundary`` matrices
-``chain_complex`` builds from face positions; every edge boundary, and
-the top boundary of a closed pseudomanifold core, is a signed-graph
-incidence matrix, answered by parity union-find.  The mod-2 route
-eliminates bitmasks ORed from the same positions, with the columns that
-the next boundary makes redundant cleared first, and shares no
-elimination code with the Smith route, which is not cleared; so the
+of ``chain_complex``, each the one holder of its face positions; every
+edge boundary, and the top boundary of a closed pseudomanifold core, is
+a signed-graph incidence matrix, answered by parity union-find.  The
+mod-2 route eliminates bitmasks ORed from the same positions, with the
+columns that the next boundary makes redundant cleared first, and shares
+no elimination code with the Smith route, which is not cleared; so the
 universal-coefficient relation between the two is a checkable
 consequence, not an assumption.
 """
@@ -25,24 +25,19 @@ class CrossCheckError(AssertionError):
     """Two independent computations disagree; raised also under -O."""
 
 
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """Bases and integer boundary matrices of a simplicial complex.
 
     bases[d] is the sorted tuple of d-simplices; boundaries[d] is the
-    matrix of the boundary map C_d -> C_{d-1} (rows indexed by
-    (d-1)-simplices, columns by d-simplices) as a ``_kernels.Boundary``
-    over positions[d]; boundaries[0] is the empty matrix with f_0 columns.
-    positions[d][i][j], for 1 <= d <= dim, is the position in bases[d - 1]
-    of the face of bases[d][j] that drops its i-th vertex: the row of the
-    entry (-1)**i in column j of boundaries[d].  positions[0] is empty.
+    ``_kernels.Boundary`` of the map C_d -> C_{d-1}, rows indexed by
+    (d-1)-simplices and columns by d-simplices; boundaries[0] is empty
+    with f_0 columns.  For 1 <= d <= dim, boundaries[d].positions[i][j] is
+    the position in bases[d - 1] of the face of bases[d][j] that drops its
+    i-th vertex: the row of the entry (-1)**i in column j.
     """
 
-    __slots__ = ("bases", "boundaries", "positions")
-
-    def __init__(self, bases, boundaries, positions):
-        self.bases = bases
-        self.boundaries = boundaries
-        self.positions = positions
+    bases: list
+    boundaries: list
 
     def dim(self):
         return len(self.bases) - 1
@@ -64,7 +59,7 @@ def chain_complex(k):
         ]
     f = [len(b) for b in bases]
     boundaries = list(map(_kernels.Boundary, [0] + f[:-1], f, positions))
-    return ChainComplex([tuple(b) for b in bases], boundaries, positions)
+    return ChainComplex([tuple(b) for b in bases], boundaries)
 
 
 def _faces_dropping(simplices, i):
@@ -79,24 +74,23 @@ def _rank_gf2(cc, d):
 
     Builds incidence bitmasks straight from face containment, one mask per
     kept d-simplex with a bit at the position of each of its faces, ORed in
-    from ``cc.positions[d]`` one dropped vertex at a time; no sign
-    bookkeeping and no shared code with the Smith route.
+    from ``cc.boundaries[d].positions`` one dropped vertex at a time; no
+    sign bookkeeping and no shared code with the Smith route.
 
     Below the top dimension the columns are cleared (Chen and Kerber,
     "Persistent homology computation with a twist", EuroCG 2011): a
     d-simplex sigma that is the face dropping vertex 0 of some (d+1)-simplex
-    tau, as listed in ``cc.positions[d + 1][0]``, gets no mask.  Every other
-    face of tau contains that vertex, which is smaller than all of sigma,
-    so it comes earlier in the sorted basis, and since the boundary of the
+    tau, as listed in ``cc.boundaries[d + 1].positions[0]``, gets no mask.
+    Every other face of tau holds that vertex, smaller than all of sigma, so
+    it comes earlier in the sorted basis, and since the boundary of the
     boundary of tau is 0, the column of sigma is the sum of theirs.  By
-    induction on position the kept columns span all of them, so the rank
-    is unchanged; on the torus core at n = 320 the edge masks go from 960
-    to 331.
+    induction on position the kept columns span all of them, so the rank is
+    unchanged; on the torus core at n = 320 the edge masks go 960 -> 331.
     """
-    positions = cc.positions[d]
-    if d + 1 < len(cc.positions):
+    positions = cc.boundaries[d].positions
+    if d < cc.dim():
         keep = [True] * len(cc.bases[d])
-        for j in cc.positions[d + 1][0]:
+        for j in cc.boundaries[d + 1].positions[0]:
             keep[j] = False
         positions = [list(compress(faces, keep)) for faces in positions]
     masks = [0] * len(positions[0])

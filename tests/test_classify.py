@@ -13,7 +13,6 @@ from nctopo.classify import (
     PREDICTIONS,
     analyze_graph,
     case_of,
-    predicted,
     reduce_to_core,
     special_params,
     verify,
@@ -114,9 +113,9 @@ class TestPredicted:
         for tag in CASE_TAGS:
             assert PREDICTIONS[tag]
 
-    def test_accepts_case_or_tag(self):
+    def test_verify_reads_its_case_tag(self):
         case = case_of(10, 1, 3)
-        assert predicted(case) == predicted("I2A") == "S3"
+        assert verify(10, 1, 3).prediction == PREDICTIONS[case.tag] == PREDICTIONS["I2A"] == "S3"
 
 
 def nine_congruence_params(p, q):
@@ -897,10 +896,10 @@ class TestCertificateRefusals:
 
         def two_triangles(g, params=None):
             graph, k, trace = real(g, params)
-            trace.core = SimplicialComplex(
+            core = SimplicialComplex(
                 list(combinations((0, 1, 2), 2)) + list(combinations((3, 5, 7), 2))
             )
-            return graph, k, trace
+            return graph, k, trace._replace(core=core)
 
         monkeypatch.setattr(classify, "reduce_to_core", two_triangles)
         r = verify(10, 1, 5)

@@ -171,6 +171,33 @@ class TestGenericCore:
             collapse_core(SimplicialComplex([(0, 1)]), strategy="circulant")
 
 
+class TestTraceIsImmutable:
+    """A trace is fixed once collapse_core returns it: what a caller
+    replays or exports is what the collapse recorded."""
+
+    @pytest.mark.parametrize("strategy", ["generic", "circulant"])
+    @pytest.mark.parametrize("field", ["pairs", "core", "strategy", "schedule"])
+    def test_fields_cannot_be_assigned(self, strategy, field):
+        tr = collapse_core(nbhd(12, 1, 3), strategy=strategy, circulant=(12, 1, 3))
+        with pytest.raises(AttributeError):
+            setattr(tr, field, None)
+
+    def test_replace_leaves_the_original(self):
+        k = nbhd(10, 1, 3)
+        tr = collapse_core(k)
+        core = tr.core
+        other = tr._replace(core=SimplicialComplex([(0,)]))
+        assert other.core == SimplicialComplex([(0,)]) and other.pairs == tr.pairs
+        assert tr.core is core
+        assert SimplicialComplex(apply_pairs(k, tr.pairs), antichain=True) == tr.core
+
+    @pytest.mark.parametrize("nst", [(12, 1, 3), (15, 1, 4), (9, 1, 3)])
+    def test_pairs_is_a_tuple(self, nst):
+        k = nbhd(*nst)
+        for tr in (collapse_core(k), collapse_core(k, "circulant", nst)):
+            assert type(tr.pairs) is tuple and tr.pairs
+
+
 def edges_admitted(n, s, t):
     """Whether the edge-pair lemma's five congruences all hold."""
     return all(value for _, value in _edge_congruences(n, s, t))

@@ -19,6 +19,7 @@ from conftest import (
 from nctopo.graphs import (
     MAX_VERTEX_LABEL,
     Graph,
+    _walk,
     circulant,
     connected_components,
     find_fold,
@@ -440,3 +441,38 @@ class TestConnectivity:
     def test_components_ordered_by_min_vertex(self):
         comps = connected_components(circulant(10, (2, 4)))
         assert comps[0][0] == 0 and comps[1][0] == 1
+
+
+class TestWalk:
+    """``_walk`` gives each vertex its component's least vertex and its
+    depth parity; each component starts again at parity 0 at its root."""
+
+    def test_parity_restarts_in_each_component(self):
+        # An odd cycle 0-3-6, whose walk ends at parity 1, and an even
+        # cycle 1-2-4-5, interleaved in the labels: root 1 starts again at 0.
+        g = Graph(7, [(0, 3), (3, 6), (6, 0), (1, 2), (2, 4), (4, 5), (5, 1)])
+        root, parity = _walk(g)
+        assert root == [0, 1, 1, 0, 1, 1, 0]
+        assert [parity[v] for v in (1, 2, 4, 5)] == [0, 1, 0, 1]
+        assert parity[0] == 0 and parity[3] == parity[6] == 1
+        clashes = [(u, v) for u, v in g.edges() if parity[u] == parity[v]]
+        assert clashes == [(3, 6)]
+
+    def test_components_against_union_find(self):
+        for seed in range(20):
+            g = random_sparse_graph(seed)
+            parent = list(g.vertices())
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for u, v in g.edges():
+                parent[max(find(u), find(v))] = min(find(u), find(v))
+            root, _ = _walk(g)
+            assert root == [find(v) for v in g.vertices()]
+            expected = {}
+            for v in g.vertices():
+                expected.setdefault(find(v), []).append(v)
+            assert connected_components(g) == sorted(expected.values())

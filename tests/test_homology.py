@@ -111,16 +111,23 @@ class TestChainComplex:
         cc = chain_complex(k)
         assert [len(b) for b in cc.bases] == [4, 6, 4]
 
+    @pytest.mark.parametrize("field", ["bases", "boundaries"])
+    def test_fields_cannot_be_assigned(self, rp2, field):
+        cc = chain_complex(rp2)
+        with pytest.raises(AttributeError):
+            setattr(cc, field, [])
+        assert cc._fields == ("bases", "boundaries")
+
 
 def assert_positions_match_boundaries(cc):
-    """positions[d][i][j] is the row of the (-1)**i entry in column j of
-    boundaries[d], and the face of bases[d][j] dropping vertex i is that
-    row's simplex; no other entry is nonzero."""
-    assert cc.positions[0] == ()
+    """boundaries[d].positions[i][j] is the row of the (-1)**i entry in
+    column j of boundaries[d], and the face of bases[d][j] dropping vertex
+    i is that row's simplex; no other entry is nonzero."""
+    assert cc.boundaries[0].positions == ()
     for d in range(1, cc.dim() + 1):
-        assert len(cc.positions[d]) == d + 1
+        assert len(cc.boundaries[d].positions) == d + 1
         from_positions = {}
-        for i, rows in enumerate(cc.positions[d]):
+        for i, rows in enumerate(cc.boundaries[d].positions):
             assert len(rows) == len(cc.bases[d])
             for j, row in enumerate(rows):
                 s = cc.bases[d][j]
@@ -252,7 +259,7 @@ def full_rank_gf2(cc, d):
     """Rank mod 2 of boundary d with one mask for every d-simplex, none
     cleared."""
     masks = [0] * len(cc.bases[d])
-    for faces in cc.positions[d]:
+    for faces in cc.boundaries[d].positions:
         for j, row in enumerate(faces):
             masks[j] |= 1 << row
     return _kernels.gf2_rank(masks)
@@ -266,7 +273,7 @@ def assert_clearing_keeps_the_rank(k):
     for d in range(1, cc.dim() + 1):
         assert _rank_gf2(cc, d) == full_rank_gf2(cc, d), (k, d)
         if d < cc.dim():
-            dropped += len(set(cc.positions[d + 1][0]))
+            dropped += len(set(cc.boundaries[d + 1].positions[0]))
     return dropped
 
 
